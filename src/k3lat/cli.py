@@ -93,14 +93,13 @@ def _require_positive_even(two_n: int) -> int:
     return two_n
 
 
-def _selected_rows(args):
-    two_n = _require_positive_even(args.norm)
-    rows = [coset_count_row(o) for o in orbits_of_norm(two_n)]
+def _selected_orbits(args):
+    orbits = orbits_of_norm(_require_positive_even(args.norm))
     if args.orbit is not None:
-        if not 0 <= args.orbit < len(rows):
-            raise ValueError(f"orbit index out of range (0..{len(rows) - 1})")
-        rows = [rows[args.orbit]]
-    return rows
+        if not 0 <= args.orbit < len(orbits):
+            raise ValueError(f"orbit index out of range (0..{len(orbits) - 1})")
+        orbits = [orbits[args.orbit]]
+    return orbits
 
 
 # ---------------------------------------------------------------- commands
@@ -152,8 +151,13 @@ def cmd_e8_orbits(args):
               f"{lt.determinant(o.complement)}, complement roots {o.root_count_u}")
 
 
+def _column_count(rows) -> int:
+    """Label columns k = 0..n of the widest row, and never fewer than 8."""
+    return max([8] + [row.two_n // 2 + 1 for row in rows])
+
+
 def _table_markdown(rows, internal: bool) -> str:
-    ncols = max([8] + [row.two_n // 2 + 1 for row in rows])
+    ncols = _column_count(rows)
     header = ["2n", "roots"] + [f"k={k}" for k in range(ncols)]
     lines = ["| " + " | ".join(header) + " |",
              "|" + "---:|" * len(header)]
@@ -174,7 +178,7 @@ def _table_markdown(rows, internal: bool) -> str:
 
 
 def _table_csv(rows) -> str:
-    lines = ["2n,roots," + ",".join(f"k={k}" for k in range(8))]
+    lines = ["2n,roots," + ",".join(f"k={k}" for k in range(_column_count(rows)))]
     for row in rows:
         totals = [str(row.column_totals[k]) for k in range(row.two_n // 2 + 1)]
         lines.append(",".join([str(row.two_n), str(row.root_count)] + totals))
@@ -208,7 +212,7 @@ def _line_reports(row):
 
 
 def cmd_divisors(args):
-    rows = _selected_rows(args)
+    rows = [coset_count_row(o) for o in _selected_orbits(args)]
     internal = args.internal_norms
     if args.json:
         payload_rows = []
@@ -255,18 +259,17 @@ def cmd_divisors(args):
 
 
 def cmd_weight(args):
-    rows = _selected_rows(args)
+    orbits = _selected_orbits(args)
     if args.json:
         _dump_json({"schema": SCHEMA_VERSION, "rows": [
-            {"two_n": row.two_n, "roots": row.root_count,
-             "primitive": row.orbit.primitive,
-             "weight": restricted_weight(row.orbit.complement)}
-            for row in rows]})
+            {"two_n": o.two_n, "roots": o.root_count_u, "primitive": o.primitive,
+             "weight": restricted_weight(o.complement)}
+            for o in orbits]})
         return
-    for row in rows:
-        w = restricted_weight(row.orbit.complement)
-        print(f"2n = {row.two_n}, representative {row.orbit.representative}: "
-              f"restricted form weight {w} (= 12 + {row.root_count}/2)")
+    for o in orbits:
+        w = restricted_weight(o.complement)
+        print(f"2n = {o.two_n}, representative {o.representative}: "
+              f"restricted form weight {w} (= 12 + {o.root_count_u}/2)")
 
 
 def cmd_embed_check(args):

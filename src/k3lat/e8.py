@@ -179,7 +179,8 @@ def orbits_of_norm(two_n: int) -> list[OrbitClass]:
     orbits = []
     for rep in sorted(_dominant_vectors_of_norm(two_n)):
         stab = stabilizer_order(rep)
-        assert WEYL_ORDER % stab == 0
+        if WEYL_ORDER % stab:
+            raise RuntimeError(f"stabilizer order {stab} does not divide |W(E8)|")
         comp = complement_of(rep)
         content = 0
         for c in rep:

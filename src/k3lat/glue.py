@@ -4,21 +4,20 @@ The central object is the table row of an orbit of a norm-2n vector v in
 E8: for each pairing label k = (x, v) between 0 and n, the counts of
 vectors a in the dual of U = v-perp whose class corresponds to k and whose
 squared length (internal positive convention) lies in [0, 2). Every such a
-is the projection a = x - ((x,v)/2n) v of a unique x in E8 with (x, v) = k,
-so the row is computed by one short-vector enumeration in E8 bucketed by
-(x, v); a rank-7 enumeration of the dual cosets of U serves as the
-independent cross-check (`dual_coset_counts`).
+is the projection a = x - ((x,v)/2n) v of a unique x in E8 with (x, v) = k.
+The row is one enumeration of U', each vector labelled by its class in
+U'/U; `dual_coset_counts` enumerates one coset of U per column and serves
+as the independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import intlinalg as la
 from .e8 import OrbitClass
-from .errors import IndefiniteLatticeError, NormOutOfRangeError, WrongSignatureError
+from .errors import NormOutOfRangeError, WrongSignatureError
 from .lattice import E8, Lattice, determinant, discriminant_group, signature
 from .shortvec import EnumQuery, root_count, short_vectors
 
@@ -69,28 +68,42 @@ class CosetCountTable:
     column_totals: dict[int, int]
 
 
+def _pairing_solution(v) -> tuple[int, list[int]]:
+    """(g, w) with (v, w) = g, the content of v (E8 is unimodular)."""
+    g, w = 0, [0] * 8
+    for i, p in enumerate(la.vec_mat(list(v), E8.gram)):
+        g, a, b = la.xgcd(g, p)
+        w = [a * c for c in w]
+        w[i] = b
+    return g, w
+
+
 def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
-    """Build the table row of an orbit by bucketed E8 enumeration."""
-    two_n = orbit.two_n
-    n = two_n // 2
-    v = list(orbit.representative)
-    bound = Fraction(n, 2) + 2  # the k = n column needs (x,x) < n/2 + 2
-    hist = short_vectors(EnumQuery(gram=E8.gram, bound=bound, exclusive=True,
-                                   collect=True))
-    counts: dict[int, dict[Fraction, int]] = {k: {} for k in range(n + 1)}
-    for x in hist.vectors:
-        k = E8.pairing(x, v)
-        if not 0 <= k <= n:
-            continue
-        nu = Fraction(E8.norm(x)) - Fraction(k * k, two_n)
-        if nu >= 2:
-            continue
-        assert nu >= 0
-        bucket = counts[k]
-        bucket[nu] = bucket.get(nu, 0) + 1
-    totals = {k: sum(c.values()) for k, c in counts.items()}
+    """Build the table row of an orbit by one labelled enumeration of U'.
+
+    With v = m v0, v0 primitive, det U = 2n0 = 2n/m^2. In the dual basis u_i*
+    U' has the integer Gram 2n0 G_U^-1 (norm below 2 is below 2 det U), and
+    the class of y in U'/U = Z/2n0 is sum c_i y_i mod 2n0 with
+    c_i = -2n0 (u_i*, w) for any w in E8 with (v0, w) = 1. Column k = m t is
+    the histogram of label t mod 2n0; columns with m not dividing k are empty.
+    """
+    two_n, u = orbit.two_n, orbit.complement
+    m, w = _pairing_solution(orbit.representative)
+    det_u = two_n // (m * m)
+    dual_gram = tuple(tuple(int(det_u * x) for x in row)
+                      for row in la.fraction_inverse(u.gram))
+    form = tuple(-c % det_u for c in
+                 la.vec_mat([E8.pairing(b, w) for b in u.basis], dual_gram))
+    hist = short_vectors(EnumQuery(gram=dual_gram, bound=Fraction(2 * det_u),
+                                   exclusive=True, label=form, modulus=det_u))
+    by_label: dict[int, dict[Fraction, int]] = {}
+    for (t, norm), count in hist.counts.items():
+        by_label.setdefault(t, {})[norm / det_u] = count
+    counts = {k: dict(by_label.get(k // m % det_u, {})) if k % m == 0 else {}
+              for k in range(two_n // 2 + 1)}
     return CosetCountTable(two_n=two_n, orbit=orbit, root_count=orbit.root_count_u,
-                           counts=counts, column_totals=totals)
+                           counts=counts,
+                           column_totals={k: sum(c.values()) for k, c in counts.items()})
 
 
 def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
@@ -100,24 +113,14 @@ def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
     enumerates the coset a0 + U below internal norm 2. Returns the empty
     histogram when no E8 vector pairs to k (non-primitive v, odd k).
     """
-    two_n = orbit.two_n
-    v = list(orbit.representative)
-    w = la.vec_mat(v, [list(r) for r in E8.gram])
-    g = 0
-    coeff = [0] * 8
-    for i, wi in enumerate(w):
-        g, a, b = la.xgcd(g, wi)
-        coeff = [a * c for c in coeff]
-        coeff[i] = b
+    v = orbit.representative
+    g, coeff = _pairing_solution(v)
     if k % g:
         return {}
-    x0 = [(k // g) * c for c in coeff]
-    a0 = [Fraction(xc) - Fraction(k, two_n) * vc for xc, vc in zip(x0, v)]
+    a0 = [(k // g) * xc - Fraction(k, orbit.two_n) * vc for xc, vc in zip(coeff, v)]
     u = orbit.complement
-    basis = [list(row) for row in u.basis]
-    rhs = la.vec_mat(la.vec_mat(a0, [list(r) for r in E8.gram]), la.transpose(basis))
-    gu_inv = la.fraction_inverse([list(r) for r in u.gram])
-    offset = la.vec_mat(rhs, gu_inv)
+    rhs = [E8.pairing(a0, b) for b in u.basis]
+    offset = la.vec_mat(rhs, la.fraction_inverse(u.gram))
     hist = short_vectors(EnumQuery(gram=u.gram, bound=Fraction(2),
                                    offset=tuple(offset), exclusive=True))
     return dict(hist.counts)
@@ -128,7 +131,8 @@ def restricted_weight(u: Lattice) -> int:
     if u.rank > 26:
         raise ValueError("complement lattice cannot have rank above 26")
     roots = root_count(u)  # raises IndefiniteLatticeError when not definite
-    assert roots % 2 == 0
+    if roots % 2:
+        raise RuntimeError(f"odd root count {roots}: roots come in pairs +-r")
     return 12 + roots // 2
 
 
@@ -193,23 +197,17 @@ def hyperplane_multiplicity(row: CosetCountTable, k0: int, nu0) -> DivisorReport
     if nu0 < -2:
         raise NormOutOfRangeError(
             "no divisor arises from a dual vector of norm below -2")
-    two_n = row.two_n
-    n = two_n // 2
     contribs = []
-    total = 0
     c = 1
     while c * c * nu0 >= -2:
         scaled = c * c * nu0
-        label = (c * k0) % two_n
-        if label > n:
-            label = two_n - label
+        label = min(c * k0 % row.two_n, -c * k0 % row.two_n)  # fold k -> 2n - k
         count = row.counts.get(label, {}).get(2 + scaled, 0)
         contribs.append(ScaleContribution(scale=c, norm=scaled, label=label,
                                           count=count))
-        total += count
         c += 1
     return DivisorReport(k0=k0, nu0=nu0, contributions=tuple(contribs),
-                         total_multiplicity=total)
+                         total_multiplicity=sum(x.count for x in contribs))
 
 
 def nikulin_minus2_property(s: Lattice) -> bool:

@@ -118,7 +118,8 @@ def possible_extension_norms(two_n: int, k: int) -> list[int]:
         raise ValueError("two_n must be a positive even integer")
     upper = Fraction(k * k, two_n)
     d = -2 * ((2 - upper) // 2)  # smallest even integer >= upper - 2
-    assert upper - 2 <= d < upper
+    if not upper - 2 <= d < upper:
+        raise RuntimeError(f"even norm {d} outside the window [{upper - 2}, {upper})")
     return [int(d)]
 
 

@@ -47,6 +47,8 @@ class EnumQuery:
 
     ``exclusive`` switches the bound comparison from <= to <; ``collect``
     additionally returns the vectors (count-only mode allocates none).
+    ``label`` is an optional integer linear form on the coordinates x, read
+    modulo ``modulus``; with it the histogram is keyed by (label, norm).
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -54,13 +56,16 @@ class EnumQuery:
     offset: tuple[Fraction, ...] | None = None
     exclusive: bool = False
     collect: bool = False
+    label: tuple[int, ...] | None = None
+    modulus: int = 0
 
 
 @dataclass
 class NormHistogram:
-    """Exact counts of enumerated vectors, keyed by rational norm."""
+    """Exact counts of enumerated vectors, keyed by rational norm, or by
+    (label, norm) for a labelled query."""
 
-    counts: dict[Fraction, int] = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)
     vectors: list[tuple[int, ...]] | None = None
 
     @property
@@ -76,10 +81,15 @@ def short_vectors(query: EnumQuery) -> NormHistogram:
     offset = [Fraction(c) for c in (query.offset or [0] * r)]
     if len(offset) != r:
         raise ValueError("offset length does not match the rank")
+    form = query.label
+    modulus = query.modulus
+    if form is not None and (len(form) != r or modulus <= 0):
+        raise ValueError("label form needs one coefficient per coordinate "
+                         "and a positive modulus")
     hist = NormHistogram(vectors=[] if query.collect else None)
     if r == 0:
         if (bound > 0) or (bound == 0 and not query.exclusive):
-            hist.counts[Fraction(0)] = 1
+            hist.counts[Fraction(0) if form is None else (0, Fraction(0))] = 1
             if query.collect:
                 hist.vectors.append(())
         return hist
@@ -106,37 +116,50 @@ def short_vectors(query: EnumQuery) -> NormHistogram:
 
     partial = [0] * r  # partial[k] = D^2 * sum_{j>k fixed} u_kj y_j
     x = [0] * r
+    coeff = list(form) if form is not None else [0] * r
+    # Leaves are keyed by the scaled integer norm (with the label, if any)
+    # and converted to exact fractions once, after the search.
+    raw: dict = {}
 
-    def descend(level: int, remaining: int, used: int):
+    def descend(level: int, remaining: int, used: int, lab: int):
         dni = dn[level]
         a = cn[level] * big_d + partial[level]
         w = isqrt(remaining * dni)
         step = dni * d2
         x_hi = (w - dni * a) // step
         x_lo = -((w + dni * a) // step)
+        if level == 0:
+            c0 = coeff[0]
+            for xi in range(x_lo, x_hi + 1):
+                zn = xi * d2 + a
+                key = used + dni * zn * zn
+                if exclusive and key == bb:
+                    continue
+                if form is not None:
+                    key = ((lab + c0 * xi) % modulus, key)
+                raw[key] = raw.get(key, 0) + 1
+                if collect:
+                    x[0] = xi
+                    vectors.append(tuple(x))
+            return
         col = ucol[level]
+        cl = coeff[level]
         for xi in range(x_lo, x_hi + 1):
             zn = xi * d2 + a
             spent = dni * zn * zn
             yn = xi * big_d + cn[level]
-            if level == 0:
-                total_used = used + spent
-                if exclusive and total_used == bb:
-                    continue
-                x[0] = xi
-                key = Fraction(total_used, denom5)
-                counts[key] = counts.get(key, 0) + 1
-                if collect:
-                    vectors.append(tuple(x))
-            else:
-                for k in range(level):
-                    partial[k] += col[k] * yn
-                x[level] = xi
-                descend(level - 1, remaining - spent, used + spent)
-                for k in range(level):
-                    partial[k] -= col[k] * yn
+            for k in range(level):
+                partial[k] += col[k] * yn
+            x[level] = xi
+            descend(level - 1, remaining - spent, used + spent, lab + cl * xi)
+            for k in range(level):
+                partial[k] -= col[k] * yn
 
-    descend(r - 1, bb, 0)
+    descend(r - 1, bb, 0, 0)
+    if form is None:
+        counts.update((Fraction(key, denom5), c) for key, c in raw.items())
+    else:
+        counts.update(((t, Fraction(key, denom5)), c) for (t, key), c in raw.items())
     if collect:
         vectors.sort()
     return hist

@@ -18,7 +18,8 @@ norm 3/2 (reported as -3/2). Integer x of norm 4 never has
 odd number of + signs among the six remaining entries +-1/2:
 C(6,1) + C(6,3) + C(6,5) = 32. The same count runs by brute force in
 tests/test_glue.py::test_degree10_k5_cell_in_independent_coordinates, and
-criterion 7 ties the table to the rank-7 dual-coset enumeration.
+criterion 7 ties the table to two further engines: the bucketed E8
+enumeration (tests/oracles.py) and the rank-7 dual-coset enumeration.
 
 The corrected value also changes criterion 9: the cell (2n=10, k=5) has
 k^2/2n = 5/2, so it admits extension norm 2, not 0. It is the one nonzero
@@ -29,6 +30,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from oracles import bucketed_row
 
 from k3lat import glue, lattice as lt
 from k3lat.cli import main
@@ -175,15 +177,21 @@ def test_criterion_6_determinant_two_property():
 
 
 def test_criterion_7_oracle_equivalence_and_symmetry(all_rows):
+    # Two engines outside the row engine: the bucketed E8 ball (test-side)
+    # and the rank-7 coset of U per column (glue.dual_coset_counts). They
+    # must agree with each other, and the table rows with both.
     problems = []
     for row in all_rows:
         n = row.two_n // 2
+        bucketed = bucketed_row(row.orbit)
+        if row.counts != bucketed:
+            problems.append((row.two_n, row.root_count, "row"))
         for k in range(0, 2 * row.two_n + 1):
             reduced = k % row.two_n
             if reduced > n:
                 reduced = row.two_n - reduced
             oracle = glue.dual_coset_counts(row.orbit, k)
-            if oracle != row.counts.get(reduced, {}):
+            if oracle != bucketed[reduced]:
                 problems.append((row.two_n, row.root_count, k))
     ok = not problems
     detail = report(7, "bucketed E8 counts equal rank-7 dual-coset counts, "

@@ -42,6 +42,21 @@ def test_table_csv_row(capsys):
     assert lines[1] == "2,126,1,56"
 
 
+def test_table_csv_header_spans_widest_row(capsys):
+    code, out, _ = run(capsys, "table", "--from", "2", "--to", "22",
+                       "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "2n,roots," + ",".join(f"k={k}" for k in range(12))
+    widths = []
+    for line in rows:
+        fields = line.split(",")
+        two_n = int(fields[0])
+        assert len(fields) == 2 + two_n // 2 + 1
+        widths.append(len(fields))
+    assert max(widths) == len(header.split(",")) == 14
+
+
 def test_table_json_schema(capsys):
     code, out, _ = run(capsys, "table", "--from", "2", "--to", "4",
                        "--format", "json")
@@ -72,6 +87,21 @@ def test_weight_command(capsys):
     code, out, _ = run(capsys, "weight", "--norm", "2")
     assert code == 0
     assert "weight 75" in out
+
+
+def test_weight_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "weight", "--norm", "8")
+    assert code == 0
+    assert out == (
+        "2n = 8, representative (4, 6, 8, 12, 10, 8, 6, 4): "
+        "restricted form weight 75 (= 12 + 126/2)\n"
+        "2n = 8, representative (5, 8, 10, 15, 12, 9, 6, 3): "
+        "restricted form weight 40 (= 12 + 56/2)\n")
+    code, out, _ = run(capsys, "weight", "--norm", "8", "--json")
+    assert code == 0
+    assert out == json.dumps({"schema": 1, "rows": [
+        {"two_n": 8, "roots": 126, "primitive": False, "weight": 75},
+        {"two_n": 8, "roots": 56, "primitive": True, "weight": 40}]}, indent=2) + "\n"
 
 
 def test_e8_orbits_json(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from oracles import bucketed_row
 
 from k3lat import glue, lattice as lt
 from k3lat.e8 import orbits_of_norm
@@ -79,6 +81,31 @@ def test_oracle_equivalence_and_symmetry(rows):
                 reduced = row.two_n - reduced
             oracle = glue.dual_coset_counts(row.orbit, k)
             assert oracle == row.counts.get(reduced, {}), (row.two_n, k)
+
+
+def test_rows_match_bucketed_e8_oracle():
+    # every orbit with 2n <= 22, the imprimitive 8*, 16* and 18* among them
+    imprimitive = []
+    for two_n in range(2, 24, 2):
+        for orbit in orbits_of_norm(two_n):
+            if not orbit.primitive:
+                imprimitive.append(two_n)
+            assert glue.coset_count_row(orbit).counts == bucketed_row(orbit), (
+                two_n, orbit.representative)
+    assert imprimitive == [8, 16, 18]
+
+
+def test_imprimitive_rows_match_oracle_columnwise():
+    contents = []
+    for two_n in (24, 32):
+        for orbit in orbits_of_norm(two_n):
+            if orbit.primitive:
+                continue
+            contents.append((two_n, gcd(*orbit.representative)))
+            row = glue.coset_count_row(orbit)
+            for k in range(two_n // 2 + 1):
+                assert row.counts[k] == glue.dual_coset_counts(orbit, k), (two_n, k)
+    assert sorted(contents) == [(24, 2), (32, 2), (32, 4)]
 
 
 def test_restricted_weight():

@@ -146,6 +146,65 @@ def test_count_only_matches_collect():
     assert len(b.vectors) == b.total
 
 
+def test_labelled_histogram_buckets_collected_vectors():
+    # the form x -> (x, r) mod 2 for the root r = e_0 of E8
+    gram = [list(row) for row in lt.E8.gram]
+    root = [1, 0, 0, 0, 0, 0, 0, 0]
+    form = tuple(la.vec_mat(root, gram))
+    for bound, exclusive in ((Fraction(4), False), (Fraction(6), True)):
+        listed = short_vectors(EnumQuery(gram=lt.E8.gram, bound=bound,
+                                         exclusive=exclusive, collect=True))
+        want = {}
+        for x in listed.vectors:
+            key = (la.pairing(gram, x, root) % 2, Fraction(lt.E8.norm(x)))
+            want[key] = want.get(key, 0) + 1
+        got = short_vectors(EnumQuery(gram=lt.E8.gram, bound=bound,
+                                      exclusive=exclusive, label=form, modulus=2))
+        assert got.vectors is None
+        assert got.counts == want
+        assert got.total == listed.total
+    # the 126 roots orthogonal to r and +-r pair evenly, the other 112 oddly
+    assert got.counts[(0, Fraction(2))] == 128
+    assert got.counts[(1, Fraction(2))] == 112
+
+
+def test_labelled_histogram_with_offset_and_zero_rank():
+    offset = tuple(lt.discriminant_group(lt.E7).generators[0])
+    plain = short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(4),
+                                    offset=offset))
+    labelled = short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(4),
+                                       offset=offset, label=(1,) * 7, modulus=3))
+    marginal = {}
+    for (t, norm), count in labelled.counts.items():
+        assert 0 <= t < 3
+        marginal[norm] = marginal.get(norm, 0) + count
+    assert marginal == plain.counts
+    empty = short_vectors(EnumQuery(gram=(), bound=Fraction(1), label=(), modulus=5))
+    assert empty.counts == {(0, Fraction(0)): 1}
+    with pytest.raises(ValueError):
+        short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(2), label=(1,) * 6,
+                                modulus=2))
+    with pytest.raises(ValueError):
+        short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(2), label=(1,) * 7))
+
+
+def test_unlabelled_histograms_are_unchanged():
+    # exact histograms, pinned: keys are Fractions, no vectors are kept
+    cases = [
+        (EnumQuery(gram=lt.E8.gram, bound=Fraction(6)),
+         {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160, Fraction(6): 6720}),
+        (EnumQuery(gram=lt.E8.gram, bound=Fraction(6), exclusive=True),
+         {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160}),
+        (EnumQuery(gram=lt.E7.gram, bound=Fraction(4),
+                   offset=tuple(lt.discriminant_group(lt.E7).generators[0])),
+         {Fraction(3, 2): 56, Fraction(7, 2): 576}),
+    ]
+    for query, want in cases:
+        hist = short_vectors(query)
+        assert hist == NormHistogram(counts=want)
+        assert all(type(key) is Fraction for key in hist.counts)
+
+
 def test_root_count_table_complements():
     by_roots = {}
     for two_n in (6, 10):
