@@ -156,7 +156,7 @@ def _column_count(rows) -> int:
     return max([8] + [row.two_n // 2 + 1 for row in rows])
 
 
-def _table_markdown(rows, internal: bool) -> str:
+def _table_markdown(rows) -> str:
     ncols = _column_count(rows)
     header = ["2n", "roots"] + [f"k={k}" for k in range(ncols)]
     lines = ["| " + " | ".join(header) + " |",
@@ -188,7 +188,7 @@ def _table_csv(rows) -> str:
 def cmd_table(args):
     rows = _collect_rows(args.start, args.stop)
     if args.format == "md":
-        sys.stdout.write(_table_markdown(rows, args.internal_norms))
+        sys.stdout.write(_table_markdown(rows))
     elif args.format == "csv":
         sys.stdout.write(_table_csv(rows))
     else:

@@ -14,7 +14,6 @@ from math import factorial, gcd
 from . import intlinalg as la
 from .errors import ZeroVectorError
 from .lattice import E8, Lattice, orthogonal_complement, sublattice
-from .shortvec import root_count
 
 WEYL_ORDER = 696729600  # |W(E8)| = 2^14 3^5 5^2 7
 
@@ -58,30 +57,35 @@ def _arm_length(start: int, away_from: int, nodes: frozenset[int]) -> int:
     return length
 
 
-def _component_weyl_order(nodes: frozenset[int]) -> int:
-    """Weyl order of a connected subdiagram of the E8 diagram (A/D/E type)."""
+def _component_orders(nodes: frozenset[int]) -> tuple[int, int]:
+    """(Weyl order, root count) of a connected subdiagram of the E8 diagram."""
     n = len(nodes)
     branch = [v for v in nodes if sum(1 for w in _ADJ[v] if w in nodes) == 3]
     if not branch:
-        return factorial(n + 1)  # type A_n
+        return factorial(n + 1), n * (n + 1)  # type A_n
     arms = sorted(_arm_length(w, branch[0], nodes) for w in _ADJ[branch[0]]
                   if w in nodes)
     if arms[:2] == [1, 1]:
-        return (1 << (n - 1)) * factorial(n)  # type D_n
-    return {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): WEYL_ORDER}[tuple(arms)]
+        return (1 << (n - 1)) * factorial(n), 2 * n * (n - 1)  # type D_n
+    return {(1, 2, 2): (51840, 72), (1, 2, 3): (2903040, 126),
+            (1, 2, 4): (WEYL_ORDER, 240)}[tuple(arms)]
 
 
-def stabilizer_order(dominant: tuple[int, ...]) -> int:
-    """Order of the Weyl stabilizer of a dominant vector.
+def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:
+    """(Weyl order, root count) of the roots orthogonal to a dominant vector.
 
-    The stabilizer is the parabolic subgroup generated by the simple
-    reflections orthogonal to the vector.
+    The isotropy group of a point in the closed chamber is the parabolic
+    subgroup generated by the simple reflections that fix it (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12), so the roots orthogonal to
+    the vector are those of the subsystem spanned by the simple roots with
+    pairing 0. The Weyl order is the product over its connected components,
+    the root count the sum.
     """
     pair = la.vec_mat(list(dominant), _GRAM)
     if any(p < 0 for p in pair):
         raise ValueError("vector is not dominant")
     zero = {i for i, p in enumerate(pair) if p == 0}
-    order = 1
+    order, roots = 1, 0
     seen: set[int] = set()
     for v in zero:
         if v in seen:
@@ -95,8 +99,15 @@ def stabilizer_order(dominant: tuple[int, ...]) -> int:
                     comp.add(w)
                     stack.append(w)
         seen |= comp
-        order *= _component_weyl_order(frozenset(comp))
-    return order
+        weyl, count = _component_orders(frozenset(comp))
+        order *= weyl
+        roots += count
+    return order, roots
+
+
+def stabilizer_order(dominant: tuple[int, ...]) -> int:
+    """Order of the Weyl stabilizer of a dominant vector."""
+    return parabolic_orders(dominant)[0]
 
 
 def complement_of(v) -> Lattice:
@@ -121,7 +132,8 @@ class OrbitClass:
 
     ``representative`` is the dominant vector of the orbit (simple-root
     coordinates); ``complement`` is its rank-7 orthogonal complement, of
-    determinant two_n exactly when the orbit is primitive.
+    determinant two_n exactly when the orbit is primitive; ``root_count_u``
+    is the number of roots of the complement.
     """
 
     two_n: int
@@ -149,9 +161,9 @@ def _dominant_vectors_of_norm(two_n: int) -> list[tuple[int, ...]]:
                 x = la.vec_mat(p, _GRAM_INV)
                 found.append(tuple(x))
             return
+        cross = sum(_GRAM_INV[i][j] * p[j] for j in range(i))
         k = 0
         while True:
-            cross = sum(_GRAM_INV[i][j] * p[j] for j in range(i))
             value = partial + 2 * k * cross + _GRAM_INV[i][i] * k * k
             if value > two_n:
                 break
@@ -178,7 +190,7 @@ def orbits_of_norm(two_n: int) -> list[OrbitClass]:
         return []
     orbits = []
     for rep in sorted(_dominant_vectors_of_norm(two_n)):
-        stab = stabilizer_order(rep)
+        stab, roots = parabolic_orders(rep)
         if WEYL_ORDER % stab:
             raise RuntimeError(f"stabilizer order {stab} does not divide |W(E8)|")
         comp = complement_of(rep)
@@ -191,6 +203,6 @@ def orbits_of_norm(two_n: int) -> list[OrbitClass]:
             primitive=content == 1,
             orbit_size=WEYL_ORDER // stab,
             complement=comp,
-            root_count_u=root_count(comp),
+            root_count_u=roots,
         ))
     return orbits

@@ -82,16 +82,15 @@ def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
     """Build the table row of an orbit by one labelled enumeration of U'.
 
     With v = m v0, v0 primitive, det U = 2n0 = 2n/m^2. In the dual basis u_i*
-    U' has the integer Gram 2n0 G_U^-1 (norm below 2 is below 2 det U), and
-    the class of y in U'/U = Z/2n0 is sum c_i y_i mod 2n0 with
+    U' has the integer Gram 2n0 G_U^-1 = adj G_U (norm below 2 is below
+    2 det U), and the class of y in U'/U = Z/2n0 is sum c_i y_i mod 2n0 with
     c_i = -2n0 (u_i*, w) for any w in E8 with (v0, w) = 1. Column k = m t is
     the histogram of label t mod 2n0; columns with m not dividing k are empty.
     """
     two_n, u = orbit.two_n, orbit.complement
     m, w = _pairing_solution(orbit.representative)
-    det_u = two_n // (m * m)
-    dual_gram = tuple(tuple(int(det_u * x) for x in row)
-                      for row in la.fraction_inverse(u.gram))
+    det_u, adj = la.bareiss_adjugate(u.gram)
+    dual_gram = tuple(tuple(row) for row in adj)
     form = tuple(-c % det_u for c in
                  la.vec_mat([E8.pairing(b, w) for b in u.basis], dual_gram))
     hist = short_vectors(EnumQuery(gram=dual_gram, bound=Fraction(2 * det_u),

@@ -8,6 +8,7 @@ ranks in play (<= 28) keep the dense textbook algorithms fast.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 IntMatrix = list[list[int]]
 IntVector = list[int]
@@ -26,7 +27,7 @@ def mat_mul(a, b):
     if not a or not b:
         return []
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def vec_mat(v, m):
@@ -88,26 +89,42 @@ def bareiss_determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def bareiss_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det m, adj m) of a nonsingular integer matrix, so adj m = det m * m^-1.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]: every
+    intermediate entry is a minor of the row-permuted [m | I], so each
+    division is exact. It ends at [d I | d m^-1] with d = +-det m, the sign
+    given by the row swaps. Raises ZeroDivisionError on a singular input.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            raise ZeroDivisionError("matrix is singular")
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
 def fraction_inverse(m) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square matrix, by Gauss-Jordan.
+    """Exact inverse of a nonsingular integer matrix, adj m / det m.
 
     Raises ZeroDivisionError on a singular input.
     """
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[c], a[p] = a[p], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
+    det, adj = bareiss_adjugate(m)
+    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 def _row_combine(a, u, i, j, coeffs):

@@ -8,7 +8,6 @@ anything computed here is deterministic regardless of scheduling.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def worker_count(n_tasks: int) -> int:
@@ -30,5 +29,9 @@ def parallel_map(fn, items) -> list:
     workers = worker_count(len(items))
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here: concurrent.futures and multiprocessing cost a command
+    # that never starts a pool a large share of its start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

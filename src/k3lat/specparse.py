@@ -23,7 +23,6 @@ from .errors import SpecSyntaxError, UnknownStandardLatticeError
 
 _NAMED = {"E8": lambda: lt.E8, "E7": lambda: lt.E7, "E6": lambda: lt.E6,
           "H": lambda: lt.H}
-_STANDARD_PAIRS = ((1, 1), (1, 9), (1, 17), (2, 26), (3, 19))
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,9 @@ def _parse_atom(sc: _Scanner):
         sc.expect(",")
         q = sc.integer()
         sc.expect(")")
-        if (p, q) not in _STANDARD_PAIRS:
+        if (p, q) not in lt._STANDARD_PAIRS:
             raise UnknownStandardLatticeError(
-                f"II({p},{q}) is not one of {list(_STANDARD_PAIRS)}", start)
+                f"II({p},{q}) is not one of {list(lt._STANDARD_PAIRS)}", start)
         return Standard(p, q)
     if name == "gram":
         sc.expect(":")

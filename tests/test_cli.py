@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import k3lat
 from k3lat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "table_2_14.md"
@@ -81,6 +84,17 @@ def test_table_k3lat_threads_parallel_matches(capsys, monkeypatch):
     code2, parallel, _ = run(capsys, "table", "--format", "csv")
     assert code == code2 == 0
     assert base == parallel
+
+
+def test_cli_import_starts_without_the_process_pool():
+    src = str(Path(k3lat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, k3lat.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_weight_command(capsys):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat import e8, lattice as lt
+from k3lat import e8, intlinalg as la, lattice as lt
 from k3lat.errors import ZeroVectorError
-from k3lat.shortvec import EnumQuery, short_vectors
+from k3lat.shortvec import EnumQuery, root_count, short_vectors
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
 
@@ -118,3 +118,40 @@ def test_stabilizer_order_of_root():
     assert e8.WEYL_ORDER // e8.stabilizer_order(HIGHEST_ROOT) == 240
     with pytest.raises(ValueError):
         e8.stabilizer_order((0, 0, 0, 0, 0, 0, 0, -1))
+
+
+def test_orbit_root_counts_match_enumeration():
+    """The closed form against two enumerations, for every orbit with 2n <= 100."""
+    hist = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(2), collect=True))
+    roots = [la.vec_mat(r, lt.E8.gram) for r in hist.vectors if any(r)]
+    assert len(roots) == 240
+    checked = 0
+    for two_n in range(2, 101, 2):
+        for o in e8.orbits_of_norm(two_n):
+            orthogonal = sum(1 for r in roots
+                             if sum(a * b for a, b in zip(r, o.representative)) == 0)
+            assert o.root_count_u == orthogonal == root_count(o.complement)
+            checked += 1
+    assert checked == 228
+
+
+def dominant_with_zero_set(zero):
+    """The dominant vector pairing 0 with the simple roots in `zero` and 1
+    with the others (0-based Bourbaki nodes)."""
+    pairing = [0 if i in zero else 1 for i in range(8)]
+    return tuple(int(c) for c in la.vec_mat(pairing, la.fraction_inverse(lt.E8.gram)))
+
+
+@pytest.mark.parametrize("zero, weyl, roots", [
+    ({4, 5, 6, 7}, 120, 20),            # A4
+    ({1, 2, 3, 4, 5}, 1920, 40),        # D5
+    ({0, 1, 2, 3, 4, 5}, 51840, 72),    # E6
+    ({0, 1, 2, 3, 4, 5, 6}, 2903040, 126),  # E7
+    ({0, 3, 5, 6}, 2 * 2 * 6, 2 + 2 + 6),   # A1 + A1 + A2
+])
+def test_parabolic_orders_by_component_type(zero, weyl, roots):
+    x = dominant_with_zero_set(zero)
+    assert e8.dominant_representative(x) == x
+    assert e8.parabolic_orders(x) == (weyl, roots)
+    assert e8.stabilizer_order(x) == weyl
+    assert root_count(e8.complement_of(x)) == roots

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from k3lat import intlinalg as la
 from k3lat.lattice import E7, E8
 
@@ -32,6 +34,25 @@ def test_bareiss_matches_cofactor_oracle():
         n = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert la.bareiss_determinant(m) == cofactor_determinant(m)
+
+
+def test_bareiss_adjugate_matches_cofactor_oracle():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n > 1:
+            m[0][0] = 0  # the elimination must swap rows at least once
+        det = cofactor_determinant(m)
+        if det == 0:
+            continue
+        adj = [[(-1) ** (i + j) * cofactor_determinant(
+                    [[row[c] for c in range(n) if c != i]
+                     for r, row in enumerate(m) if r != j])
+                for j in range(n)] for i in range(n)]
+        assert la.bareiss_adjugate(m) == (det, adj)
+    with pytest.raises(ZeroDivisionError):
+        la.bareiss_adjugate([[1, 2], [2, 4]])
 
 
 def test_bareiss_e8_det_one():
