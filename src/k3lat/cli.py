@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import lattice as lt
 from . import specparse
 from .e8 import orbits_of_norm
-from .errors import GramFileError, LatticeError, SpecSyntaxError
+from .errors import GramFileError, LatticeError, SpecSyntaxError, UsageError
 from .glue import (
     coset_count_row,
     divisor_classes,
@@ -65,7 +65,7 @@ def _lattice_from_arg(text: str) -> lt.Lattice:
 
 def _even_norms(start: int, stop: int) -> list[int]:
     if start < 2 or stop < start:
-        raise ValueError("need 2 <= from <= to")
+        raise UsageError("need 2 <= from <= to")
     return [t for t in range(start, stop + 1) if t % 2 == 0]
 
 
@@ -89,7 +89,7 @@ def _row_cells(row, internal: bool):
 
 def _require_positive_even(two_n: int) -> int:
     if two_n <= 0 or two_n % 2:
-        raise ValueError("--norm takes the positive even value 2n")
+        raise UsageError("--norm takes the positive even value 2n")
     return two_n
 
 
@@ -97,7 +97,7 @@ def _selected_orbits(args):
     orbits = orbits_of_norm(_require_positive_even(args.norm))
     if args.orbit is not None:
         if not 0 <= args.orbit < len(orbits):
-            raise ValueError(f"orbit index out of range (0..{len(orbits) - 1})")
+            raise UsageError(f"orbit index out of range (0..{len(orbits) - 1})")
         orbits = [orbits[args.orbit]]
     return orbits
 
@@ -308,6 +308,8 @@ def cmd_sbad_witness(args):
 def cmd_sbad_polarized(args):
     from .sbad import polarized_bad
 
+    if args.n <= 0:
+        raise UsageError("polarization degree must be positive")
     verdict = polarized_bad(args.n, args.dnorm, args.k)
     projected = Fraction(args.dnorm) - Fraction(args.k * args.k, 2 * args.n)
     if args.json:
@@ -421,16 +423,10 @@ def main(argv=None) -> int:
     except SpecSyntaxError as exc:
         print(f"k3lat: parse error: {exc}", file=sys.stderr)
         return 1
-    except GramFileError as exc:
-        print(f"k3lat: {exc}", file=sys.stderr)
-        return 1
     except LatticeError as exc:
         print(f"k3lat: domain error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"k3lat: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, GramFileError, OSError) as exc:
         print(f"k3lat: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -119,9 +119,7 @@ def complement_of(v) -> Lattice:
     coords = [int(c) for c in v]
     if not any(coords):
         raise ZeroVectorError("zero vector has no complement line")
-    g = 0
-    for c in coords:
-        g = gcd(g, c)
+    g = gcd(*coords)
     primitive = [c // g for c in coords]
     return orthogonal_complement(E8, sublattice(E8, [primitive]))
 
@@ -194,13 +192,10 @@ def orbits_of_norm(two_n: int) -> list[OrbitClass]:
         if WEYL_ORDER % stab:
             raise RuntimeError(f"stabilizer order {stab} does not divide |W(E8)|")
         comp = complement_of(rep)
-        content = 0
-        for c in rep:
-            content = gcd(content, c)
         orbits.append(OrbitClass(
             two_n=two_n,
             representative=rep,
-            primitive=content == 1,
+            primitive=gcd(*rep) == 1,
             orbit_size=WEYL_ORDER // stab,
             complement=comp,
             root_count_u=roots,

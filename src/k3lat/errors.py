@@ -37,6 +37,10 @@ class DegenerateExtensionError(LatticeError):
     """Bordered extension lattice is degenerate (det 0)."""
 
 
+class UsageError(ValueError):
+    """Command-line argument outside its documented range."""
+
+
 class GramFileError(ValueError):
     """Malformed Gram matrix file."""
 

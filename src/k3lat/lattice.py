@@ -176,10 +176,7 @@ def is_primitive_vector(lat: Lattice, x) -> bool:
     coords = [int(c) for c in x]
     if not any(coords):
         raise ZeroVectorError("zero vector has no primitivity")
-    g = 0
-    for c in coords:
-        g = gcd(g, c)
-    return g == 1
+    return gcd(*coords) == 1
 
 
 def saturation_index(ambient: Lattice, sub: Lattice) -> int:

@@ -15,7 +15,7 @@ from itertools import product
 
 from . import intlinalg as la
 from .errors import DegenerateExtensionError, DegenerateLatticeError, GramFileError
-from .lattice import Lattice, determinant, from_gram, signature
+from .lattice import Lattice, determinant, from_gram, parse_gram_text, signature
 
 
 @dataclass(frozen=True)
@@ -128,26 +128,14 @@ def read_witness_file(path) -> ExtensionWitness:
     rank+1 integers (pairings with the basis, then the self-norm)."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise GramFileError(f"{path}: empty witness file")
-    try:
-        rank = int(lines[0].split()[0])
-    except ValueError:
-        raise GramFileError(f"{path}: first line must be the rank of S") from None
-    if len(lines) != rank + 2:
+    s = parse_gram_text("\n".join(lines[:-1]), source=str(path))
+    if len(lines) != s.rank + 2:
         raise GramFileError(
-            f"{path}: expected rank line, {rank} Gram rows and one bordering row")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            rows.append([int(tok) for tok in ln.split()])
-        except ValueError:
-            raise GramFileError(f"{path}: non-integer entry") from None
-    if any(len(r) != rank for r in rows[:-1]):
-        raise GramFileError(f"{path}: Gram rows must have {rank} entries")
-    if len(rows[-1]) != rank + 1:
-        raise GramFileError(f"{path}: bordering row must have {rank + 1} entries")
-    if not la.is_symmetric(rows[:-1]):
-        raise GramFileError(f"{path}: Gram matrix of S is not symmetric")
-    return ExtensionWitness(s=from_gram(rows[:-1]),
-                            pairings=tuple(rows[-1][:-1]), d_norm=rows[-1][-1])
+            f"{path}: expected rank line, {s.rank} Gram rows and one bordering row")
+    try:
+        border = [int(tok) for tok in lines[-1].split()]
+    except ValueError:
+        raise GramFileError(f"{path}: non-integer entry") from None
+    if len(border) != s.rank + 1:
+        raise GramFileError(f"{path}: bordering row must have {s.rank + 1} entries")
+    return ExtensionWitness(s=s, pairings=tuple(border[:-1]), d_norm=border[-1])

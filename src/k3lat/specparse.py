@@ -90,7 +90,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise SpecSyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # non-ASCII digits, or more digits than int() takes
+            raise SpecSyntaxError("expected an integer", start) from None
 
     def word(self) -> str:
         start = self.pos

@@ -90,11 +90,16 @@ def test_cli_import_starts_without_the_process_pool():
     src = str(Path(k3lat.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, k3lat.cli; print(sorted(m for m in sys.modules "
+    env["K3LAT_THREADS"] = "2"  # ignored: table computes its rows in this process
+    code = ("import sys, k3lat.cli; "
+            "k3lat.cli.main(['table', '--to', '8', '--format', 'csv']); "
+            "print(sorted(m for m in sys.modules "
             "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    *table, modules = done.stdout.splitlines()
+    assert table[1] == "2,126,1,56" and len(table) == 6
+    assert modules == "[]"
 
 
 def test_weight_command(capsys):
@@ -194,6 +199,8 @@ def test_exit_codes(capsys):
     assert code == 1 and "parse error" in err
     code, _, err = run(capsys, "lat", "info", "(0)")
     assert code == 2  # degenerate lattice: domain error
+    code, _, err = run(capsys, "lat", "info", "(\u00b2)")  # a digit int() rejects
+    assert code == 1 and "parse error" in err
     code, _, err = run(capsys, "nonsense")
     assert code == 1
     code, _, err = run(capsys, "table", "--format", "yaml")
@@ -202,6 +209,23 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, err = run(capsys)
     assert code == 1
+
+
+def test_argument_errors_exit_1_and_library_errors_propagate(capsys, monkeypatch):
+    for argv in (("e8", "orbits", "--norm", "7"),
+                 ("weight", "--norm", "-2"),
+                 ("table", "--from", "4", "--to", "2"),
+                 ("divisors", "--norm", "8", "--orbit", "5"),
+                 ("sbad", "polarized", "--n", "0", "--dnorm", "0", "--k", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("k3lat: "), argv
+
+    def broken(two_n):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(k3lat.cli, "orbits_of_norm", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["e8", "orbits", "--norm", "2"])
 
 
 def test_internal_norms_flag(capsys):

@@ -149,6 +149,9 @@ def test_witness_file(tmp_path):
     assert sbad.is_sbad_extension(w)
 
     bad = tmp_path / "bad.gram"
-    bad.write_text("1\n8\n4\n")
-    with pytest.raises(GramFileError):
-        sbad.read_witness_file(bad)
+    for text in ("1\n8\n4\n", "", "1\n", "x\n8\n4 0\n", "-1\n0\n",
+                 "1\n8\n4 0\n1 1\n", "2\n2 1\n1 2\n", "1\n8 1\n4 0\n",
+                 "1\nx\n4 0\n", "1\n8\n4 x\n", "2\n2 1\n0 2\n1 1 0\n"):
+        bad.write_text(text)
+        with pytest.raises(GramFileError):
+            sbad.read_witness_file(bad)
