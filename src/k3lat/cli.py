@@ -105,6 +105,14 @@ def _selected_orbits(args):
 # ---------------------------------------------------------------- commands
 
 
+def _require_printable(*values: int) -> None:
+    """Reject results longer than Python's int-to-str digit limit, before
+    any output, instead of failing halfway through writing it."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(abs(v) >= 10 ** limit for v in values):
+        raise UsageError(f"result has more than {limit} decimal digits")
+
+
 def cmd_lat_info(args):
     lattice = _lattice_from_arg(args.spec)
     sig = lt.signature(lattice)
@@ -112,6 +120,7 @@ def cmd_lat_info(args):
     divisors = list(lt.discriminant_group(lattice).divisors)
     definite = 0 in sig
     roots = root_count(lattice) if definite and lattice.rank else None
+    _require_printable(det, *divisors)
     if args.json:
         payload = {"schema": SCHEMA_VERSION, "spec": args.spec.strip(),
                    "rank": lattice.rank, "signature": list(sig),
@@ -121,13 +130,14 @@ def cmd_lat_info(args):
             payload["root_count"] = roots
         _dump_json(payload)
         return
-    print(f"rank: {lattice.rank}")
-    print(f"signature: ({sig[0]}, {sig[1]})")
-    print(f"determinant: {det}")
-    print(f"even: {'yes' if lattice.even else 'no'}")
-    print(f"discriminant group divisors: {divisors or 'trivial'}")
+    lines = [f"rank: {lattice.rank}",
+             f"signature: ({sig[0]}, {sig[1]})",
+             f"determinant: {det}",
+             f"even: {'yes' if lattice.even else 'no'}",
+             f"discriminant group divisors: {divisors or 'trivial'}"]
     if roots is not None:
-        print(f"root count: {roots}")
+        lines.append(f"root count: {roots}")
+    print("\n".join(lines))
 
 
 def cmd_e8_orbits(args):
@@ -138,7 +148,7 @@ def cmd_e8_orbits(args):
         _dump_json({"schema": SCHEMA_VERSION, "norm": shown, "orbits": [
             {"index": i, "representative": list(o.representative),
              "primitive": o.primitive, "orbit_size": o.orbit_size,
-             "complement_determinant": lt.determinant(o.complement),
+             "complement_determinant": o.complement_determinant,
              "complement_roots": o.root_count_u}
             for i, o in enumerate(orbits)]})
         return
@@ -148,7 +158,7 @@ def cmd_e8_orbits(args):
         tag = "primitive" if o.primitive else "imprimitive"
         print(f"orbit {i}: representative {o.representative}, {tag}, "
               f"orbit size {o.orbit_size}, complement det "
-              f"{lt.determinant(o.complement)}, complement roots {o.root_count_u}")
+              f"{o.complement_determinant}, complement roots {o.root_count_u}")
 
 
 def _column_count(rows) -> int:
@@ -294,6 +304,7 @@ def cmd_embed_check(args):
 def cmd_sbad_witness(args):
     witness = read_witness_file(args.gram)
     verdict = is_sbad_extension(witness)
+    _require_printable(2 * witness.det_s, witness.det_s1)
     if args.json:
         _dump_json({"schema": SCHEMA_VERSION, "det_s": witness.det_s,
                     "det_s1": witness.det_s1, "pairings": list(witness.pairings),
@@ -312,6 +323,7 @@ def cmd_sbad_polarized(args):
         raise UsageError("polarization degree must be positive")
     verdict = polarized_bad(args.n, args.dnorm, args.k)
     projected = Fraction(args.dnorm) - Fraction(args.k * args.k, 2 * args.n)
+    _require_printable(projected.numerator, projected.denominator)
     if args.json:
         _dump_json({"schema": SCHEMA_VERSION, "n": args.n, "d_norm": args.dnorm,
                     "k": args.k, "k_normalized": normalize_degree(args.n, args.k),
@@ -326,14 +338,15 @@ def cmd_sbad_polarized(args):
 def cmd_minus2(args):
     lattice = _lattice_from_arg(args.spec)
     verdict = nikulin_minus2_property(lattice)
+    det = lt.determinant(lattice)
+    _require_printable(det)
     if args.json:
         _dump_json({"schema": SCHEMA_VERSION, "spec": args.spec.strip(),
-                    "determinant": lt.determinant(lattice),
-                    "rank": lattice.rank, "property": verdict})
+                    "determinant": det, "rank": lattice.rank, "property": verdict})
         return
-    print(f"rank: {lattice.rank}")
-    print(f"determinant: {lt.determinant(lattice)}")
-    print(f"short dual vectors all in the lattice: {'yes' if verdict else 'no'}")
+    print(f"rank: {lattice.rank}\n"
+          f"determinant: {det}\n"
+          f"short dual vectors all in the lattice: {'yes' if verdict else 'no'}")
 
 
 # ------------------------------------------------------------------ parser

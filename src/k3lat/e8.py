@@ -8,12 +8,12 @@ group of E8 equals its Weyl group, so Weyl dominance classifies orbits.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import factorial, gcd
 
 from . import intlinalg as la
 from .errors import ZeroVectorError
 from .lattice import E8, Lattice, orthogonal_complement, sublattice
+from .records import Record
 
 WEYL_ORDER = 696729600  # |W(E8)| = 2^14 3^5 5^2 7
 
@@ -124,22 +124,30 @@ def complement_of(v) -> Lattice:
     return orthogonal_complement(E8, sublattice(E8, [primitive]))
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(Record):
     """One orthogonal-group orbit of norm-two_n vectors in E8.
 
     ``representative`` is the dominant vector of the orbit (simple-root
-    coordinates); ``complement`` is its rank-7 orthogonal complement, of
-    determinant two_n exactly when the orbit is primitive; ``root_count_u``
-    is the number of roots of the complement.
+    coordinates); ``root_count_u`` is the number of roots of its rank-7
+    orthogonal complement. ``complement`` is built on first read and kept.
     """
 
-    two_n: int
-    representative: tuple[int, ...]
-    primitive: bool
-    orbit_size: int
-    complement: Lattice
-    root_count_u: int
+    __slots__ = ("two_n", "representative", "primitive", "orbit_size", "root_count_u",
+                 "_complement")
+
+    @property
+    def complement(self) -> Lattice:
+        try:
+            return self._complement
+        except AttributeError:
+            comp = complement_of(self.representative)
+            object.__setattr__(self, "_complement", comp)
+            return comp
+
+    @property
+    def complement_determinant(self) -> int:
+        """det(v-perp) = 2n/g^2 for v of content g, as E8 is unimodular."""
+        return self.two_n // gcd(*self.representative) ** 2
 
 
 def _dominant_vectors_of_norm(two_n: int) -> list[tuple[int, ...]]:
@@ -191,13 +199,11 @@ def orbits_of_norm(two_n: int) -> list[OrbitClass]:
         stab, roots = parabolic_orders(rep)
         if WEYL_ORDER % stab:
             raise RuntimeError(f"stabilizer order {stab} does not divide |W(E8)|")
-        comp = complement_of(rep)
         orbits.append(OrbitClass(
             two_n=two_n,
             representative=rep,
             primitive=gcd(*rep) == 1,
             orbit_size=WEYL_ORDER // stab,
-            complement=comp,
             root_count_u=roots,
         ))
     return orbits

@@ -12,25 +12,20 @@ as the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlinalg as la
 from .e8 import OrbitClass
 from .errors import NormOutOfRangeError, WrongSignatureError
 from .lattice import E8, Lattice, determinant, discriminant_group, signature
+from .records import Record
 from .shortvec import EnumQuery, root_count, short_vectors
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(Record):
     """Outcome of the primitive-embedding sufficiency test into II_{p,q}."""
 
-    embeddable: bool
-    rank: int
-    min_generators: int
-    signature: tuple[int, int]
-    target_dim: int
+    __slots__ = ("embeddable", "rank", "min_generators", "signature", "target_dim")
 
     def __bool__(self) -> bool:
         return self.embeddable
@@ -51,21 +46,16 @@ def nikulin_embeddable(t: Lattice, target_dim: int = 28) -> EmbeddingReport:
     return EmbeddingReport(ok, t.rank, ell, sig, target_dim)
 
 
-@dataclass(frozen=True)
-class CosetCountTable:
+class CosetCountTable(Record):
     """Counts of short dual-coset vectors for one orbit row.
 
     ``counts[k][nu]`` is the number of vectors a in the dual of U with
     label k and internal norm nu (0 <= nu < 2); ``column_totals[k]`` sums a
     column. Labels run over 0..n; other labels follow from the symmetry
-    k -> -k -> 2n - k.
+    k -> -k -> 2n - k. ``root_count`` is that of U.
     """
 
-    two_n: int
-    orbit: OrbitClass
-    root_count: int
-    counts: dict[int, dict[Fraction, int]]
-    column_totals: dict[int, int]
+    __slots__ = ("two_n", "orbit", "root_count", "counts", "column_totals")
 
 
 def _pairing_solution(v) -> tuple[int, list[int]]:
@@ -135,14 +125,11 @@ def restricted_weight(u: Lattice) -> int:
     return 12 + roots // 2
 
 
-@dataclass(frozen=True)
-class DivisorCell:
-    """One (k, norm) cell in the divisor range, negative sign convention."""
+class DivisorCell(Record):
+    """One (k, norm) cell in the divisor range, negative sign convention:
+    ``norm`` is a Fraction in (-2, 0)."""
 
-    k: int
-    norm: Fraction  # in (-2, 0)
-    count: int
-    vanishing: bool
+    __slots__ = ("k", "norm", "count", "vanishing")
 
 
 def divisor_classes(row: CosetCountTable) -> list[DivisorCell]:
@@ -164,16 +151,14 @@ def divisor_classes(row: CosetCountTable) -> list[DivisorCell]:
     return out
 
 
-@dataclass(frozen=True)
-class ScaleContribution:
-    scale: int
-    norm: Fraction  # norm of scale * t0, negative convention
-    label: int
-    count: int
+class ScaleContribution(Record):
+    """One scale c of a dual line: ``norm`` is that of c * t0, negative
+    convention, and ``count`` the table count at (``label``, 2 + norm)."""
+
+    __slots__ = ("scale", "norm", "label", "count")
 
 
-@dataclass(frozen=True)
-class DivisorReport:
+class DivisorReport(Record):
     """Total vanishing order along the hyperplane of a primitive dual line.
 
     The line is given by its class data: label k0 and negative-convention
@@ -183,10 +168,7 @@ class DivisorReport:
     contributes via the label-0 zero-norm cell.
     """
 
-    k0: int
-    nu0: Fraction
-    contributions: tuple[ScaleContribution, ...]
-    total_multiplicity: int
+    __slots__ = ("k0", "nu0", "contributions", "total_multiplicity")
 
 
 def hyperplane_multiplicity(row: CosetCountTable, k0: int, nu0) -> DivisorReport:

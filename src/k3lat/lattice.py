@@ -8,7 +8,6 @@ is over Python ints and Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -19,33 +18,33 @@ from .errors import (
     NonPrimitiveSublatticeError,
     ZeroVectorError,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """An integral lattice given by a symmetric Gram matrix.
 
-    ``ambient`` and ``basis`` are set for sublattices: ``basis`` rows are
-    integer coordinate vectors in the ambient basis and the Gram matrix
-    equals basis . ambient_gram . basis^T (checked on construction).
+    ``gram`` is a tuple of integer row tuples. ``ambient`` and ``basis`` are
+    set for sublattices: ``basis`` rows are integer coordinate vectors in
+    the ambient basis and the Gram matrix equals basis . ambient_gram .
+    basis^T (checked on construction).
     """
 
-    gram: tuple[tuple[int, ...], ...]
-    ambient: "Lattice | None" = None
-    basis: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ("gram", "ambient", "basis")
 
-    def __post_init__(self):
-        g = [list(row) for row in self.gram]
+    def __init__(self, gram, ambient: Lattice | None = None, basis=None):
+        g = [list(row) for row in gram]
         if not la.is_symmetric(g):
             raise ValueError("Gram matrix must be symmetric")
-        if (self.ambient is None) != (self.basis is None):
+        if (ambient is None) != (basis is None):
             raise ValueError("ambient and basis must be given together")
-        if self.ambient is not None:
-            b = [list(row) for row in self.basis]
-            expected = la.mat_mul(la.mat_mul(b, [list(r) for r in self.ambient.gram]),
+        if ambient is not None:
+            b = [list(row) for row in basis]
+            expected = la.mat_mul(la.mat_mul(b, [list(r) for r in ambient.gram]),
                                   la.transpose(b))
             if expected != g:
                 raise ValueError("Gram does not match basis in ambient lattice")
+        super().__init__(gram, ambient, basis)
 
     @property
     def rank(self) -> int:
@@ -127,18 +126,16 @@ def signature(lat: Lattice) -> tuple[int, int]:
     return pos, neg
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Record):
     """The finite group L'/L with generators given as dual vectors.
 
     ``divisors`` is the elementary-divisor chain d1 | d2 | ... (entries > 1),
     ``generators[i]`` is a rational coordinate vector in the lattice basis
-    whose class generates the cyclic factor of order divisors[i].
+    whose class generates the cyclic factor of order divisors[i], and
+    ``order`` is the group order |det L|.
     """
 
-    divisors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
-    order: int
+    __slots__ = ("divisors", "generators", "order")
 
     @property
     def min_generators(self) -> int:

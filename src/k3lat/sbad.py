@@ -9,26 +9,24 @@ d - k^2/2n alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from . import intlinalg as la
 from .errors import DegenerateExtensionError, DegenerateLatticeError, GramFileError
 from .lattice import Lattice, determinant, from_gram, parse_gram_text, signature
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
+class ExtensionWitness(Record):
     """S plus one bordering class: pairings with the S-basis and a self-norm."""
 
-    s: Lattice
-    pairings: tuple[int, ...]
-    d_norm: int
+    __slots__ = ("s", "pairings", "d_norm")
 
-    def __post_init__(self):
-        if len(self.pairings) != self.s.rank:
+    def __init__(self, s: Lattice, pairings: tuple[int, ...], d_norm: int):
+        if len(pairings) != s.rank:
             raise ValueError("need one pairing per basis vector of S")
+        super().__init__(s, pairings, d_norm)
 
     @property
     def extended_gram(self) -> list[list[int]]:

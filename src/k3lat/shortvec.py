@@ -10,12 +10,12 @@ exactly. No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
 
 from . import intlinalg as la
 from .errors import IndefiniteLatticeError, NotPositiveDefiniteError
+from .records import Record
 
 
 def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -41,32 +41,41 @@ def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
     return lower, pivots
 
 
-@dataclass(frozen=True)
-class EnumQuery:
+class EnumQuery(Record):
     """What to enumerate: lattice points x with norm(x + offset) within bound.
 
-    ``exclusive`` switches the bound comparison from <= to <; ``collect``
-    additionally returns the vectors (count-only mode allocates none).
-    ``label`` is an optional integer linear form on the coordinates x, read
-    modulo ``modulus``; with it the histogram is keyed by (label, norm).
+    ``gram`` is a tuple of integer rows and ``bound`` a Fraction; ``offset``
+    is None or a tuple of Fractions. ``exclusive`` switches the bound
+    comparison from <= to <; ``collect`` additionally returns the vectors
+    (count-only mode allocates none). ``label`` is an optional integer
+    linear form on the coordinates x, read modulo ``modulus``; with it the
+    histogram is keyed by (label, norm).
     """
 
-    gram: tuple[tuple[int, ...], ...]
-    bound: Fraction
-    offset: tuple[Fraction, ...] | None = None
-    exclusive: bool = False
-    collect: bool = False
-    label: tuple[int, ...] | None = None
-    modulus: int = 0
+    __slots__ = ("gram", "bound", "offset", "exclusive", "collect", "label", "modulus")
+
+    def __init__(self, gram, bound, offset=None, exclusive=False, collect=False,
+                 label=None, modulus=0):
+        super().__init__(gram, bound, offset, exclusive, collect, label, modulus)
 
 
-@dataclass
 class NormHistogram:
     """Exact counts of enumerated vectors, keyed by rational norm, or by
-    (label, norm) for a labelled query."""
+    (label, norm) for a labelled query. Mutable, so not hashable."""
 
-    counts: dict = field(default_factory=dict)
-    vectors: list[tuple[int, ...]] | None = None
+    __slots__ = ("counts", "vectors")
+
+    def __init__(self, counts=None, vectors=None):
+        self.counts = {} if counts is None else counts
+        self.vectors = vectors
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.counts, self.vectors) == (other.counts, other.vectors)
+
+    def __repr__(self):
+        return f"NormHistogram(counts={self.counts!r}, vectors={self.vectors!r})"
 
     @property
     def total(self) -> int:

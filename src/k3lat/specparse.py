@@ -16,45 +16,41 @@ parse(print(ast)) == ast.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from . import lattice as lt
 from .errors import SpecSyntaxError, UnknownStandardLatticeError
+from .records import Record
 
 _NAMED = {"E8": lambda: lt.E8, "E7": lambda: lt.E7, "E6": lambda: lt.E6,
           "H": lambda: lt.H}
 
 
-@dataclass(frozen=True)
-class Named:
-    name: str
+class Named(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Standard:
-    p: int
-    q: int
+class Standard(Record):
+    __slots__ = ("p", "q")
 
 
-@dataclass(frozen=True)
-class Rank1:
-    norm: int
+class Rank1(Record):
+    __slots__ = ("norm",)
 
 
-@dataclass(frozen=True)
-class GramFile:
-    path: str
+class GramFile(Record):
+    __slots__ = ("path",)
 
 
-@dataclass(frozen=True)
-class Term:
-    negated: bool
-    atom: Named | Standard | Rank1 | GramFile
+class Term(Record):
+    """An atom (Named, Standard, Rank1 or GramFile), negated or not."""
+
+    __slots__ = ("negated", "atom")
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    terms: tuple[Term, ...]
+class LatticeSpec(Record):
+    """The terms of a spec, a tuple of Term."""
+
+    __slots__ = ("terms",)
 
 
 class _Scanner:

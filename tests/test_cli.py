@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,15 +92,53 @@ def test_cli_import_starts_without_the_process_pool():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["K3LAT_THREADS"] = "2"  # ignored: table computes its rows in this process
+    # Neither the process pool nor dataclasses (with the inspect, ast, dis
+    # and tokenize modules it pulls in) is loaded at start-up.
+    heavy = ("concurrent", "multiprocessing", "dataclasses", "inspect", "ast", "dis",
+             "tokenize")
     code = ("import sys, k3lat.cli; "
             "k3lat.cli.main(['table', '--to', '8', '--format', 'csv']); "
-            "print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+            f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {heavy}))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     *table, modules = done.stdout.splitlines()
     assert table[1] == "2,126,1,56" and len(table) == 6
     assert modules == "[]"
+
+
+def test_e8_orbits_builds_no_complement(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("e8 orbits must not build a complement")
+
+    monkeypatch.setattr(k3lat.lattice, "orthogonal_complement", refuse)
+    monkeypatch.setattr(k3lat.e8, "orthogonal_complement", refuse)
+    code, out, _ = run(capsys, "e8", "orbits", "--norm", "400", "--json")
+    assert code == 0
+    orbits = json.loads(out)["orbits"]
+    assert len(orbits) == 74
+    for o in orbits:
+        g = math.gcd(*o["representative"])
+        assert o["complement_determinant"] == 400 // g ** 2
+        assert o["primitive"] == (g == 1)
+    code, out, _ = run(capsys, "e8", "orbits", "--norm", "400")
+    assert code == 0 and out.count("complement det ") == 74
+
+
+def test_results_beyond_the_digit_limit_exit_1_before_any_output(capsys, tmp_path):
+    big = "7" * 3000  # the determinant N^2 has 6000 digits
+    witness = tmp_path / "witness.txt"
+    witness.write_text(f"2\n{big} 1\n1 {big}\n0 0 1\n")
+    for argv in (("lat", "info", f"({big}) + ({big})"),
+                 ("minus2", "property", f"({big}) + (-{big})"),
+                 ("sbad", "witness", "--gram", str(witness)),
+                 ("sbad", "polarized", "--n", "1", "--dnorm", "0", "--k", big)):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (1, ""), argv + extra
+            assert err == f"k3lat: result has more than {sys.get_int_max_str_digits()} " \
+                          "decimal digits\n"
+    code, out, _ = run(capsys, "lat", "info", f"({big})")
+    assert code == 0 and f"determinant: {big}" in out
 
 
 def test_weight_command(capsys):

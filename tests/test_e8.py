@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -155,3 +156,18 @@ def test_parabolic_orders_by_component_type(zero, weyl, roots):
     assert e8.parabolic_orders(x) == (weyl, roots)
     assert e8.stabilizer_order(x) == weyl
     assert root_count(e8.complement_of(x)) == roots
+
+
+def test_complement_determinant_closed_form():
+    """det(v-perp) = 2n/g^2 against the built complement, every orbit 2n <= 100."""
+    kinds = set()
+    checked = 0
+    for two_n in range(2, 101, 2):
+        for o in e8.orbits_of_norm(two_n):
+            g = math.gcd(*o.representative)
+            comp = o.complement
+            assert o.complement is comp
+            assert o.complement_determinant == lt.determinant(comp) == two_n // g ** 2
+            kinds.add(o.primitive)
+            checked += 1
+    assert checked == 228 and kinds == {True, False}

@@ -33,3 +33,17 @@ def test_library_reads_no_environment_variables():
                     alias.name in ("environ", "getenv") for alias in node.names):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize: about 10 ms, plus
+    # more per decorated class, at the start of every command.
+    found = []
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(
+                    alias.name.partition(".")[0] == "dataclasses" for alias in node.names):
+                found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
