@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 usage or parse error, 2 domain error (wrong
 signature, degenerate input, ...). All reported norms use the negative
 (geometric) sign convention unless --internal-norms is given; rationals in
 JSON are exact, encoded as "p/q" strings when not integral.
+
+Each command computes its values once and returns its schema-1 payload
+with a function that renders its text form as a list of lines; `main`
+renders the whole output before it writes anything.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ from .glue import (
     hyperplane_multiplicity,
     nikulin_embeddable,
     nikulin_minus2_property,
-    restricted_weight,
 )
 from .parallel import parallel_map
-from .sbad import is_sbad_extension, normalize_degree, read_witness_file
+from .sbad import is_sbad_extension, normalize_degree, polarized_bad, read_witness_file
 from .shortvec import root_count
 
 SCHEMA_VERSION = 1
@@ -48,10 +51,6 @@ def _json_value(x):
             return int(x)
         return f"{x.numerator}/{x.denominator}"
     return x
-
-
-def _dump_json(payload):
-    print(json.dumps(payload, indent=2, default=_json_value))
 
 
 def _signed(norm: Fraction, internal: bool) -> Fraction:
@@ -78,15 +77,6 @@ def _collect_rows(start: int, stop: int):
     return [row for rows in per_norm for row in rows]
 
 
-def _row_cells(row, internal: bool):
-    cells = []
-    for k in sorted(row.counts):
-        for nu in sorted(row.counts[k]):
-            cells.append({"k": k, "norm": _json_value(_signed(nu, internal)),
-                          "count": row.counts[k][nu]})
-    return cells
-
-
 def _require_positive_even(two_n: int) -> int:
     if two_n <= 0 or two_n % 2:
         raise UsageError("--norm takes the positive even value 2n")
@@ -105,111 +95,88 @@ def _selected_orbits(args):
 # ---------------------------------------------------------------- commands
 
 
-def _require_printable(*values: int) -> None:
-    """Reject results longer than Python's int-to-str digit limit, before
-    any output, instead of failing halfway through writing it."""
-    limit = sys.get_int_max_str_digits()
-    if limit and any(abs(v) >= 10 ** limit for v in values):
-        raise UsageError(f"result has more than {limit} decimal digits")
-
-
 def cmd_lat_info(args):
     lattice = _lattice_from_arg(args.spec)
     sig = lt.signature(lattice)
-    det = lt.determinant(lattice)
-    divisors = list(lt.discriminant_group(lattice).divisors)
-    definite = 0 in sig
-    roots = root_count(lattice) if definite and lattice.rank else None
-    _require_printable(det, *divisors)
-    if args.json:
-        payload = {"schema": SCHEMA_VERSION, "spec": args.spec.strip(),
-                   "rank": lattice.rank, "signature": list(sig),
-                   "determinant": det, "even": lattice.even,
-                   "discriminant_divisors": divisors}
-        if roots is not None:
-            payload["root_count"] = roots
-        _dump_json(payload)
-        return
-    lines = [f"rank: {lattice.rank}",
-             f"signature: ({sig[0]}, {sig[1]})",
-             f"determinant: {det}",
-             f"even: {'yes' if lattice.even else 'no'}",
-             f"discriminant group divisors: {divisors or 'trivial'}"]
-    if roots is not None:
-        lines.append(f"root count: {roots}")
-    print("\n".join(lines))
+    p = {"spec": args.spec.strip(), "rank": lattice.rank, "signature": list(sig),
+         "determinant": lt.determinant(lattice), "even": lattice.even,
+         "discriminant_divisors": list(lt.discriminant_group(lattice).divisors)}
+    if 0 in sig and lattice.rank:
+        p["root_count"] = root_count(lattice)
+
+    def text():
+        lines = [f"rank: {p['rank']}",
+                 f"signature: ({sig[0]}, {sig[1]})",
+                 f"determinant: {p['determinant']}",
+                 f"even: {'yes' if p['even'] else 'no'}",
+                 f"discriminant group divisors: {p['discriminant_divisors'] or 'trivial'}"]
+        if "root_count" in p:
+            lines.append(f"root count: {p['root_count']}")
+        return lines
+    return p, text
 
 
 def cmd_e8_orbits(args):
     two_n = _require_positive_even(args.norm)
-    shown = two_n if args.internal_norms else -two_n
-    orbits = orbits_of_norm(two_n)
-    if args.json:
-        _dump_json({"schema": SCHEMA_VERSION, "norm": shown, "orbits": [
-            {"index": i, "representative": list(o.representative),
-             "primitive": o.primitive, "orbit_size": o.orbit_size,
-             "complement_determinant": o.complement_determinant,
-             "complement_roots": o.root_count_u}
-            for i, o in enumerate(orbits)]})
-        return
-    host = "E8" if args.internal_norms else "-E8"
-    print(f"orbits of norm {shown} vectors in {host}: {len(orbits)}")
-    for i, o in enumerate(orbits):
-        tag = "primitive" if o.primitive else "imprimitive"
-        print(f"orbit {i}: representative {o.representative}, {tag}, "
-              f"orbit size {o.orbit_size}, complement det "
-              f"{o.complement_determinant}, complement roots {o.root_count_u}")
+    p = {"norm": two_n if args.internal_norms else -two_n, "orbits": [
+        {"index": i, "representative": list(o.representative),
+         "primitive": o.primitive, "orbit_size": o.orbit_size,
+         "complement_determinant": o.complement_determinant,
+         "complement_roots": o.root_count_u}
+        for i, o in enumerate(orbits_of_norm(two_n))]}
+
+    def text():
+        host = "E8" if args.internal_norms else "-E8"
+        lines = [f"orbits of norm {p['norm']} vectors in {host}: {len(p['orbits'])}"]
+        for o in p["orbits"]:
+            tag = "primitive" if o["primitive"] else "imprimitive"
+            lines.append(f"orbit {o['index']}: representative {tuple(o['representative'])}, "
+                         f"{tag}, orbit size {o['orbit_size']}, complement det "
+                         f"{o['complement_determinant']}, complement roots "
+                         f"{o['complement_roots']}")
+        return lines
+    return p, text
 
 
 def _column_count(rows) -> int:
     """Label columns k = 0..n of the widest row, and never fewer than 8."""
-    return max([8] + [row.two_n // 2 + 1 for row in rows])
+    return max([8] + [len(row["totals"]) for row in rows])
 
 
-def _table_markdown(rows) -> str:
+def _table_markdown(rows) -> list[str]:
     ncols = _column_count(rows)
     header = ["2n", "roots"] + [f"k={k}" for k in range(ncols)]
     lines = ["| " + " | ".join(header) + " |",
              "|" + "---:|" * len(header)]
-    flagged = False
     for row in rows:
-        n = row.two_n // 2
-        label = str(row.two_n)
-        if not row.orbit.primitive:
-            label += "*"
-            flagged = True
-        cells = [str(row.column_totals[k]) for k in range(n + 1)]
-        cells += [""] * (ncols - n - 1)
-        lines.append("| " + " | ".join([label, str(row.root_count)] + cells) + " |")
-    if flagged:
+        label = f"{row['two_n']}{'' if row['primitive'] else '*'}"
+        cells = [label, row["roots"], *row["totals"]] + [""] * (ncols - len(row["totals"]))
+        lines.append("| " + " | ".join(map(str, cells)) + " |")
+    if not all(row["primitive"] for row in rows):
         lines += ["", "\\* imprimitive vector orbit: no primitive rank-1 "
                       "sublattice corresponds to this row."]
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _table_csv(rows) -> str:
-    lines = ["2n,roots," + ",".join(f"k={k}" for k in range(_column_count(rows)))]
-    for row in rows:
-        totals = [str(row.column_totals[k]) for k in range(row.two_n // 2 + 1)]
-        lines.append(",".join([str(row.two_n), str(row.root_count)] + totals))
-    return "\n".join(lines) + "\n"
+def _table_csv(rows) -> list[str]:
+    header = "2n,roots," + ",".join(f"k={k}" for k in range(_column_count(rows)))
+    return [header] + [",".join(map(str, [row["two_n"], row["roots"], *row["totals"]]))
+                       for row in rows]
 
 
 def cmd_table(args):
-    rows = _collect_rows(args.start, args.stop)
-    if args.format == "md":
-        sys.stdout.write(_table_markdown(rows))
-    elif args.format == "csv":
-        sys.stdout.write(_table_csv(rows))
-    else:
-        _dump_json({"schema": SCHEMA_VERSION, "rows": [
-            {"two_n": row.two_n, "roots": row.root_count,
-             "primitive": row.orbit.primitive,
-             "representative": list(row.orbit.representative),
-             "orbit_size": row.orbit.orbit_size,
-             "totals": [row.column_totals[k] for k in range(row.two_n // 2 + 1)],
-             "cells": _row_cells(row, args.internal_norms)}
-            for row in rows]})
+    p = {"rows": [
+        {"two_n": row.two_n, "roots": row.root_count,
+         "primitive": row.orbit.primitive,
+         "representative": list(row.orbit.representative),
+         "orbit_size": row.orbit.orbit_size,
+         "totals": [row.column_totals[k] for k in range(row.two_n // 2 + 1)],
+         "cells": [{"k": k, "norm": _signed(nu, args.internal_norms),
+                    "count": row.counts[k][nu]}
+                   for k in sorted(row.counts) for nu in sorted(row.counts[k])]}
+        for row in _collect_rows(args.start, args.stop)]}
+    render = _table_markdown if args.format == "md" else _table_csv
+    return p, lambda: render(p["rows"])
 
 
 def _line_reports(row):
@@ -222,131 +189,103 @@ def _line_reports(row):
 
 
 def cmd_divisors(args):
-    rows = [coset_count_row(o) for o in _selected_orbits(args)]
-    internal = args.internal_norms
-    if args.json:
-        payload_rows = []
-        for row in rows:
-            payload_rows.append({
-                "two_n": row.two_n, "roots": row.root_count,
-                "primitive": row.orbit.primitive,
-                "classes": [
-                    {"k": c.k, "norm": _json_value(_signed(-c.norm, internal)),
-                     "count": c.count, "vanishing": c.vanishing}
-                    for c in divisor_classes(row)],
-                "lines": [
-                    {"k0": rep.k0,
-                     "nu0": _json_value(_signed(-rep.nu0, internal)),
-                     "multiplicity": rep.total_multiplicity,
-                     "contributions": [
-                         {"scale": c.scale,
-                          "norm": _json_value(_signed(-c.norm, internal)),
-                          "label": c.label, "count": c.count}
-                         for c in rep.contributions]}
-                    for rep in _line_reports(row)],
-            })
-        _dump_json({"schema": SCHEMA_VERSION, "rows": payload_rows})
-        return
-    for row in rows:
-        tag = "" if row.orbit.primitive else " (imprimitive vector orbit)"
-        print(f"2n = {row.two_n}, representative {row.orbit.representative}{tag}")
-        print("  divisor classes with norm strictly between -2 and 0:")
-        cells = divisor_classes(row)
-        if not cells:
-            print("    none")
-        for c in cells:
-            state = "vanishing" if c.vanishing else "NOT vanishing"
-            print(f"    k={c.k}  norm {_signed(-c.norm, internal)}  "
-                  f"count {c.count}  {state}")
-        print("  hyperplane multiplicity by primitive line:")
-        for rep in _line_reports(row):
-            detail = "; ".join(
-                f"scale {c.scale}: label {c.label}, norm "
-                f"{_signed(-c.norm, internal)}, count {c.count}"
-                for c in rep.contributions)
-            print(f"    k0={rep.k0}  norm {_signed(-rep.nu0, internal)}  "
-                  f"multiplicity {rep.total_multiplicity}  ({detail})")
+    orbits = _selected_orbits(args)
+    rows = [coset_count_row(o) for o in orbits]
+
+    def norm(value):
+        return _signed(-value, args.internal_norms)
+
+    p = {"rows": [
+        {"two_n": row.two_n, "roots": row.root_count,
+         "primitive": row.orbit.primitive,
+         "classes": [{"k": c.k, "norm": norm(c.norm), "count": c.count,
+                      "vanishing": c.vanishing}
+                     for c in divisor_classes(row)],
+         "lines": [{"k0": rep.k0, "nu0": norm(rep.nu0),
+                    "multiplicity": rep.total_multiplicity,
+                    "contributions": [{"scale": c.scale, "norm": norm(c.norm),
+                                       "label": c.label, "count": c.count}
+                                      for c in rep.contributions]}
+                   for rep in _line_reports(row)]}
+        for row in rows]}
+
+    def text():
+        lines = []
+        for o, row in zip(orbits, p["rows"]):
+            tag = "" if row["primitive"] else " (imprimitive vector orbit)"
+            lines.append(f"2n = {row['two_n']}, representative {o.representative}{tag}")
+            lines.append("  divisor classes with norm strictly between -2 and 0:")
+            lines += [f"    k={c['k']}  norm {c['norm']}  count {c['count']}  "
+                      f"{'vanishing' if c['vanishing'] else 'NOT vanishing'}"
+                      for c in row["classes"]] or ["    none"]
+            lines.append("  hyperplane multiplicity by primitive line:")
+            for line in row["lines"]:
+                detail = "; ".join(f"scale {c['scale']}: label {c['label']}, norm "
+                                   f"{c['norm']}, count {c['count']}"
+                                   for c in line["contributions"])
+                lines.append(f"    k0={line['k0']}  norm {line['nu0']}  multiplicity "
+                             f"{line['multiplicity']}  ({detail})")
+        return lines
+    return p, text
 
 
 def cmd_weight(args):
     orbits = _selected_orbits(args)
-    if args.json:
-        _dump_json({"schema": SCHEMA_VERSION, "rows": [
-            {"two_n": o.two_n, "roots": o.root_count_u, "primitive": o.primitive,
-             "weight": restricted_weight(o.complement)}
-            for o in orbits]})
-        return
-    for o in orbits:
-        w = restricted_weight(o.complement)
-        print(f"2n = {o.two_n}, representative {o.representative}: "
-              f"restricted form weight {w} (= 12 + {o.root_count_u}/2)")
+    p = {"rows": [{"two_n": o.two_n, "roots": o.root_count_u, "primitive": o.primitive,
+                   "weight": 12 + o.root_count_u // 2}
+                  for o in orbits]}
+    return p, lambda: [f"2n = {row['two_n']}, representative {o.representative}: "
+                       f"restricted form weight {row['weight']} (= 12 + {row['roots']}/2)"
+                       for o, row in zip(orbits, p["rows"])]
 
 
 def cmd_embed_check(args):
-    lattice = _lattice_from_arg(args.spec)
-    report = nikulin_embeddable(lattice)
-    if args.json:
-        _dump_json({"schema": SCHEMA_VERSION, "spec": args.spec.strip(),
-                    "embeddable": report.embeddable, "rank": report.rank,
-                    "min_generators": report.min_generators,
-                    "signature": list(report.signature),
-                    "target_dim": report.target_dim})
-        return
-    print(f"signature: ({report.signature[0]}, {report.signature[1]})")
-    print(f"rank: {report.rank}")
-    print(f"minimal discriminant-group generators: {report.min_generators}")
+    report = nikulin_embeddable(_lattice_from_arg(args.spec))
+    p = {"spec": args.spec.strip(), "embeddable": report.embeddable,
+         "rank": report.rank, "min_generators": report.min_generators,
+         "signature": list(report.signature), "target_dim": report.target_dim}
     total = report.rank + report.min_generators
     rel = "<" if total < report.target_dim else ">="
-    print(f"rank + generators = {total} {rel} {report.target_dim}")
-    print(f"primitively embeddable: {'yes' if report.embeddable else 'no'}")
+    return p, lambda: [f"signature: ({p['signature'][0]}, {p['signature'][1]})",
+                       f"rank: {p['rank']}",
+                       f"minimal discriminant-group generators: {p['min_generators']}",
+                       f"rank + generators = {total} {rel} {p['target_dim']}",
+                       f"primitively embeddable: {'yes' if p['embeddable'] else 'no'}"]
 
 
 def cmd_sbad_witness(args):
     witness = read_witness_file(args.gram)
     verdict = is_sbad_extension(witness)
-    _require_printable(2 * witness.det_s, witness.det_s1)
-    if args.json:
-        _dump_json({"schema": SCHEMA_VERSION, "det_s": witness.det_s,
-                    "det_s1": witness.det_s1, "pairings": list(witness.pairings),
-                    "d_norm": witness.d_norm, "s_bad": verdict})
-        return
-    print(f"det S = {witness.det_s}")
-    print(f"det S1 = {witness.det_s1}")
-    print(f"|det S1| = {abs(witness.det_s1)}, 2|det S| = {2 * abs(witness.det_s)}")
-    print(f"S-bad witness: {'yes' if verdict else 'no'}")
+    p = {"det_s": witness.det_s, "det_s1": witness.det_s1,
+         "pairings": list(witness.pairings), "d_norm": witness.d_norm, "s_bad": verdict}
+    return p, lambda: [f"det S = {p['det_s']}",
+                       f"det S1 = {p['det_s1']}",
+                       f"|det S1| = {abs(p['det_s1'])}, 2|det S| = {2 * abs(p['det_s'])}",
+                       f"S-bad witness: {'yes' if verdict else 'no'}"]
 
 
 def cmd_sbad_polarized(args):
-    from .sbad import polarized_bad
-
     if args.n <= 0:
         raise UsageError("polarization degree must be positive")
     verdict = polarized_bad(args.n, args.dnorm, args.k)
-    projected = Fraction(args.dnorm) - Fraction(args.k * args.k, 2 * args.n)
-    _require_printable(projected.numerator, projected.denominator)
-    if args.json:
-        _dump_json({"schema": SCHEMA_VERSION, "n": args.n, "d_norm": args.dnorm,
-                    "k": args.k, "k_normalized": normalize_degree(args.n, args.k),
-                    "projected_norm": projected, "bad": verdict})
-        return
-    print(f"n = {args.n}, k = {args.k} "
-          f"(normalized {normalize_degree(args.n, args.k)}), d = {args.dnorm}")
-    print(f"projected norm d - k^2/2n = {projected}")
-    print(f"-2 <= {projected} < 0: {'yes' if verdict else 'no'}")
+    p = {"n": args.n, "d_norm": args.dnorm, "k": args.k,
+         "k_normalized": normalize_degree(args.n, args.k),
+         "projected_norm": Fraction(args.dnorm) - Fraction(args.k * args.k, 2 * args.n),
+         "bad": verdict}
+    return p, lambda: [f"n = {args.n}, k = {args.k} "
+                       f"(normalized {p['k_normalized']}), d = {args.dnorm}",
+                       f"projected norm d - k^2/2n = {p['projected_norm']}",
+                       f"-2 <= {p['projected_norm']} < 0: {'yes' if verdict else 'no'}"]
 
 
 def cmd_minus2(args):
     lattice = _lattice_from_arg(args.spec)
     verdict = nikulin_minus2_property(lattice)
-    det = lt.determinant(lattice)
-    _require_printable(det)
-    if args.json:
-        _dump_json({"schema": SCHEMA_VERSION, "spec": args.spec.strip(),
-                    "determinant": det, "rank": lattice.rank, "property": verdict})
-        return
-    print(f"rank: {lattice.rank}\n"
-          f"determinant: {det}\n"
-          f"short dual vectors all in the lattice: {'yes' if verdict else 'no'}")
+    p = {"spec": args.spec.strip(), "determinant": lt.determinant(lattice),
+         "rank": lattice.rank, "property": verdict}
+    return p, lambda: [f"rank: {p['rank']}",
+                       f"determinant: {p['determinant']}",
+                       f"short dual vectors all in the lattice: {'yes' if verdict else 'no'}"]
 
 
 # ------------------------------------------------------------------ parser
@@ -432,7 +371,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        args.func(args)
+        payload, text = args.func(args)
     except SpecSyntaxError as exc:
         print(f"k3lat: parse error: {exc}", file=sys.stderr)
         return 1
@@ -442,6 +381,20 @@ def main(argv=None) -> int:
     except (UsageError, GramFileError, OSError) as exc:
         print(f"k3lat: {exc}", file=sys.stderr)
         return 1
+    try:
+        if getattr(args, "json", False) or getattr(args, "format", None) == "json":
+            lines = [json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2,
+                                default=_json_value)]
+        else:
+            lines = text()
+        output = "\n".join(lines) + "\n"
+    except ValueError:
+        # Rendering only formats computed values, so this is Python's
+        # int-to-str digit limit; nothing has been written yet.
+        print(f"k3lat: result has more than {sys.get_int_max_str_digits()} "
+              "decimal digits", file=sys.stderr)
+        return 1
+    sys.stdout.write(output)
     return 0
 
 

@@ -122,6 +122,13 @@ def test_e8_orbits_builds_no_complement(capsys, monkeypatch):
         assert o["primitive"] == (g == 1)
     code, out, _ = run(capsys, "e8", "orbits", "--norm", "400")
     assert code == 0 and out.count("complement det ") == 74
+    # The weight is 12 + roots/2, read off the closed-form root count.
+    code, out, _ = run(capsys, "weight", "--norm", "14")
+    assert code == 0 and out.count("restricted form weight ") == 2
+    code, out, _ = run(capsys, "weight", "--norm", "14", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["roots"], r["weight"]) for r in rows] == [(72, 48), (44, 34)]
 
 
 def test_results_beyond_the_digit_limit_exit_1_before_any_output(capsys, tmp_path):
@@ -139,6 +146,30 @@ def test_results_beyond_the_digit_limit_exit_1_before_any_output(capsys, tmp_pat
                           "decimal digits\n"
     code, out, _ = run(capsys, "lat", "info", f"({big})")
     assert code == 0 and f"determinant: {big}" in out
+
+
+def test_commands_run_where_python_has_no_digit_limit(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 have neither the int-to-str digit limit nor
+    # sys.get_int_max_str_digits.
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    for argv in (("lat", "info", "(-2) + -E8"),
+                 ("minus2", "property", "II(1,17)"),
+                 ("sbad", "polarized", "--n", "4", "--dnorm", "0", "--k", "4")):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, err) == (0, "") and out, argv + extra
+
+
+def test_outputs_match_the_pinned_corpus(capsys, monkeypatch, tmp_path):
+    # Text and JSON outputs of the benchmark's queries and more, pinned byte
+    # for byte; witness files are written to a scratch directory first.
+    golden = json.loads((GOLDEN.parent / "cli_outputs.json").read_text())
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for case in golden["cases"]:
+        code, out, _ = run(capsys, *case["argv"])
+        assert (code, out) == (case["code"], case["stdout"]), case["argv"][:4]
 
 
 def test_weight_command(capsys):

@@ -47,3 +47,26 @@ def test_library_does_not_import_dataclasses():
             elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_only_cli_main_writes_to_stdout():
+    # Commands return their output for main to render in full and write at
+    # once, so an error never leaves part of a result on stdout.
+    found = []
+    for name, tree in _library_trees():
+        allowed = set()
+        if name == "cli.py":
+            main = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "main")
+            allowed = set(map(id, ast.walk(main)))
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"
+                    and not any(kw.arg == "file" for kw in node.keywords)):
+                found.append(f"{name}:{node.lineno} print")
+            elif (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                  and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.append(f"{name}:{node.lineno} sys.stdout")
+    assert found == []
