@@ -41,7 +41,7 @@ from .sbad import (
     polarized_bad,
     possible_extension_norms,
 )
-from .shortvec import EnumQuery, NormHistogram, rational_cholesky, root_count, short_vectors
+from .shortvec import NormHistogram, rational_cholesky, root_count, short_vectors
 from .specparse import LatticeSpec, lattice_from_text, parse_spec, print_spec
 
 __version__ = "0.1.0"

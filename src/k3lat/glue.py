@@ -19,7 +19,7 @@ from .e8 import OrbitClass
 from .errors import NormOutOfRangeError, WrongSignatureError
 from .lattice import E8, Lattice, determinant, discriminant_group, signature
 from .records import Record
-from .shortvec import EnumQuery, root_count, short_vectors
+from .shortvec import root_count, short_vectors
 
 
 class EmbeddingReport(Record):
@@ -31,19 +31,23 @@ class EmbeddingReport(Record):
         return self.embeddable
 
 
-def nikulin_embeddable(t: Lattice, target_dim: int = 28) -> EmbeddingReport:
+# Rank of II_{2,26}, the lattice that `nikulin_embeddable` embeds into.
+TARGET_DIM = 28
+
+
+def nikulin_embeddable(t: Lattice) -> EmbeddingReport:
     """Sufficient condition for a primitive embedding into II_{2,26}.
 
-    True iff the signature is (2, q) with q <= target_dim - 2 and the
+    True iff the signature is (2, q) with q <= TARGET_DIM - 2 and the
     minimum number of generators of T'/T plus rank(T) is less than
-    target_dim. Raises WrongSignatureError unless the positive index is 2.
+    TARGET_DIM. Raises WrongSignatureError unless the positive index is 2.
     """
     sig = signature(t)
     if sig[0] != 2:
         raise WrongSignatureError(f"expected signature (2, q), got {sig}")
     ell = discriminant_group(t).min_generators
-    ok = sig[1] <= target_dim - 2 and t.rank + ell < target_dim
-    return EmbeddingReport(ok, t.rank, ell, sig, target_dim)
+    ok = sig[1] <= TARGET_DIM - 2 and t.rank + ell < TARGET_DIM
+    return EmbeddingReport(ok, t.rank, ell, sig, TARGET_DIM)
 
 
 class CosetCountTable(Record):
@@ -83,8 +87,7 @@ def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
     dual_gram = tuple(tuple(row) for row in adj)
     form = tuple(-c % det_u for c in
                  la.vec_mat([E8.pairing(b, w) for b in u.basis], dual_gram))
-    hist = short_vectors(EnumQuery(gram=dual_gram, bound=Fraction(2 * det_u),
-                                   exclusive=True, label=form, modulus=det_u))
+    hist = short_vectors(dual_gram, 2 * det_u, exclusive=True, label=form, modulus=det_u)
     by_label: dict[int, dict[Fraction, int]] = {}
     for (t, norm), count in hist.counts.items():
         by_label.setdefault(t, {})[norm / det_u] = count
@@ -110,9 +113,7 @@ def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
     u = orbit.complement
     rhs = [E8.pairing(a0, b) for b in u.basis]
     offset = la.vec_mat(rhs, la.fraction_inverse(u.gram))
-    hist = short_vectors(EnumQuery(gram=u.gram, bound=Fraction(2),
-                                   offset=tuple(offset), exclusive=True))
-    return dict(hist.counts)
+    return dict(short_vectors(u.gram, 2, offset, exclusive=True).counts)
 
 
 def restricted_weight(u: Lattice) -> int:

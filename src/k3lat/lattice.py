@@ -82,21 +82,14 @@ def determinant(lat: Lattice) -> int:
     return la.bareiss_determinant([list(r) for r in lat.gram])
 
 
-def _require_nondegenerate(lat: Lattice) -> int:
-    d = determinant(lat)
-    if d == 0:
-        raise DegenerateLatticeError("lattice has determinant 0")
-    return d
-
-
 def signature(lat: Lattice) -> tuple[int, int]:
     """(positive, negative) inertia indices, by exact rational diagonalization.
 
     Uses Lagrange reduction: split off squares at nonzero diagonal entries,
     and when the remaining block has an all-zero diagonal, symmetrize a
-    nonzero off-diagonal pair first.
+    nonzero off-diagonal pair first. An active row that is all zero spans
+    the radical, so the lattice is degenerate.
     """
-    _require_nondegenerate(lat)
     a = [[Fraction(x) for x in row] for row in lat.gram]
     active = list(range(lat.rank))
     pos = neg = 0
@@ -105,7 +98,9 @@ def signature(lat: Lattice) -> tuple[int, int]:
         if p is None:
             # all-zero diagonal; e_i -> e_i + e_j produces 2*a[i][j] != 0
             i = active[0]
-            j = next(j for j in active if a[i][j] != 0)
+            j = next((j for j in active if a[i][j] != 0), None)
+            if j is None:
+                raise DegenerateLatticeError("lattice has determinant 0")
             for k in active:
                 a[i][k] += a[j][k]
             for k in active:
@@ -147,24 +142,29 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
 
     With U G V = D (Smith form), the dual lattice is spanned over Z by the
     rows of D^-1 U, so row i of U divided by the elementary divisor d_i
-    generates the order-d_i cyclic factor.
+    generates the order-d_i cyclic factor, and |det L| is the product of
+    the d_i. A zero elementary divisor means the lattice is degenerate.
     """
-    det = _require_nondegenerate(lat)
     left, diag, _right = la.smith_normal_form([list(row) for row in lat.gram])
     divisors = []
     generators = []
+    order = 1
     for i, d in enumerate(la.diagonal_of(diag)):
-        if d <= 1:
-            continue
-        divisors.append(d)
-        generators.append(tuple(Fraction(c, d) for c in left[i]))
-    return DiscriminantGroup(tuple(divisors), tuple(generators), abs(det))
+        if d == 0:
+            raise DegenerateLatticeError("lattice has determinant 0")
+        order *= d
+        if d > 1:
+            divisors.append(d)
+            generators.append(tuple(Fraction(c, d) for c in left[i]))
+    return DiscriminantGroup(tuple(divisors), tuple(generators), order)
 
 
 def dual_basis(lat: Lattice) -> list[tuple[Fraction, ...]]:
     """Rows of the inverse Gram matrix: dual vector i pairs as delta_ij."""
-    _require_nondegenerate(lat)
-    inv = la.fraction_inverse([list(r) for r in lat.gram])
+    try:
+        inv = la.fraction_inverse([list(r) for r in lat.gram])
+    except ZeroDivisionError:
+        raise DegenerateLatticeError("lattice has determinant 0") from None
     return [tuple(row) for row in inv]
 
 
@@ -221,9 +221,9 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     return from_gram(g)
 
 
-def rescale(lat: Lattice, factor: int = -1) -> Lattice:
-    """Scale the bilinear form by an integer factor (typically -1)."""
-    return from_gram([[factor * x for x in row] for row in lat.gram])
+def rescale(lat: Lattice) -> Lattice:
+    """The same module with the bilinear form negated."""
+    return from_gram([[-x for x in row] for row in lat.gram])
 
 
 def _simply_laced_gram(n: int, edges) -> Lattice:

@@ -15,7 +15,7 @@ from math import isqrt, lcm
 
 from . import intlinalg as la
 from .errors import IndefiniteLatticeError, NotPositiveDefiniteError
-from .records import Record
+from .lattice import signature
 
 
 def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -41,24 +41,6 @@ def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
     return lower, pivots
 
 
-class EnumQuery(Record):
-    """What to enumerate: lattice points x with norm(x + offset) within bound.
-
-    ``gram`` is a tuple of integer rows and ``bound`` a Fraction; ``offset``
-    is None or a tuple of Fractions. ``exclusive`` switches the bound
-    comparison from <= to <; ``collect`` additionally returns the vectors
-    (count-only mode allocates none). ``label`` is an optional integer
-    linear form on the coordinates x, read modulo ``modulus``; with it the
-    histogram is keyed by (label, norm).
-    """
-
-    __slots__ = ("gram", "bound", "offset", "exclusive", "collect", "label", "modulus")
-
-    def __init__(self, gram, bound, offset=None, exclusive=False, collect=False,
-                 label=None, modulus=0):
-        super().__init__(gram, bound, offset, exclusive, collect, label, modulus)
-
-
 class NormHistogram:
     """Exact counts of enumerated vectors, keyed by rational norm, or by
     (label, norm) for a labelled query. Mutable, so not hashable."""
@@ -82,28 +64,35 @@ class NormHistogram:
         return sum(self.counts.values())
 
 
-def short_vectors(query: EnumQuery) -> NormHistogram:
-    """Enumerate all x in Z^r with norm(x + offset) within the bound."""
-    gram = [list(row) for row in query.gram]
+def short_vectors(gram, bound, offset=None, exclusive=False, collect=False,
+                  label=None, modulus=0) -> NormHistogram:
+    """Enumerate all x in Z^r with norm(x + offset) within the bound.
+
+    ``gram`` is a sequence of integer rows and ``bound`` a rational;
+    ``offset`` is None or one rational per coordinate. ``exclusive``
+    switches the bound comparison from <= to <; ``collect`` additionally
+    returns the vectors (count-only mode allocates none). ``label`` is an
+    optional integer linear form on the coordinates x, read modulo
+    ``modulus``; with it the histogram is keyed by (label, norm).
+    """
+    gram = [list(row) for row in gram]
     r = len(gram)
-    bound = Fraction(query.bound)
-    offset = [Fraction(c) for c in (query.offset or [0] * r)]
+    bound = Fraction(bound)
+    offset = [Fraction(c) for c in (offset or [0] * r)]
     if len(offset) != r:
         raise ValueError("offset length does not match the rank")
-    form = query.label
-    modulus = query.modulus
-    if form is not None and (len(form) != r or modulus <= 0):
+    if label is not None and (len(label) != r or modulus <= 0):
         raise ValueError("label form needs one coefficient per coordinate "
                          "and a positive modulus")
-    hist = NormHistogram(vectors=[] if query.collect else None)
+    hist = NormHistogram(vectors=[] if collect else None)
     if r == 0:
-        if (bound > 0) or (bound == 0 and not query.exclusive):
-            hist.counts[Fraction(0) if form is None else (0, Fraction(0))] = 1
-            if query.collect:
+        if (bound > 0) or (bound == 0 and not exclusive):
+            hist.counts[Fraction(0) if label is None else (0, Fraction(0))] = 1
+            if collect:
                 hist.vectors.append(())
         return hist
     lower, pivots = rational_cholesky(gram)
-    if bound < 0 or (query.exclusive and bound == 0):
+    if bound < 0 or (exclusive and bound == 0):
         return hist
 
     # Common denominator for every rational in play.
@@ -117,15 +106,13 @@ def short_vectors(query: EnumQuery) -> NormHistogram:
     # ucol[i][k] scales the coefficient of y_i inside z_k, for k < i.
     ucol = [[int(lower[i][k] * big_d) for k in range(i)] for i in range(r)]
     bb = int(bound * big_d) * d2 * d2
-    exclusive = query.exclusive
-    collect = query.collect
     counts = hist.counts
     vectors = hist.vectors
     denom5 = big_d ** 5
 
     partial = [0] * r  # partial[k] = D^2 * sum_{j>k fixed} u_kj y_j
     x = [0] * r
-    coeff = list(form) if form is not None else [0] * r
+    coeff = list(label) if label is not None else [0] * r
     # Leaves are keyed by the scaled integer norm (with the label, if any)
     # and converted to exact fractions once, after the search.
     raw: dict = {}
@@ -144,7 +131,7 @@ def short_vectors(query: EnumQuery) -> NormHistogram:
                 key = used + dni * zn * zn
                 if exclusive and key == bb:
                     continue
-                if form is not None:
+                if label is not None:
                     key = ((lab + c0 * xi) % modulus, key)
                 raw[key] = raw.get(key, 0) + 1
                 if collect:
@@ -165,7 +152,7 @@ def short_vectors(query: EnumQuery) -> NormHistogram:
                 partial[k] -= col[k] * yn
 
     descend(r - 1, bb, 0, 0)
-    if form is None:
+    if label is None:
         counts.update((Fraction(key, denom5), c) for key, c in raw.items())
     else:
         counts.update(((t, Fraction(key, denom5)), c) for (t, key), c in raw.items())
@@ -176,10 +163,7 @@ def short_vectors(query: EnumQuery) -> NormHistogram:
 
 def vector_count(gram, bound, offset=None, exclusive=False) -> int:
     """Total number of vectors within the bound (count-only convenience)."""
-    q = EnumQuery(gram=tuple(tuple(row) for row in gram), bound=Fraction(bound),
-                  offset=None if offset is None else tuple(Fraction(c) for c in offset),
-                  exclusive=exclusive)
-    return short_vectors(q).total
+    return short_vectors(gram, bound, offset, exclusive).total
 
 
 def root_count(lat) -> int:
@@ -188,14 +172,11 @@ def root_count(lat) -> int:
     Negative definite input is flipped to the internal positive convention
     first, so this is the count of norm -2 vectors in the negative convention.
     """
-    from . import lattice as lt
-
-    pos, neg = lt.signature(lat)  # raises DegenerateLatticeError on det 0
+    pos, neg = signature(lat)  # raises DegenerateLatticeError on det 0
     if neg == 0:
         gram = lat.gram
     elif pos == 0:
         gram = tuple(tuple(-x for x in row) for row in lat.gram)
     else:
         raise IndefiniteLatticeError(f"lattice of signature {(pos, neg)} is not definite")
-    hist = short_vectors(EnumQuery(gram=gram, bound=Fraction(2)))
-    return hist.counts.get(Fraction(2), 0)
+    return short_vectors(gram, 2).counts.get(Fraction(2), 0)

@@ -16,14 +16,13 @@ from functools import lru_cache
 
 from k3lat import intlinalg as la
 from k3lat.lattice import E8
-from k3lat.shortvec import EnumQuery, short_vectors
+from k3lat.shortvec import short_vectors
 
 
 @lru_cache(maxsize=None)
 def e8_ball(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every x in E8 with (x, x) < n/2 + 2, with its norm."""
-    hist = short_vectors(EnumQuery(gram=E8.gram, bound=Fraction(n, 2) + 2,
-                                   exclusive=True, collect=True))
+    hist = short_vectors(E8.gram, Fraction(n, 2) + 2, exclusive=True, collect=True)
     return tuple((x, E8.norm(x)) for x in hist.vectors)
 
 
@@ -40,7 +39,8 @@ def bucketed_row(orbit) -> dict[int, dict[Fraction, int]]:
         nu = norm - Fraction(k * k, two_n)
         if nu >= 2:
             continue
-        assert nu >= 0, (k, nu)
+        if nu < 0:
+            raise RuntimeError(f"negative dual norm {nu} at label {k}")
         bucket = counts[k]
         bucket[nu] = bucket.get(nu, 0) + 1
     return counts

@@ -79,14 +79,6 @@ def test_table_json_schema(capsys):
     assert (1, "-3/2") in cells
 
 
-def test_table_k3lat_threads_parallel_matches(capsys, monkeypatch):
-    code, base, _ = run(capsys, "table", "--format", "csv")
-    monkeypatch.setenv("K3LAT_THREADS", "3")
-    code2, parallel, _ = run(capsys, "table", "--format", "csv")
-    assert code == code2 == 0
-    assert base == parallel
-
-
 def test_cli_import_starts_without_the_process_pool():
     src = str(Path(k3lat.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -7,7 +7,7 @@ import pytest
 
 from k3lat import e8, intlinalg as la, lattice as lt
 from k3lat.errors import ZeroVectorError
-from k3lat.shortvec import EnumQuery, root_count, short_vectors
+from k3lat.shortvec import root_count, short_vectors
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
 
@@ -21,8 +21,7 @@ def reflect_simple(x, i):
 
 @pytest.fixture(scope="module")
 def e8_histogram():
-    return short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(14),
-                                   collect=True))
+    return short_vectors(lt.E8.gram, Fraction(14), collect=True)
 
 
 def test_every_root_reduces_to_highest_root(e8_histogram):
@@ -123,7 +122,7 @@ def test_stabilizer_order_of_root():
 
 def test_orbit_root_counts_match_enumeration():
     """The closed form against two enumerations, for every orbit with 2n <= 100."""
-    hist = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(2), collect=True))
+    hist = short_vectors(lt.E8.gram, Fraction(2), collect=True)
     roots = [la.vec_mat(r, lt.E8.gram) for r in hist.vectors if any(r)]
     assert len(roots) == 240
     checked = 0

@@ -52,6 +52,32 @@ def test_signature_rejects_degenerate():
         lt.signature(lt.from_gram([[2, 2], [2, 2]]))
 
 
+def test_degeneracy_is_found_exactly_when_the_determinant_is_zero():
+    # signature, discriminant_group and dual_basis detect degeneracy in their
+    # own elimination; Bareiss decides it independently here.
+    rng = random.Random(29)
+    degenerate = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-1, 1)
+        lat = lt.from_gram(g)
+        det = lt.determinant(lat)
+        if det == 0:
+            degenerate += 1
+            for compute in (lt.signature, lt.discriminant_group, lt.dual_basis):
+                with pytest.raises(DegenerateLatticeError, match="determinant 0"):
+                    compute(lat)
+            continue
+        pos, neg = lt.signature(lat)
+        assert pos + neg == n and (-1) ** neg == (1 if det > 0 else -1)
+        assert lt.discriminant_group(lat).order == abs(det)
+        assert len(lt.dual_basis(lat)) == n
+    assert 60 <= degenerate <= 540
+
+
 def test_signature_additivity():
     rng = random.Random(19)
     pool = [lt.E8, lt.rescale(lt.E8), lt.H, lt.E7, lt.rank1(2), lt.rank1(-6)]

@@ -11,11 +11,7 @@ from k3lat import specparse as sp
 from k3lat.e8 import orbits_of_norm
 from k3lat.glue import DivisorCell, EmbeddingReport, ScaleContribution
 from k3lat.sbad import ExtensionWitness
-from k3lat.shortvec import EnumQuery, NormHistogram
-
-
-def query(**extra):
-    return EnumQuery(gram=((2, 1), (1, 2)), bound=Fraction(4), **extra)
+from k3lat.shortvec import NormHistogram
 
 
 def cell(**extra):
@@ -26,7 +22,6 @@ def cell(**extra):
 def test_equality_within_a_type():
     assert lt.from_gram([[2, 1], [1, 2]]) == lt.from_gram([[2, 1], [1, 2]])
     assert lt.from_gram([[2]]) != lt.from_gram([[4]])
-    assert query() == query() and query() != query(exclusive=True)
     assert cell() == cell() and cell() != cell(count=4)
     assert sp.parse_spec("E8 + -(2)") == sp.parse_spec(" E8+-( 2 )")
     assert sp.parse_spec("E8") != sp.parse_spec("-E8")
@@ -44,7 +39,6 @@ def test_records_of_different_types_or_tuples_are_unequal():
             (sp.Named("E8"), ("E8",)),
             (sp.Term(False, sp.Named("E8")), (False, sp.Named("E8"))),
             (cell(), (1, Fraction(-1, 2), 3, True)),
-            (query(), (((2, 1), (1, 2)), Fraction(4), None, False, False, None, 0)),
             (lt.from_gram([[2]]), (((2,),), None, None)),
             (EmbeddingReport(True, 1, 0, (2, 0), 28), (True, 1, 0, (2, 0), 28)),
             (orbit, (orbit.two_n, orbit.representative, orbit.primitive,
@@ -53,7 +47,7 @@ def test_records_of_different_types_or_tuples_are_unequal():
 
 
 def test_immutable_public_types_hash_by_value():
-    for make in (lambda: lt.from_gram([[2, 1], [1, 2]]), query, cell,
+    for make in (lambda: lt.from_gram([[2, 1], [1, 2]]), cell,
                  lambda: orbits_of_norm(8)[1], lambda: sp.parse_spec("II(1,9) + (4)")):
         a, b = make(), make()
         assert a is not b and hash(a) == hash(b) and len({a, b}) == 1
@@ -69,8 +63,8 @@ def test_reading_the_complement_changes_neither_equality_nor_hash():
 def test_immutable_types_reject_attribute_assignment():
     orbit = orbits_of_norm(4)[0]
     cases = [(lt.E8, "gram"), (lt.discriminant_group(lt.rank1(4)), "order"),
-             (orbit, "two_n"), (orbit, "complement"), (query(), "bound"),
-             (cell(), "count"), (sp.Named("E8"), "name"),
+             (orbit, "two_n"), (orbit, "complement"), (cell(), "count"),
+             (sp.Named("E8"), "name"),
              (ExtensionWitness(lt.rank1(2), (1,), 0), "d_norm")]
     for record, name in cases:
         with pytest.raises(AttributeError):
@@ -113,7 +107,6 @@ def test_records_construct_by_position_or_keyword_and_survive_copies():
     with pytest.raises(TypeError):
         DivisorCell(1, Fraction(-1, 2), 3, True, k=2)
     orbit = orbits_of_norm(6)[0]
-    for record in (lt.E8, query(offset=(Fraction(1, 2), 0)), cell(), orbit,
-                   sp.parse_spec("-E8 + gram:x.txt")):
+    for record in (lt.E8, cell(), orbit, sp.parse_spec("-E8 + gram:x.txt")):
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record

@@ -9,7 +9,7 @@ from k3lat import intlinalg as la
 from k3lat import lattice as lt
 from k3lat.e8 import orbits_of_norm
 from k3lat.errors import IndefiniteLatticeError, NotPositiveDefiniteError
-from k3lat.shortvec import EnumQuery, NormHistogram, rational_cholesky, root_count, short_vectors
+from k3lat.shortvec import NormHistogram, rational_cholesky, root_count, short_vectors
 
 
 def box_search(gram, bound, offset=None, exclusive=False):
@@ -60,24 +60,23 @@ def test_cholesky_examples():
 
 
 def test_enumerate_e8_roots():
-    hist = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(2)))
+    hist = short_vectors(lt.E8.gram, Fraction(2))
     assert hist.counts == {Fraction(0): 1, Fraction(2): 240}
 
 
 def test_enumerate_e7_roots():
-    hist = short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(2)))
+    hist = short_vectors(lt.E7.gram, Fraction(2))
     assert hist.counts == {Fraction(0): 1, Fraction(2): 126}
 
 
 def test_enumerate_e7_dual_coset():
     gen = lt.discriminant_group(lt.E7).generators[0]
-    hist = short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(2),
-                                   offset=gen, exclusive=True))
+    hist = short_vectors(lt.E7.gram, Fraction(2), offset=gen, exclusive=True)
     assert hist.counts == {Fraction(3, 2): 56}
 
 
 def test_listing_is_sorted_and_within_bound():
-    hist = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(4), collect=True))
+    hist = short_vectors(lt.E8.gram, Fraction(4), collect=True)
     assert hist.vectors == sorted(hist.vectors)
     assert len(hist.vectors) == hist.total == 1 + 240 + 2160
     for v in hist.vectors[:50]:
@@ -85,7 +84,7 @@ def test_listing_is_sorted_and_within_bound():
 
 
 def test_plus_minus_symmetry():
-    hist = short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(6), collect=True))
+    hist = short_vectors(lt.E7.gram, Fraction(6), collect=True)
     listed = set(hist.vectors)
     for norm, count in hist.counts.items():
         if norm != 0:
@@ -98,24 +97,23 @@ def test_offset_shift_invariance():
     rng = random.Random(2)
     gram = [list(r) for r in lt.E7.gram]
     offset = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(7)]
-    base = short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(3),
-                                   offset=tuple(offset)))
+    base = short_vectors(lt.E7.gram, Fraction(3), offset=tuple(offset))
     shift = [rng.randint(-2, 2) for _ in range(7)]
     moved = tuple(o + s for o, s in zip(offset, shift))
-    again = short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(3), offset=moved))
+    again = short_vectors(lt.E7.gram, Fraction(3), offset=moved)
     assert base.counts == again.counts
 
 
 def test_bound_monotonicity():
-    small = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(4)))
-    large = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(8)))
+    small = short_vectors(lt.E8.gram, Fraction(4))
+    large = short_vectors(lt.E8.gram, Fraction(8))
     for norm, count in small.counts.items():
         assert large.counts[norm] == count
 
 
 def test_exclusive_drops_the_boundary():
-    incl = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(2)))
-    excl = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(2), exclusive=True))
+    incl = short_vectors(lt.E8.gram, Fraction(2))
+    excl = short_vectors(lt.E8.gram, Fraction(2), exclusive=True)
     assert excl.counts == {Fraction(0): 1}
     assert incl.counts[Fraction(2)] == 240
 
@@ -131,16 +129,15 @@ def test_agrees_with_box_oracle():
             offset = tuple(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
                            for _ in range(rank))
         exclusive = rng.random() < 0.5
-        got = short_vectors(EnumQuery(gram=tuple(map(tuple, gram)), bound=bound,
-                                      offset=offset, exclusive=exclusive))
+        got = short_vectors(tuple(map(tuple, gram)), bound,
+                            offset=offset, exclusive=exclusive)
         want = box_search(gram, bound, offset=offset, exclusive=exclusive)
         assert got.counts == want
 
 
 def test_count_only_matches_collect():
-    q1 = EnumQuery(gram=lt.E7.gram, bound=Fraction(4))
-    q2 = EnumQuery(gram=lt.E7.gram, bound=Fraction(4), collect=True)
-    a, b = short_vectors(q1), short_vectors(q2)
+    a = short_vectors(lt.E7.gram, Fraction(4))
+    b = short_vectors(lt.E7.gram, Fraction(4), collect=True)
     assert a.vectors is None
     assert a.counts == b.counts
     assert len(b.vectors) == b.total
@@ -152,14 +149,12 @@ def test_labelled_histogram_buckets_collected_vectors():
     root = [1, 0, 0, 0, 0, 0, 0, 0]
     form = tuple(la.vec_mat(root, gram))
     for bound, exclusive in ((Fraction(4), False), (Fraction(6), True)):
-        listed = short_vectors(EnumQuery(gram=lt.E8.gram, bound=bound,
-                                         exclusive=exclusive, collect=True))
+        listed = short_vectors(lt.E8.gram, bound, exclusive=exclusive, collect=True)
         want = {}
         for x in listed.vectors:
             key = (la.pairing(gram, x, root) % 2, Fraction(lt.E8.norm(x)))
             want[key] = want.get(key, 0) + 1
-        got = short_vectors(EnumQuery(gram=lt.E8.gram, bound=bound,
-                                      exclusive=exclusive, label=form, modulus=2))
+        got = short_vectors(lt.E8.gram, bound, exclusive=exclusive, label=form, modulus=2)
         assert got.vectors is None
         assert got.counts == want
         assert got.total == listed.total
@@ -170,37 +165,34 @@ def test_labelled_histogram_buckets_collected_vectors():
 
 def test_labelled_histogram_with_offset_and_zero_rank():
     offset = tuple(lt.discriminant_group(lt.E7).generators[0])
-    plain = short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(4),
-                                    offset=offset))
-    labelled = short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(4),
-                                       offset=offset, label=(1,) * 7, modulus=3))
+    plain = short_vectors(lt.E7.gram, Fraction(4), offset=offset)
+    labelled = short_vectors(lt.E7.gram, Fraction(4),
+                             offset=offset, label=(1,) * 7, modulus=3)
     marginal = {}
     for (t, norm), count in labelled.counts.items():
         assert 0 <= t < 3
         marginal[norm] = marginal.get(norm, 0) + count
     assert marginal == plain.counts
-    empty = short_vectors(EnumQuery(gram=(), bound=Fraction(1), label=(), modulus=5))
+    empty = short_vectors((), Fraction(1), label=(), modulus=5)
     assert empty.counts == {(0, Fraction(0)): 1}
     with pytest.raises(ValueError):
-        short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(2), label=(1,) * 6,
-                                modulus=2))
+        short_vectors(lt.E7.gram, Fraction(2), label=(1,) * 6, modulus=2)
     with pytest.raises(ValueError):
-        short_vectors(EnumQuery(gram=lt.E7.gram, bound=Fraction(2), label=(1,) * 7))
+        short_vectors(lt.E7.gram, Fraction(2), label=(1,) * 7)
 
 
 def test_unlabelled_histograms_are_unchanged():
     # exact histograms, pinned: keys are Fractions, no vectors are kept
     cases = [
-        (EnumQuery(gram=lt.E8.gram, bound=Fraction(6)),
+        ((lt.E8.gram, Fraction(6)),
          {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160, Fraction(6): 6720}),
-        (EnumQuery(gram=lt.E8.gram, bound=Fraction(6), exclusive=True),
+        ((lt.E8.gram, Fraction(6), None, True),
          {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160}),
-        (EnumQuery(gram=lt.E7.gram, bound=Fraction(4),
-                   offset=tuple(lt.discriminant_group(lt.E7).generators[0])),
+        ((lt.E7.gram, Fraction(4), lt.discriminant_group(lt.E7).generators[0]),
          {Fraction(3, 2): 56, Fraction(7, 2): 576}),
     ]
-    for query, want in cases:
-        hist = short_vectors(query)
+    for args, want in cases:
+        hist = short_vectors(*args)
         assert hist == NormHistogram(counts=want)
         assert all(type(key) is Fraction for key in hist.counts)
 
@@ -222,7 +214,7 @@ def test_root_count_rank1_and_signs():
 
 
 def test_zero_rank_histogram():
-    hist = short_vectors(EnumQuery(gram=(), bound=Fraction(0)))
+    hist = short_vectors((), Fraction(0))
     assert hist.counts == {Fraction(0): 1}
     assert NormHistogram().total == 0
 
@@ -248,9 +240,8 @@ def test_counts_independent_of_e8_basis():
     other = glue_model_e8_gram()
     assert other != [list(r) for r in lt.E8.gram]
     assert la.bareiss_determinant(other) == 1
-    ours = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(8)))
-    theirs = short_vectors(EnumQuery(gram=tuple(map(tuple, other)),
-                                     bound=Fraction(8)))
+    ours = short_vectors(lt.E8.gram, Fraction(8))
+    theirs = short_vectors(tuple(map(tuple, other)), Fraction(8))
     assert ours.counts == theirs.counts
 
     rng = random.Random(71)
@@ -263,7 +254,6 @@ def test_counts_independent_of_e8_basis():
             for col in range(8):
                 u[i][col] += c * u[j][col]
         transformed = la.mat_mul(la.mat_mul(u, gram), la.transpose(u))
-        hist = short_vectors(EnumQuery(gram=tuple(map(tuple, transformed)),
-                                       bound=Fraction(6)))
-        want = short_vectors(EnumQuery(gram=lt.E8.gram, bound=Fraction(6)))
+        hist = short_vectors(tuple(map(tuple, transformed)), Fraction(6))
+        want = short_vectors(lt.E8.gram, Fraction(6))
         assert hist.counts == want.counts

@@ -3,20 +3,26 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "k3lat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "k3lat"
+
+
+def _parse(path):
+    return path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _library_trees():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
-    return [(path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-            for path in paths]
+    return [_parse(path) for path in paths]
 
 
 def test_no_assert_statements_in_library():
     # `python -O` strips assert statements, so library invariants must be
-    # explicit checks that raise.
-    found = [f"{name}:{node.lineno}" for name, tree in _library_trees()
+    # explicit checks that raise. The same holds for the test oracles, as
+    # pytest rewrites asserts in test modules only.
+    trees = _library_trees() + [_parse(ROOT / "tests" / "oracles.py")]
+    found = [f"{name}:{node.lineno}" for name, tree in trees
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
 
@@ -70,3 +76,11 @@ def test_only_cli_main_writes_to_stdout():
                   and isinstance(node.value, ast.Name) and node.value.id == "sys"):
                 found.append(f"{name}:{node.lineno} sys.stdout")
     assert found == []
+
+
+def test_readme_library_example_runs():
+    # The first python block after the Library heading, asserts kept under -O.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec", optimize=0), {})
