@@ -7,7 +7,9 @@ JSON are exact, encoded as "p/q" strings when not integral.
 
 Each command computes its values once and returns its schema-1 payload
 with a function that renders its text form as a list of lines; `main`
-renders the whole output before it writes anything.
+renders the whole output before it writes anything. A command imports
+the library modules it runs inside its own function, so each command
+compiles only those.
 """
 
 from __future__ import annotations
@@ -16,22 +18,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import lattice as lt
-from . import specparse
-from .e8 import orbits_of_norm
 from .errors import GramFileError, LatticeError, SpecSyntaxError, UsageError
-from .glue import (
-    coset_count_row,
-    divisor_classes,
-    hyperplane_multiplicity,
-    nikulin_embeddable,
-    nikulin_minus2_property,
-)
-from .parallel import parallel_map
-from .sbad import is_sbad_extension, normalize_degree, polarized_bad, read_witness_file
-from .shortvec import root_count
 
 SCHEMA_VERSION = 1
 
@@ -46,6 +34,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_value(x):
+    """JSON form of what json cannot encode itself: exact rationals."""
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
@@ -53,13 +44,15 @@ def _json_value(x):
     return x
 
 
-def _signed(norm: Fraction, internal: bool) -> Fraction:
+def _signed(norm, internal: bool):
     """Internal norms are positive; reports default to the negative convention."""
-    return Fraction(norm) if internal else -Fraction(norm)
+    return norm if internal else -norm
 
 
-def _lattice_from_arg(text: str) -> lt.Lattice:
-    return specparse.lattice_from_text(text, base_dir=os.getcwd())
+def _lattice_from_arg(text: str):
+    from .specparse import lattice_from_text
+
+    return lattice_from_text(text, base_dir=os.getcwd())
 
 
 def _even_norms(start: int, stop: int) -> list[int]:
@@ -69,10 +62,15 @@ def _even_norms(start: int, stop: int) -> list[int]:
 
 
 def _rows_for_norm(two_n: int):
+    from .e8 import orbits_of_norm
+    from .glue import coset_count_row
+
     return [coset_count_row(orbit) for orbit in orbits_of_norm(two_n)]
 
 
 def _collect_rows(start: int, stop: int):
+    from .parallel import parallel_map
+
     per_norm = parallel_map(_rows_for_norm, _even_norms(start, stop))
     return [row for rows in per_norm for row in rows]
 
@@ -84,6 +82,8 @@ def _require_positive_even(two_n: int) -> int:
 
 
 def _selected_orbits(args):
+    from .e8 import orbits_of_norm
+
     orbits = orbits_of_norm(_require_positive_even(args.norm))
     if args.orbit is not None:
         if not 0 <= args.orbit < len(orbits):
@@ -96,6 +96,9 @@ def _selected_orbits(args):
 
 
 def cmd_lat_info(args):
+    from . import lattice as lt
+    from .shortvec import root_count
+
     lattice = _lattice_from_arg(args.spec)
     sig = lt.signature(lattice)
     p = {"spec": args.spec.strip(), "rank": lattice.rank, "signature": list(sig),
@@ -117,6 +120,8 @@ def cmd_lat_info(args):
 
 
 def cmd_e8_orbits(args):
+    from .e8 import orbits_of_norm
+
     two_n = _require_positive_even(args.norm)
     p = {"norm": two_n if args.internal_norms else -two_n, "orbits": [
         {"index": i, "representative": list(o.representative),
@@ -181,7 +186,9 @@ def cmd_table(args):
 
 def _line_reports(row):
     """Multiplicity reports: the norm -2 lattice line plus one line per cell."""
-    reports = [hyperplane_multiplicity(row, 0, Fraction(-2))]
+    from .glue import divisor_classes, hyperplane_multiplicity
+
+    reports = [hyperplane_multiplicity(row, 0, -2)]
     for cell in divisor_classes(row):
         nu_internal = -cell.norm
         reports.append(hyperplane_multiplicity(row, cell.k, nu_internal - 2))
@@ -189,6 +196,8 @@ def _line_reports(row):
 
 
 def cmd_divisors(args):
+    from .glue import coset_count_row, divisor_classes
+
     orbits = _selected_orbits(args)
     rows = [coset_count_row(o) for o in orbits]
 
@@ -240,6 +249,8 @@ def cmd_weight(args):
 
 
 def cmd_embed_check(args):
+    from .glue import nikulin_embeddable
+
     report = nikulin_embeddable(_lattice_from_arg(args.spec))
     p = {"spec": args.spec.strip(), "embeddable": report.embeddable,
          "rank": report.rank, "min_generators": report.min_generators,
@@ -254,6 +265,8 @@ def cmd_embed_check(args):
 
 
 def cmd_sbad_witness(args):
+    from .sbad import is_sbad_extension, read_witness_file
+
     witness = read_witness_file(args.gram)
     verdict = is_sbad_extension(witness)
     p = {"det_s": witness.det_s, "det_s1": witness.det_s1,
@@ -265,6 +278,10 @@ def cmd_sbad_witness(args):
 
 
 def cmd_sbad_polarized(args):
+    from fractions import Fraction
+
+    from .sbad import normalize_degree, polarized_bad
+
     if args.n <= 0:
         raise UsageError("polarization degree must be positive")
     verdict = polarized_bad(args.n, args.dnorm, args.k)
@@ -279,9 +296,12 @@ def cmd_sbad_polarized(args):
 
 
 def cmd_minus2(args):
+    from .glue import nikulin_minus2_property
+    from .lattice import determinant
+
     lattice = _lattice_from_arg(args.spec)
     verdict = nikulin_minus2_property(lattice)
-    p = {"spec": args.spec.strip(), "determinant": lt.determinant(lattice),
+    p = {"spec": args.spec.strip(), "determinant": determinant(lattice),
          "rank": lattice.rank, "property": verdict}
     return p, lambda: [f"rank: {p['rank']}",
                        f"determinant: {p['determinant']}",

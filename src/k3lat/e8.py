@@ -1,24 +1,27 @@
 """E8 orbit machinery: dominant representatives, norm orbits, complements.
 
 Coordinates are always with respect to the fixed simple-root basis of the
-E8 Gram matrix in `lattice.E8` (Bourbaki node order). The full orthogonal
+E8 Gram matrix `lattice.E8` (Bourbaki node order). The full orthogonal
 group of E8 equals its Weyl group, so Weyl dominance classifies orbits.
 """
 
 from __future__ import annotations
 
 import warnings
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
 from . import intlinalg as la
 from .errors import ZeroVectorError
-from .lattice import E8, Lattice, orthogonal_complement, sublattice
 from .records import Record
 
 WEYL_ORDER = 696729600  # |W(E8)| = 2^14 3^5 5^2 7
 
-_GRAM = [list(row) for row in E8.gram]
-_GRAM_INV = [[int(x) for x in row] for row in la.fraction_inverse(_GRAM)]
+# The Gram matrix of `lattice.E8`, from the same Dynkin diagram (a test
+# checks that they agree), so that listing orbits never loads `lattice`.
+_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
+_GRAM = [[2 if i == j else -1 if (min(i, j) + 1, max(i, j) + 1) in _EDGES else 0
+          for j in range(8)] for i in range(8)]
+_GRAM_INV = la.bareiss_adjugate(_GRAM)[1]  # det E8 = 1, so the adjugate is the inverse
 _ADJ = [[j for j in range(8) if _GRAM[i][j] == -1] for i in range(8)]
 
 
@@ -71,20 +74,12 @@ def _component_orders(nodes: frozenset[int]) -> tuple[int, int]:
             (1, 2, 4): (WEYL_ORDER, 240)}[tuple(arms)]
 
 
-def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:
-    """(Weyl order, root count) of the roots orthogonal to a dominant vector.
+# (Weyl order, root count) by set of simple roots: at most 2^8 keys.
+_ORDERS_BY_ZERO_SET: dict[frozenset[int], tuple[int, int]] = {}
 
-    The isotropy group of a point in the closed chamber is the parabolic
-    subgroup generated by the simple reflections that fix it (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.12), so the roots orthogonal to
-    the vector are those of the subsystem spanned by the simple roots with
-    pairing 0. The Weyl order is the product over its connected components,
-    the root count the sum.
-    """
-    pair = la.vec_mat(list(dominant), _GRAM)
-    if any(p < 0 for p in pair):
-        raise ValueError("vector is not dominant")
-    zero = {i for i, p in enumerate(pair) if p == 0}
+
+def _zero_set_orders(zero: frozenset[int]) -> tuple[int, int]:
+    """(Weyl order, root count) of the subsystem on the given simple roots."""
     order, roots = 1, 0
     seen: set[int] = set()
     for v in zero:
@@ -105,17 +100,39 @@ def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:
     return order, roots
 
 
+def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:
+    """(Weyl order, root count) of the roots orthogonal to a dominant vector.
+
+    The isotropy group of a point in the closed chamber is the parabolic
+    subgroup generated by the simple reflections that fix it (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12), so the roots orthogonal to
+    the vector are those of the subsystem spanned by the simple roots with
+    pairing 0. The Weyl order is the product over its connected components,
+    the root count the sum.
+    """
+    pair = la.vec_mat(list(dominant), _GRAM)
+    if any(p < 0 for p in pair):
+        raise ValueError("vector is not dominant")
+    zero = frozenset(i for i, p in enumerate(pair) if p == 0)
+    orders = _ORDERS_BY_ZERO_SET.get(zero)
+    if orders is None:
+        orders = _ORDERS_BY_ZERO_SET[zero] = _zero_set_orders(zero)
+    return orders
+
+
 def stabilizer_order(dominant: tuple[int, ...]) -> int:
     """Order of the Weyl stabilizer of a dominant vector."""
     return parabolic_orders(dominant)[0]
 
 
-def complement_of(v) -> Lattice:
+def complement_of(v):
     """Rank-7 orthogonal complement of v in E8 (of v's primitive part).
 
     A non-primitive v has the same complement as the primitive vector on
     its line, so the input is divided by its content first.
     """
+    from .lattice import E8, orthogonal_complement, sublattice
+
     coords = [int(c) for c in v]
     if not any(coords):
         raise ZeroVectorError("zero vector has no complement line")
@@ -136,7 +153,7 @@ class OrbitClass(Record):
                  "_complement")
 
     @property
-    def complement(self) -> Lattice:
+    def complement(self):
         try:
             return self._complement
         except AttributeError:
@@ -162,15 +179,21 @@ def _dominant_vectors_of_norm(two_n: int) -> list[tuple[int, ...]]:
     p = [0] * 8
 
     def place(i: int, partial: int):
-        if i == 8:
-            if partial == two_n:
-                x = la.vec_mat(p, _GRAM_INV)
-                found.append(tuple(x))
-            return
         cross = sum(_GRAM_INV[i][j] * p[j] for j in range(i))
+        g = _GRAM_INV[i][i]
+        if i == 7:
+            # The last coordinate k solves g k^2 + 2 cross k = two_n - partial.
+            # Here g = 2, so a square disc has root = cross (mod 2).
+            disc = cross * cross + g * (two_n - partial)
+            root = isqrt(disc)
+            if root * root == disc:
+                p[7] = (root - cross) // g
+                found.append(tuple(la.vec_mat(p, _GRAM_INV)))
+                p[7] = 0
+            return
         k = 0
         while True:
-            value = partial + 2 * k * cross + _GRAM_INV[i][i] * k * k
+            value = partial + 2 * k * cross + g * k * k
             if value > two_n:
                 break
             p[i] = k

@@ -7,7 +7,6 @@ ranks in play (<= 28) keep the dense textbook algorithms fast.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 IntMatrix = list[list[int]]
@@ -123,6 +122,8 @@ def fraction_inverse(m) -> list[list[Fraction]]:
 
     Raises ZeroDivisionError on a singular input.
     """
+    from fractions import Fraction
+
     det, adj = bareiss_adjugate(m)
     return [[Fraction(x, det) for x in row] for row in adj]
 

@@ -8,7 +8,6 @@ is over Python ints and Fractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from . import intlinalg as la
@@ -27,7 +26,7 @@ class Lattice(Record):
     ``gram`` is a tuple of integer row tuples. ``ambient`` and ``basis`` are
     set for sublattices: ``basis`` rows are integer coordinate vectors in
     the ambient basis and the Gram matrix equals basis . ambient_gram .
-    basis^T (checked on construction).
+    basis^T (checked on construction; `sublattice` computes it instead).
     """
 
     __slots__ = ("gram", "ambient", "basis")
@@ -70,11 +69,17 @@ def from_gram(rows) -> Lattice:
 
 
 def sublattice(ambient: Lattice, rows) -> Lattice:
-    """Sublattice of ``ambient`` spanned by the given integer basis rows."""
+    """Sublattice of ``ambient`` spanned by the given integer basis rows.
+
+    Its Gram matrix is B G B^T by construction, so the check that
+    `Lattice` makes of a caller's Gram matrix is not run again.
+    """
     b = [list(map(int, row)) for row in rows]
     g = la.mat_mul(la.mat_mul(b, [list(r) for r in ambient.gram]), la.transpose(b))
-    return Lattice(tuple(tuple(row) for row in g), ambient=ambient,
-                   basis=tuple(tuple(row) for row in b))
+    sub = object.__new__(Lattice)
+    Record.__init__(sub, tuple(tuple(row) for row in g), ambient,
+                    tuple(tuple(row) for row in b))
+    return sub
 
 
 def determinant(lat: Lattice) -> int:
@@ -90,6 +95,8 @@ def signature(lat: Lattice) -> tuple[int, int]:
     nonzero off-diagonal pair first. An active row that is all zero spans
     the radical, so the lattice is degenerate.
     """
+    from fractions import Fraction
+
     a = [[Fraction(x) for x in row] for row in lat.gram]
     active = list(range(lat.rank))
     pos = neg = 0
@@ -145,6 +152,8 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     generates the order-d_i cyclic factor, and |det L| is the product of
     the d_i. A zero elementary divisor means the lattice is degenerate.
     """
+    from fractions import Fraction
+
     left, diag, _right = la.smith_normal_form([list(row) for row in lat.gram])
     divisors = []
     generators = []

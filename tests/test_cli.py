@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import k3lat
+import k3lat.e8
+import k3lat.lattice
 from k3lat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "table_2_14.md"
@@ -79,11 +81,16 @@ def test_table_json_schema(capsys):
     assert (1, "-3/2") in cells
 
 
-def test_cli_import_starts_without_the_process_pool():
+def fresh_python(code, **env_vars):
+    """Run code in a fresh interpreter that imports this checkout's k3lat."""
     src = str(Path(k3lat.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["K3LAT_THREADS"] = "2"  # ignored: table computes its rows in this process
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+
+
+def test_cli_import_starts_without_the_process_pool():
     # Neither the process pool nor dataclasses (with the inspect, ast, dis
     # and tokenize modules it pulls in) is loaded at start-up.
     heavy = ("concurrent", "multiprocessing", "dataclasses", "inspect", "ast", "dis",
@@ -91,19 +98,51 @@ def test_cli_import_starts_without_the_process_pool():
     code = ("import sys, k3lat.cli; "
             "k3lat.cli.main(['table', '--to', '8', '--format', 'csv']); "
             f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {heavy}))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    *table, modules = done.stdout.splitlines()
+    # K3LAT_THREADS is ignored: table computes its rows in this process.
+    *table, modules = fresh_python(code, K3LAT_THREADS="2").splitlines()
     assert table[1] == "2,126,1,56" and len(table) == 6
     assert modules == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, k3lat; print(sorted(m for m in sys.modules if m.startswith('k3lat')))"
+    assert fresh_python(code) == "['k3lat']\n"
+
+
+def test_e8_orbits_loads_only_the_orbit_modules():
+    unused = ("fractions", "decimal", "k3lat.glue", "k3lat.shortvec", "k3lat.sbad",
+              "k3lat.specparse", "k3lat.lattice")
+    code = ("import sys; from k3lat.cli import main; "
+            "main(['e8', 'orbits', '--norm', '8', '--json']); "
+            f"print(sorted(m for m in {unused} if m in sys.modules))")
+    *out, modules = fresh_python(code).splitlines()
+    assert json.loads("\n".join(out))["orbits"][1]["orbit_size"] == 17280
+    assert modules == "[]"
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    # Each name is the object bound in the module that defines it (for the
+    # lattice constants, the module of their class), from a cold import.
+    code = ("import sys, k3lat\n"
+            "objects = {name: getattr(k3lat, name) for name in k3lat.__all__}\n"
+            "print(sorted(name for name, obj in objects.items()\n"
+            "             if getattr(sys.modules[obj.__module__], name) is not obj))\n"
+            "namespace = {}\n"
+            "exec('from k3lat import *', namespace)\n"
+            "print(sorted(name for name, obj in objects.items() if namespace[name] is not obj))")
+    assert fresh_python(code) == "[]\n[]\n"
+    assert len(set(k3lat.__all__)) == 46
+    with pytest.raises(AttributeError):
+        k3lat.no_such_name
 
 
 def test_e8_orbits_builds_no_complement(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("e8 orbits must not build a complement")
 
+    # e8.complement_of imports orthogonal_complement from k3lat.lattice when
+    # it runs, so this one patch covers every caller.
     monkeypatch.setattr(k3lat.lattice, "orthogonal_complement", refuse)
-    monkeypatch.setattr(k3lat.e8, "orthogonal_complement", refuse)
     code, out, _ = run(capsys, "e8", "orbits", "--norm", "400", "--json")
     assert code == 0
     orbits = json.loads(out)["orbits"]
@@ -285,7 +324,8 @@ def test_argument_errors_exit_1_and_library_errors_propagate(capsys, monkeypatch
     def broken(two_n):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr(k3lat.cli, "orbits_of_norm", broken)
+    # The command imports orbits_of_norm from k3lat.e8 when it runs.
+    monkeypatch.setattr(k3lat.e8, "orbits_of_norm", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(["e8", "orbits", "--norm", "2"])
 

@@ -80,6 +80,18 @@ def test_orbit_sizes_sum_to_direct_enumeration(e8_histogram):
             o.representative for o in orbits)
 
 
+def test_orbit_sizes_sum_to_the_theta_series():
+    """E8 has 240 sigma_3(n) vectors of norm 2n (its theta series is E4)."""
+    for n in range(1, 121):
+        sigma3 = sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+        assert sum(o.orbit_size for o in e8.orbits_of_norm(2 * n)) == 240 * sigma3, n
+
+
+def test_orbit_gram_is_the_lattice_e8_gram():
+    assert e8._GRAM == [list(row) for row in lt.E8.gram]
+    assert la.mat_mul(e8._GRAM, e8._GRAM_INV) == la.identity(8)
+
+
 def test_orbit_invariants():
     for two_n in range(2, 16, 2):
         for o in e8.orbits_of_norm(two_n):
