@@ -16,8 +16,10 @@ from .records import Record
 
 WEYL_ORDER = 696729600  # |W(E8)| = 2^14 3^5 5^2 7
 
-# The Gram matrix of `lattice.E8`, from the same Dynkin diagram (a test
-# checks that they agree), so that listing orbits never loads `lattice`.
+# The Gram matrix of `lattice.E8`, from a deliberate copy of its Dynkin
+# diagram (a test checks that they agree): listing orbits then never loads
+# `lattice`, and `lattice` does not load this module for the edges, which
+# would add about 3% to a `lat info` command.
 _EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 _GRAM = [[2 if i == j else -1 if (min(i, j) + 1, max(i, j) + 1) in _EDGES else 0
           for j in range(8)] for i in range(8)]
@@ -74,12 +76,20 @@ def _component_orders(nodes: frozenset[int]) -> tuple[int, int]:
             (1, 2, 4): (WEYL_ORDER, 240)}[tuple(arms)]
 
 
-# (Weyl order, root count) by set of simple roots: at most 2^8 keys.
-_ORDERS_BY_ZERO_SET: dict[frozenset[int], tuple[int, int]] = {}
+def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:
+    """(Weyl order, root count) of the roots orthogonal to a dominant vector.
 
-
-def _zero_set_orders(zero: frozenset[int]) -> tuple[int, int]:
-    """(Weyl order, root count) of the subsystem on the given simple roots."""
+    The isotropy group of a point in the closed chamber is the parabolic
+    subgroup generated by the simple reflections that fix it (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12), so the roots orthogonal to
+    the vector are those of the subsystem spanned by the simple roots with
+    pairing 0. The Weyl order is the product over its connected components,
+    the root count the sum.
+    """
+    pair = la.vec_mat(list(dominant), _GRAM)
+    if any(p < 0 for p in pair):
+        raise ValueError("vector is not dominant")
+    zero = {i for i, p in enumerate(pair) if p == 0}
     order, roots = 1, 0
     seen: set[int] = set()
     for v in zero:
@@ -98,26 +108,6 @@ def _zero_set_orders(zero: frozenset[int]) -> tuple[int, int]:
         order *= weyl
         roots += count
     return order, roots
-
-
-def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:
-    """(Weyl order, root count) of the roots orthogonal to a dominant vector.
-
-    The isotropy group of a point in the closed chamber is the parabolic
-    subgroup generated by the simple reflections that fix it (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.12), so the roots orthogonal to
-    the vector are those of the subsystem spanned by the simple roots with
-    pairing 0. The Weyl order is the product over its connected components,
-    the root count the sum.
-    """
-    pair = la.vec_mat(list(dominant), _GRAM)
-    if any(p < 0 for p in pair):
-        raise ValueError("vector is not dominant")
-    zero = frozenset(i for i, p in enumerate(pair) if p == 0)
-    orders = _ORDERS_BY_ZERO_SET.get(zero)
-    if orders is None:
-        orders = _ORDERS_BY_ZERO_SET[zero] = _zero_set_orders(zero)
-    return orders
 
 
 def stabilizer_order(dominant: tuple[int, ...]) -> int:

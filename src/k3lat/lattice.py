@@ -26,7 +26,7 @@ class Lattice(Record):
     ``gram`` is a tuple of integer row tuples. ``ambient`` and ``basis`` are
     set for sublattices: ``basis`` rows are integer coordinate vectors in
     the ambient basis and the Gram matrix equals basis . ambient_gram .
-    basis^T (checked on construction; `sublattice` computes it instead).
+    basis^T (checked on construction).
     """
 
     __slots__ = ("gram", "ambient", "basis")
@@ -69,17 +69,11 @@ def from_gram(rows) -> Lattice:
 
 
 def sublattice(ambient: Lattice, rows) -> Lattice:
-    """Sublattice of ``ambient`` spanned by the given integer basis rows.
-
-    Its Gram matrix is B G B^T by construction, so the check that
-    `Lattice` makes of a caller's Gram matrix is not run again.
-    """
+    """Sublattice of ``ambient`` spanned by the given integer basis rows."""
     b = [list(map(int, row)) for row in rows]
     g = la.mat_mul(la.mat_mul(b, [list(r) for r in ambient.gram]), la.transpose(b))
-    sub = object.__new__(Lattice)
-    Record.__init__(sub, tuple(tuple(row) for row in g), ambient,
-                    tuple(tuple(row) for row in b))
-    return sub
+    return Lattice(tuple(tuple(row) for row in g), ambient=ambient,
+                   basis=tuple(tuple(row) for row in b))
 
 
 def determinant(lat: Lattice) -> int:
