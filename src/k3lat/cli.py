@@ -7,15 +7,15 @@ JSON are exact, encoded as "p/q" strings when not integral.
 
 Each command computes its values once and returns its schema-1 payload
 with a function that renders its text form as a list of lines; `main`
-renders the whole output before it writes anything. A command imports
-the library modules it runs inside its own function, so each command
-compiles only those.
+renders the whole output before it writes anything. A command checks
+its arguments, then imports the library modules it runs inside its own
+function, so each command compiles only those; `build_parser` gives only
+the command named on the command line its arguments and subcommands.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -82,9 +82,10 @@ def _require_positive_even(two_n: int) -> int:
 
 
 def _selected_orbits(args):
+    two_n = _require_positive_even(args.norm)
     from .e8 import orbits_of_norm
 
-    orbits = orbits_of_norm(_require_positive_even(args.norm))
+    orbits = orbits_of_norm(two_n)
     if args.orbit is not None:
         if not 0 <= args.orbit < len(orbits):
             raise UsageError(f"orbit index out of range (0..{len(orbits) - 1})")
@@ -120,9 +121,9 @@ def cmd_lat_info(args):
 
 
 def cmd_e8_orbits(args):
+    two_n = _require_positive_even(args.norm)
     from .e8 import orbits_of_norm
 
-    two_n = _require_positive_even(args.norm)
     p = {"norm": two_n if args.internal_norms else -two_n, "orbits": [
         {"index": i, "representative": list(o.representative),
          "primitive": o.primitive, "orbit_size": o.orbit_size,
@@ -196,9 +197,9 @@ def _line_reports(row):
 
 
 def cmd_divisors(args):
+    orbits = _selected_orbits(args)
     from .glue import coset_count_row, divisor_classes
 
-    orbits = _selected_orbits(args)
     rows = [coset_count_row(o) for o in orbits]
 
     def norm(value):
@@ -311,78 +312,112 @@ def cmd_minus2(args):
 # ------------------------------------------------------------------ parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="k3lat",
-                     description="Exact arithmetic for even integral lattices")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    lat = sub.add_parser("lat", help="lattice inspection")
-    lat_sub = lat.add_subparsers(dest="subcommand", metavar="subcommand")
-    info = lat_sub.add_parser("info", help="rank, signature, determinant, ...")
+def _lat(parser):
+    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    info = sub.add_parser("info", help="rank, signature, determinant, ...")
     info.add_argument("spec", help="lattice-spec expression, e.g. '(-2) + -E8'")
     info.add_argument("--json", action="store_true")
     info.set_defaults(func=cmd_lat_info)
 
-    e8cmd = sub.add_parser("e8", help="E8 orbit analysis")
-    e8_sub = e8cmd.add_subparsers(dest="subcommand", metavar="subcommand")
-    orbs = e8_sub.add_parser("orbits", help="orbits of vectors of a given norm")
+
+def _e8(parser):
+    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    orbs = sub.add_parser("orbits", help="orbits of vectors of a given norm")
     orbs.add_argument("--norm", type=int, required=True, metavar="2N")
     orbs.add_argument("--json", action="store_true")
     orbs.add_argument("--internal-norms", action="store_true")
     orbs.set_defaults(func=cmd_e8_orbits)
 
-    table = sub.add_parser("table", help="coset count table rows")
-    table.add_argument("--from", dest="start", type=int, default=2, metavar="2N")
-    table.add_argument("--to", dest="stop", type=int, default=14, metavar="2N")
-    table.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    table.add_argument("--internal-norms", action="store_true")
-    table.set_defaults(func=cmd_table)
 
-    div = sub.add_parser("divisors", help="divisor classes and multiplicities")
-    div.add_argument("--norm", type=int, required=True, metavar="2N")
-    div.add_argument("--orbit", type=int, default=None, metavar="I")
-    div.add_argument("--json", action="store_true")
-    div.add_argument("--internal-norms", action="store_true")
-    div.set_defaults(func=cmd_divisors)
+def _table(parser):
+    parser.add_argument("--from", dest="start", type=int, default=2, metavar="2N")
+    parser.add_argument("--to", dest="stop", type=int, default=14, metavar="2N")
+    parser.add_argument("--format", choices=("md", "csv", "json"), default="md")
+    parser.add_argument("--internal-norms", action="store_true")
+    parser.set_defaults(func=cmd_table)
 
-    weight = sub.add_parser("weight", help="restricted form weight per orbit")
-    weight.add_argument("--norm", type=int, required=True, metavar="2N")
-    weight.add_argument("--orbit", type=int, default=None, metavar="I")
-    weight.add_argument("--json", action="store_true")
-    weight.set_defaults(func=cmd_weight)
 
-    embed = sub.add_parser("embed", help="embedding feasibility")
-    embed_sub = embed.add_subparsers(dest="subcommand", metavar="subcommand")
-    check = embed_sub.add_parser("check", help="primitive embedding test")
+def _divisors(parser):
+    parser.add_argument("--norm", type=int, required=True, metavar="2N")
+    parser.add_argument("--orbit", type=int, default=None, metavar="I")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--internal-norms", action="store_true")
+    parser.set_defaults(func=cmd_divisors)
+
+
+def _weight(parser):
+    parser.add_argument("--norm", type=int, required=True, metavar="2N")
+    parser.add_argument("--orbit", type=int, default=None, metavar="I")
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=cmd_weight)
+
+
+def _embed(parser):
+    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    check = sub.add_parser("check", help="primitive embedding test")
     check.add_argument("spec")
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=cmd_embed_check)
 
-    sbad = sub.add_parser("sbad", help="Picard-lattice extension tests")
-    sbad_sub = sbad.add_subparsers(dest="subcommand", metavar="subcommand")
-    wit = sbad_sub.add_parser("witness", help="check a bordered witness file")
+
+def _sbad(parser):
+    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    wit = sub.add_parser("witness", help="check a bordered witness file")
     wit.add_argument("--gram", required=True, metavar="FILE")
     wit.add_argument("--json", action="store_true")
     wit.set_defaults(func=cmd_sbad_witness)
-    pol = sbad_sub.add_parser("polarized", help="degree-k class test")
+    pol = sub.add_parser("polarized", help="degree-k class test")
     pol.add_argument("--n", type=int, required=True)
     pol.add_argument("--dnorm", type=int, required=True)
     pol.add_argument("--k", type=int, required=True)
     pol.add_argument("--json", action="store_true")
     pol.set_defaults(func=cmd_sbad_polarized)
 
-    minus2 = sub.add_parser("minus2", help="short-dual-vector property")
-    minus2_sub = minus2.add_subparsers(dest="subcommand", metavar="subcommand")
-    prop = minus2_sub.add_parser("property")
+
+def _minus2(parser):
+    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    prop = sub.add_parser("property")
     prop.add_argument("spec")
     prop.add_argument("--json", action="store_true")
     prop.set_defaults(func=cmd_minus2)
 
+
+# (name, help, function that adds the command's arguments and subcommands)
+_COMMANDS = (
+    ("lat", "lattice inspection", _lat),
+    ("e8", "E8 orbit analysis", _e8),
+    ("table", "coset count table rows", _table),
+    ("divisors", "divisor classes and multiplicities", _divisors),
+    ("weight", "restricted form weight per orbit", _weight),
+    ("embed", "embedding feasibility", _embed),
+    ("sbad", "Picard-lattice extension tests", _sbad),
+    ("minus2", "short-dual-vector property", _minus2),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for `argv` (default: the process arguments).
+
+    Only the command that argv names gets its arguments and subcommands;
+    the others are bare entries, enough for the command list in `--help`
+    and for the choices in an invalid-choice error.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = _Parser(prog="k3lat",
+                     description="Exact arithmetic for even integral lattices")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, summary, populate in _COMMANDS:
+        if name == named:
+            populate(sub.add_parser(name, help=summary))
+        else:
+            sub.add_parser(name, help=summary, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -403,6 +438,8 @@ def main(argv=None) -> int:
         return 1
     try:
         if getattr(args, "json", False) or getattr(args, "format", None) == "json":
+            import json
+
             lines = [json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2,
                                 default=_json_value)]
         else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import warnings
 from math import factorial, gcd, isqrt
 
-from . import intlinalg as la
 from .errors import ZeroVectorError
 from .records import Record
 
@@ -23,8 +22,23 @@ WEYL_ORDER = 696729600  # |W(E8)| = 2^14 3^5 5^2 7
 _EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 _GRAM = [[2 if i == j else -1 if (min(i, j) + 1, max(i, j) + 1) in _EDGES else 0
           for j in range(8)] for i in range(8)]
-_GRAM_INV = la.bareiss_adjugate(_GRAM)[1]  # det E8 = 1, so the adjugate is the inverse
 _ADJ = [[j for j in range(8) if _GRAM[i][j] == -1] for i in range(8)]
+# The inverse Gram matrix: row i is the fundamental weight i in simple-root
+# coordinates (Bourbaki, Lie Groups and Lie Algebras, Plate VII; a test
+# checks that it inverts _GRAM).
+_GRAM_INV = [[4, 5, 7, 10, 8, 6, 4, 2],
+             [5, 8, 10, 15, 12, 9, 6, 3],
+             [7, 10, 14, 20, 16, 12, 8, 4],
+             [10, 15, 20, 30, 24, 18, 12, 6],
+             [8, 12, 16, 24, 20, 15, 10, 5],
+             [6, 9, 12, 18, 15, 12, 8, 4],
+             [4, 6, 8, 12, 10, 8, 6, 3],
+             [2, 3, 4, 6, 5, 4, 3, 2]]
+
+
+def _pairings(x) -> list[int]:
+    """The simple-root pairings x . G, read off the diagram."""
+    return [2 * x[i] - sum(x[j] for j in _ADJ[i]) for i in range(8)]
 
 
 def dominant_representative(x) -> tuple[int, ...]:
@@ -39,15 +53,16 @@ def dominant_representative(x) -> tuple[int, ...]:
         raise ValueError("expected an E8 coordinate vector of length 8")
     if not any(coords):
         raise ZeroVectorError("the zero vector has no dominant representative")
-    pair = la.vec_mat(coords, _GRAM)
+    pair = _pairings(coords)
     while True:
         i = next((i for i, p in enumerate(pair) if p < 0), None)
         if i is None:
             return tuple(coords)
         p = pair[i]
         coords[i] -= p
-        row = _GRAM[i]
-        pair = [a - p * b for a, b in zip(pair, row)]
+        pair[i] = -p
+        for j in _ADJ[i]:
+            pair[j] += p
 
 
 def _arm_length(start: int, away_from: int, nodes: frozenset[int]) -> int:
@@ -86,9 +101,14 @@ def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:
     pairing 0. The Weyl order is the product over its connected components,
     the root count the sum.
     """
-    pair = la.vec_mat(list(dominant), _GRAM)
+    pair = _pairings(dominant)
     if any(p < 0 for p in pair):
         raise ValueError("vector is not dominant")
+    return _parabolic_orders_of_pairings(pair)
+
+
+def _parabolic_orders_of_pairings(pair: list[int]) -> tuple[int, int]:
+    """`parabolic_orders` of the dominant vector with simple-root pairings `pair`."""
     zero = {i for i, p in enumerate(pair) if p == 0}
     order, roots = 1, 0
     seen: set[int] = set()
@@ -157,41 +177,48 @@ class OrbitClass(Record):
         return self.two_n // gcd(*self.representative) ** 2
 
 
-def _dominant_vectors_of_norm(two_n: int) -> list[tuple[int, ...]]:
-    """All dominant E8 vectors of the given norm, via weight coordinates.
+def _dominant_vectors_of_norm(two_n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All dominant E8 vectors of the given norm, as (coordinates, p) pairs.
 
-    A vector is dominant iff its simple-root pairing vector p is
-    componentwise nonnegative, and then norm(x) = p . Ginv . p^T. Every
-    entry of Ginv is positive, so the search box is tiny and partial sums
-    prune exactly.
+    A vector x is dominant iff its simple-root pairing vector p = x . G is
+    componentwise nonnegative, and then x = p . Ginv and norm(x) =
+    p . Ginv . p^T. Every entry of Ginv is positive, so the search box is
+    tiny and partial sums prune exactly.
     """
-    found: list[tuple[int, ...]] = []
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     p = [0] * 8
+    row7 = _GRAM_INV[7]
 
-    def place(i: int, partial: int):
-        cross = sum(_GRAM_INV[i][j] * p[j] for j in range(i))
-        g = _GRAM_INV[i][i]
-        if i == 7:
-            # The last coordinate k solves g k^2 + 2 cross k = two_n - partial.
-            # Here g = 2, so a square disc has root = cross (mod 2).
-            disc = cross * cross + g * (two_n - partial)
-            root = isqrt(disc)
-            if root * root == disc:
-                p[7] = (root - cross) // g
-                found.append(tuple(la.vec_mat(p, _GRAM_INV)))
-                p[7] = 0
-            return
-        k = 0
-        while True:
-            value = partial + 2 * k * cross + g * k * k
-            if value > two_n:
-                break
-            p[i] = k
-            place(i + 1, value)
-            k += 1
-        p[i] = 0
+    def place(i: int, partial: int, x: list[int]):
+        # x = p . Ginv over the levels placed so far, so x[i] is the cross
+        # term of level i with them: placing k adds 2 k x[i] + Ginv[i][i] k^2.
+        cross, row = x[i], _GRAM_INV[i]
+        g = row[i]
+        k, value = 0, partial
+        if i < 6:
+            while value <= two_n:
+                p[i] = k
+                place(i + 1, value, x)
+                x = [a + b for a, b in zip(x, row)]
+                k += 1
+                value = partial + (2 * cross + g * k) * k
+        else:
+            # The last two levels in one loop: for each k at level 6, the
+            # last coordinate m solves 2 m^2 + 2 c m = two_n - value, with
+            # Ginv[7][7] = 2 and c the cross term of level 7. Norms in E8 are
+            # even, so a square disc has root = c (mod 2).
+            while value <= two_n:
+                c = x[7] + k * row[7]
+                disc = c * c + 2 * (two_n - value)
+                root = isqrt(disc)
+                if root * root == disc:
+                    m = (root - c) // 2
+                    found.append((tuple(a + k * b + m * d for a, b, d in zip(x, row, row7)),
+                                  (*p[:6], k, m)))
+                k += 1
+                value = partial + (2 * cross + g * k) * k
 
-    place(0, 0)
+    place(0, 0, [0] * 8)
     return found
 
 
@@ -208,8 +235,8 @@ def orbits_of_norm(two_n: int) -> list[OrbitClass]:
                       stacklevel=2)
         return []
     orbits = []
-    for rep in sorted(_dominant_vectors_of_norm(two_n)):
-        stab, roots = parabolic_orders(rep)
+    for rep, pair in sorted(_dominant_vectors_of_norm(two_n)):
+        stab, roots = _parabolic_orders_of_pairings(pair)
         if WEYL_ORDER % stab:
             raise RuntimeError(f"stabilizer order {stab} does not divide |W(E8)|")
         orbits.append(OrbitClass(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -110,14 +111,32 @@ def test_package_import_loads_no_submodule():
 
 
 def test_e8_orbits_loads_only_the_orbit_modules():
-    unused = ("fractions", "decimal", "k3lat.glue", "k3lat.shortvec", "k3lat.sbad",
-              "k3lat.specparse", "k3lat.lattice")
     code = ("import sys; from k3lat.cli import main; "
             "main(['e8', 'orbits', '--norm', '8', '--json']); "
-            f"print(sorted(m for m in {unused} if m in sys.modules))")
+            "print(sorted(m for m in sys.modules if m.startswith('k3lat')), "
+            "'fractions' in sys.modules, 'decimal' in sys.modules)")
     *out, modules = fresh_python(code).splitlines()
     assert json.loads("\n".join(out))["orbits"][1]["orbit_size"] == 17280
-    assert modules == "[]"
+    assert modules == "['k3lat', 'k3lat.cli', 'k3lat.e8', 'k3lat.errors', 'k3lat.records'] " \
+                      "False False"
+
+
+def test_text_output_loads_no_json():
+    code = ("import sys; from k3lat.cli import main; "
+            "main(['lat', 'info', 'II(2,26)']); main(['e8', 'orbits', '--norm', '8']); "
+            "print('json' in sys.modules)")
+    *out, loaded = fresh_python(code).splitlines()
+    assert out[0] == "rank: 28" and out[-1].startswith("orbit 1: ")
+    assert loaded == "False"
+
+
+def test_a_bad_norm_exits_1_before_any_library_module_loads():
+    code = ("import sys; from k3lat.cli import main; "
+            "codes = [main(['e8', 'orbits', '--norm', '7']), main(['weight', '--norm', '-2']), "
+            "main(['divisors', '--norm', '3'])]; "
+            "print(codes, sorted(m for m in sys.modules if m.startswith('k3lat')), "
+            "'json' in sys.modules)")
+    assert fresh_python(code) == "[1, 1, 1] ['k3lat', 'k3lat.cli', 'k3lat.errors'] False\n"
 
 
 def test_public_names_resolve_to_their_defining_modules():
@@ -201,6 +220,76 @@ def test_outputs_match_the_pinned_corpus(capsys, monkeypatch, tmp_path):
     for case in golden["cases"]:
         code, out, _ = run(capsys, *case["argv"])
         assert (code, out) == (case["code"], case["stdout"]), case["argv"][:4]
+
+
+def test_help_and_usage_match_the_pinned_corpus(capsys, monkeypatch):
+    # Help, usage and argument errors of every command at 80 columns, byte
+    # for byte: each run builds the full parser of its own command only.
+    golden = json.loads((GOLDEN.parent / "cli_help.json").read_text())
+    monkeypatch.setenv("COLUMNS", str(golden["columns"]))
+    for case in golden["cases"]:
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def text_integers(text):
+    """Integers of a text, outside names such as E8, S1, k0, 2n or k^2."""
+    return re.findall(r"(?<![\w^|])-?\d+(?![\w^|])", text)
+
+
+def payload_integers(payload):
+    """Integers of a JSON payload: its numbers and its "p/q" rationals."""
+    found = []
+    for leaf in walk_numbers(payload):
+        if isinstance(leaf, int) and not isinstance(leaf, bool):
+            found.append(str(leaf))
+        elif isinstance(leaf, str) and re.fullmatch(r"-?\d+(/\d+)?", leaf):
+            found += text_integers(leaf)
+    return set(found)
+
+
+def representatives(payload):
+    """Coordinates of the orbits that the rows of a payload describe, in order.
+
+    The text of `divisors` and `weight` names each row's orbit by its
+    representative, which their payloads do not carry (yet): it is the
+    representative `e8 orbits` lists for the same norm and index.
+    """
+    rows = payload["rows"]
+    return {c for row, o in zip(rows, k3lat.e8.orbits_of_norm(rows[0]["two_n"]))
+            for c in o.representative}
+
+
+# Integers a text form derives from its payload or prints as constants.
+TEXT_DERIVED = {
+    "embed": lambda p: {p["rank"] + p["min_generators"]},
+    "sbad witness": lambda p: {abs(p["det_s1"]), 2 * abs(p["det_s"])},
+    "sbad polarized": lambda p: {-2, 0},  # the bounds of -2 <= d - k^2/2n < 0
+    "e8": lambda p: {len(p["orbits"])},
+    "divisors": representatives,
+    "weight": lambda p: {12, 2} | representatives(p),  # weight = 12 + roots/2
+}
+
+
+def test_every_integer_of_a_text_output_is_in_its_json_payload(capsys, monkeypatch,
+                                                                tmp_path):
+    # Each pair of text and JSON forms in the pinned corpus, which holds
+    # every command of the benchmark's queries workload in both forms.
+    golden = json.loads((GOLDEN.parent / "cli_outputs.json").read_text())
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    text_forms = {tuple(c["argv"]) for c in golden["cases"] if c["code"] == 0}
+    pairs = [argv[:-1] for argv in text_forms
+             if argv[-1] == "--json" and argv[:-1] in text_forms]
+    assert len(pairs) == 12
+    for argv in pairs:
+        _, text, _ = run(capsys, *argv)
+        _, out, _ = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        derived = TEXT_DERIVED.get(" ".join(argv[:2])) or TEXT_DERIVED.get(argv[0], set)
+        known = payload_integers(payload) | {str(v) for v in derived(payload)}
+        assert set(text_integers(text)) <= known, argv
 
 
 def test_weight_command(capsys):

@@ -80,9 +80,12 @@ def test_orbit_sizes_sum_to_direct_enumeration(e8_histogram):
             o.representative for o in orbits)
 
 
+CENSUS_NORMS = range(300, 401, 4)
+
+
 def test_orbit_sizes_sum_to_the_theta_series():
     """E8 has 240 sigma_3(n) vectors of norm 2n (its theta series is E4)."""
-    for n in range(1, 121):
+    for n in [*range(1, 121), *(two_n // 2 for two_n in CENSUS_NORMS)]:
         sigma3 = sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
         assert sum(o.orbit_size for o in e8.orbits_of_norm(2 * n)) == 240 * sigma3, n
 
@@ -90,6 +93,20 @@ def test_orbit_sizes_sum_to_the_theta_series():
 def test_orbit_gram_is_the_lattice_e8_gram():
     assert e8._GRAM == [list(row) for row in lt.E8.gram]
     assert la.mat_mul(e8._GRAM, e8._GRAM_INV) == la.identity(8)
+    rng = random.Random(5)
+    for _ in range(200):
+        x = [rng.randint(-50, 50) for _ in range(8)]
+        assert e8._pairings(x) == la.vec_mat(x, e8._GRAM)
+
+
+def test_enumerator_carries_the_weight_coordinates():
+    """Each dominant vector comes with its simple-root pairings p = x.G >= 0."""
+    for two_n in [*range(2, 101, 2), *CENSUS_NORMS]:
+        found = e8._dominant_vectors_of_norm(two_n)
+        reps = [o.representative for o in e8.orbits_of_norm(two_n)]
+        assert sorted(x for x, _ in found) == reps
+        for x, p in found:
+            assert list(p) == la.vec_mat(x, e8._GRAM) and min(p) >= 0, (two_n, x)
 
 
 def test_orbit_invariants():
