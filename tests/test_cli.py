@@ -262,10 +262,10 @@ def representatives(payload):
 
 # Integers a text form derives from its payload or prints as constants.
 TEXT_DERIVED = {
-    "embed": lambda p: {p["rank"] + p["min_generators"]},
+    "embed check": lambda p: {p["rank"] + p["min_generators"]},
     "sbad witness": lambda p: {abs(p["det_s1"]), 2 * abs(p["det_s"])},
     "sbad polarized": lambda p: {-2, 0},  # the bounds of -2 <= d - k^2/2n < 0
-    "e8": lambda p: {len(p["orbits"])},
+    "e8 orbits": lambda p: {len(p["orbits"])},
     "divisors": representatives,
     "weight": lambda p: {12, 2} | representatives(p),  # weight = 12 + roots/2
 }
@@ -279,16 +279,17 @@ def test_every_integer_of_a_text_output_is_in_its_json_payload(capsys, monkeypat
     for name, text in golden["files"].items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    text_forms = {tuple(c["argv"]) for c in golden["cases"] if c["code"] == 0}
-    pairs = [argv[:-1] for argv in text_forms
-             if argv[-1] == "--json" and argv[:-1] in text_forms]
+    succeeded = {tuple(c["argv"]) for c in golden["cases"] if c["code"] == 0}
+    pairs = [argv[:-1] for argv in succeeded
+             if argv[-1] == "--json" and argv[:-1] in succeeded]
     assert len(pairs) == 12
     for argv in pairs:
         _, text, _ = run(capsys, *argv)
         _, out, _ = run(capsys, *argv, "--json")
         payload = json.loads(out)
-        derived = TEXT_DERIVED.get(" ".join(argv[:2])) or TEXT_DERIVED.get(argv[0], set)
-        known = payload_integers(payload) | {str(v) for v in derived(payload)}
+        command = " ".join(word for word in argv[:2] if not word.startswith("-"))
+        derived = TEXT_DERIVED.get(command, lambda p: set())(payload)
+        known = payload_integers(payload) | {str(v) for v in derived}
         assert set(text_integers(text)) <= known, argv
 
 
