@@ -2,7 +2,8 @@
 
 Matrices are lists of row lists of Python ints (Fractions where stated),
 vectors are row vectors. Nothing here ever touches floating point; the
-ranks in play (<= 28) keep the dense textbook algorithms fast.
+ranks in play (<= 28) keep the dense textbook algorithms fast. The Hermite
+normal form is the one integer elimination: kernels and the Smith form use it.
 """
 
 from __future__ import annotations
@@ -201,84 +202,47 @@ def left_kernel(m: IntMatrix) -> IntMatrix:
     return row_hnf(ker) if ker else []
 
 
+def _is_diagonal(a) -> bool:
+    return all(x == 0 for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+
+
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms.
 
     Returns (left, diag, right) with left @ m @ right = diag, where left and
     right are unimodular and diag is diagonal with nonnegative entries
-    forming a divisibility chain d1 | d2 | ...
+    forming a divisibility chain d1 | d2 | ... Row and column HNFs alternate
+    until the matrix is diagonal (Kannan and Bachem, SIAM J. Comput. 8,
+    1979), starting with a row pass so that each entry is a pivot or 0; a
+    pair d_i, d_j with d_i not dividing d_j then becomes gcd, lcm in place.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(row) for row in m]
-    left = identity(rows)
-    right = identity(cols)
-
-    def col_combine(i, j, coeffs):
-        p, q, r, s = coeffs
-        for row in a:
-            row[i], row[j] = p * row[i] + q * row[j], r * row[i] + s * row[j]
-        for row in right:
-            row[i], row[j] = p * row[i] + q * row[j], r * row[i] + s * row[j]
-
-    for t in range(min(rows, cols)):
-        # Pull the smallest nonzero entry of the trailing block into (t, t).
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    a, left = hermite_normal_form(m)
+    right = None
+    while not _is_diagonal(a):
+        at, v = hermite_normal_form(transpose(a))
+        a = transpose(at)
+        right = transpose(v) if right is None else mat_mul(right, transpose(v))
+        if _is_diagonal(a):
             break
-        bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-            left[t], left[bi] = left[bi], left[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
+        a, u = hermite_normal_form(a)
+        left = mat_mul(u, left)
+    if right is None:
+        right = identity(len(m[0]) if m else 0)
+    d = diagonal_of(a)
+    k = sum(1 for x in d if x)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if d[j] % d[i] == 0:
+                continue
+            g, x, y = xgcd(d[i], d[j])
+            p, q = d[i] // g, d[j] // g
+            d[i], d[j] = g, d[j] * p
+            a[i][i], a[j][j] = d[i], d[j]
+            li, lj = left[i], left[j]
+            left[i] = [x * s + y * t for s, t in zip(li, lj)]
+            left[j] = [p * t - q * s for s, t in zip(li, lj)]
             for row in right:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            for i in range(t + 1, rows):
-                if a[i][t] == 0:
-                    continue
-                if a[i][t] % a[t][t] == 0:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    left[i] = [x - q * y for x, y in zip(left[i], left[t])]
-                else:
-                    g, x, y = xgcd(a[t][t], a[i][t])
-                    _row_combine(a, left, t, i, (x, y, -(a[i][t] // g), a[t][t] // g))
-            for j in range(t + 1, cols):
-                if a[t][j] == 0:
-                    continue
-                if a[t][j] % a[t][t] == 0:
-                    q = a[t][j] // a[t][t]
-                    col_combine(j, t, (1, -q, 0, 1))
-                else:
-                    g, x, y = xgcd(a[t][t], a[t][j])
-                    col_combine(t, j, (x, y, -(a[t][j] // g), a[t][t] // g))
-            if all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                # Enforce the divisibility chain before moving on.
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                a[t] = [x + y for x, y in zip(a[t], a[offender])]
-                left[t] = [x + y for x, y in zip(left[t], left[offender])]
-    for t in range(min(rows, cols)):
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
+                row[i], row[j] = row[i] + row[j], x * p * row[j] - y * q * row[i]
     return left, a, right
 
 

@@ -45,33 +45,31 @@ class NormHistogram:
     """Exact counts of enumerated vectors, keyed by rational norm, or by
     (label, norm) for a labelled query. Mutable, so not hashable."""
 
-    __slots__ = ("counts", "vectors")
+    __slots__ = ("counts",)
 
-    def __init__(self, counts=None, vectors=None):
+    def __init__(self, counts=None):
         self.counts = {} if counts is None else counts
-        self.vectors = vectors
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.counts, self.vectors) == (other.counts, other.vectors)
+        return self.counts == other.counts
 
     def __repr__(self):
-        return f"NormHistogram(counts={self.counts!r}, vectors={self.vectors!r})"
+        return f"NormHistogram(counts={self.counts!r})"
 
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
 
-def short_vectors(gram, bound, offset=None, exclusive=False, collect=False,
+def short_vectors(gram, bound, offset=None, exclusive=False,
                   label=None, modulus=0) -> NormHistogram:
     """Enumerate all x in Z^r with norm(x + offset) within the bound.
 
     ``gram`` is a sequence of integer rows and ``bound`` a rational;
     ``offset`` is None or one rational per coordinate. ``exclusive``
-    switches the bound comparison from <= to <; ``collect`` additionally
-    returns the vectors (count-only mode allocates none). ``label`` is an
+    switches the bound comparison from <= to <. ``label`` is an
     optional integer linear form on the coordinates x, read modulo
     ``modulus``; with it the histogram is keyed by (label, norm).
     """
@@ -84,12 +82,10 @@ def short_vectors(gram, bound, offset=None, exclusive=False, collect=False,
     if label is not None and (len(label) != r or modulus <= 0):
         raise ValueError("label form needs one coefficient per coordinate "
                          "and a positive modulus")
-    hist = NormHistogram(vectors=[] if collect else None)
+    hist = NormHistogram()
     if r == 0:
         if (bound > 0) or (bound == 0 and not exclusive):
             hist.counts[Fraction(0) if label is None else (0, Fraction(0))] = 1
-            if collect:
-                hist.vectors.append(())
         return hist
     lower, pivots = rational_cholesky(gram)
     if bound < 0 or (exclusive and bound == 0):
@@ -107,11 +103,9 @@ def short_vectors(gram, bound, offset=None, exclusive=False, collect=False,
     ucol = [[int(lower[i][k] * big_d) for k in range(i)] for i in range(r)]
     bb = int(bound * big_d) * d2 * d2
     counts = hist.counts
-    vectors = hist.vectors
     denom5 = big_d ** 5
 
     partial = [0] * r  # partial[k] = D^2 * sum_{j>k fixed} u_kj y_j
-    x = [0] * r
     coeff = list(label) if label is not None else [0] * r
     # Leaves are keyed by the scaled integer norm (with the label, if any)
     # and converted to exact fractions once, after the search.
@@ -134,9 +128,6 @@ def short_vectors(gram, bound, offset=None, exclusive=False, collect=False,
                 if label is not None:
                     key = ((lab + c0 * xi) % modulus, key)
                 raw[key] = raw.get(key, 0) + 1
-                if collect:
-                    x[0] = xi
-                    vectors.append(tuple(x))
             return
         col = ucol[level]
         cl = coeff[level]
@@ -146,7 +137,6 @@ def short_vectors(gram, bound, offset=None, exclusive=False, collect=False,
             yn = xi * big_d + cn[level]
             for k in range(level):
                 partial[k] += col[k] * yn
-            x[level] = xi
             descend(level - 1, remaining - spent, used + spent, lab + cl * xi)
             for k in range(level):
                 partial[k] -= col[k] * yn
@@ -156,13 +146,11 @@ def short_vectors(gram, bound, offset=None, exclusive=False, collect=False,
         counts.update((Fraction(key, denom5), c) for key, c in raw.items())
     else:
         counts.update(((t, Fraction(key, denom5)), c) for (t, key), c in raw.items())
-    if collect:
-        vectors.sort()
     return hist
 
 
 def vector_count(gram, bound, offset=None, exclusive=False) -> int:
-    """Total number of vectors within the bound (count-only convenience)."""
+    """Total number of vectors within the bound."""
     return short_vectors(gram, bound, offset, exclusive).total
 
 

@@ -1,29 +1,96 @@
 """Second engines for quantities the library computes one way only.
 
+`e8_vectors` lists E8 in its coordinate model: the vectors of Z^8 and of
+(Z + 1/2)^8 with even coordinate sum. `simple_root_coordinates` takes such
+a vector to the Bourbaki simple-root basis of `lattice.E8`. Neither shares
+a step with `shortvec.short_vectors`.
+
 `bucketed_row` is the table row of an orbit by bucketing the E8 ball by
 pairing with v: every vector a of U' with label k and norm below 2 is the
 projection a = x - (k/2n) v of exactly one x in E8 with (x, v) = k, and
 then (x, x) = norm(a) + k^2/2n < n/2 + 2 for 0 <= k <= n. It shares no
 step with `glue.coset_count_row` (a labelled enumeration of U') or with
-`glue.dual_coset_counts` (a coset of U per column) beyond the enumerator
-run on the Gram matrix of E8 itself.
+`glue.dual_coset_counts` (a coset of U per column).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import floor, isqrt
 
 from k3lat import intlinalg as la
 from k3lat.lattice import E8
-from k3lat.shortvec import short_vectors
+
+# The Bourbaki simple roots alpha_1..alpha_8 of E8 in the coordinate model,
+# doubled so that every entry is an integer: alpha_1 = (1,-1,...,-1,1)/2,
+# alpha_2 = e_1 + e_2 and alpha_i = e_(i-1) - e_(i-2) for i = 3..8.
+SIMPLE_ROOTS_2 = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
+)
+_GRAM_INV = la.bareiss_adjugate([list(row) for row in E8.gram])[1]  # E8 has det 1
+
+
+def e8_vectors(bound, exclusive=False) -> list[tuple[int, ...]]:
+    """Every x in E8 with x.x <= bound (< bound if exclusive), as y = 2x.
+
+    The entries of y are all even or all odd, their sum is divisible by 4,
+    and x.x = y.y / 4.
+    """
+    limit = 4 * Fraction(bound)
+    found = []
+
+    def extend(prefix, used, parity):
+        if len(prefix) == 8:
+            if sum(prefix) % 4 == 0 and (used < limit or (used == limit and not exclusive)):
+                found.append(tuple(prefix))
+            return
+        # each later coordinate adds at least parity to y.y
+        top = isqrt(floor(limit - used - parity * (7 - len(prefix))))
+        for y in range(-top, top + 1):
+            if y % 2 == parity:
+                extend(prefix + [y], used + y * y, parity)
+
+    if limit >= 0:
+        extend([], 0, 0)
+    if limit >= 8:
+        extend([], 0, 1)
+    return found
+
+
+def model_norm(y) -> int:
+    """x.x for y = 2x."""
+    return sum(c * c for c in y) // 4
+
+
+def simple_root_pairings(y) -> list[int]:
+    """(x, alpha_i) for i = 1..8, for y = 2x."""
+    pairings = []
+    for root in SIMPLE_ROOTS_2:
+        p, rest = divmod(sum(a * b for a, b in zip(y, root)), 4)
+        if rest:
+            raise ValueError(f"{y} is not twice a vector of E8")
+        pairings.append(p)
+    return pairings
+
+
+def simple_root_coordinates(y) -> tuple[int, ...]:
+    """Coordinates of x = y/2 in the simple roots: (x . alpha^T) G^-1."""
+    return tuple(la.vec_mat(simple_root_pairings(y), _GRAM_INV))
 
 
 @lru_cache(maxsize=None)
 def e8_ball(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every x in E8 with (x, x) < n/2 + 2, with its norm."""
-    hist = short_vectors(E8.gram, Fraction(n, 2) + 2, exclusive=True, collect=True)
-    return tuple((x, E8.norm(x)) for x in hist.vectors)
+    """Every x in E8 with (x, x) < n/2 + 2, in simple-root coordinates, with its norm."""
+    return tuple((simple_root_coordinates(y), model_norm(y))
+                 for y in e8_vectors(Fraction(n, 2) + 2, exclusive=True))
 
 
 def bucketed_row(orbit) -> dict[int, dict[Fraction, int]]:

@@ -1,13 +1,14 @@
 import math
 import random
 import warnings
-from fractions import Fraction
 
 import pytest
 
 from k3lat import e8, intlinalg as la, lattice as lt
 from k3lat.errors import ZeroVectorError
-from k3lat.shortvec import root_count, short_vectors
+from k3lat.shortvec import root_count
+from oracles import (SIMPLE_ROOTS_2, e8_vectors, model_norm, simple_root_coordinates,
+                     simple_root_pairings)
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
 
@@ -20,13 +21,15 @@ def reflect_simple(x, i):
 
 
 @pytest.fixture(scope="module")
-def e8_histogram():
-    return short_vectors(lt.E8.gram, Fraction(14), collect=True)
+def e8_model_ball():
+    """E8 up to norm 14 in the coordinate model, doubled (oracles.e8_vectors)."""
+    return e8_vectors(14)
 
 
-def test_every_root_reduces_to_highest_root(e8_histogram):
-    roots = [v for v in e8_histogram.vectors if lt.E8.norm(v) == 2]
+def test_every_root_reduces_to_highest_root(e8_model_ball):
+    roots = [simple_root_coordinates(y) for y in e8_model_ball if model_norm(y) == 2]
     assert len(roots) == 240
+    assert all(lt.E8.norm(r) == 2 for r in roots)
     assert {e8.dominant_representative(r) for r in roots} == {HIGHEST_ROOT}
 
 
@@ -71,9 +74,10 @@ def test_orbits_reject_bad_norms():
     assert caught and "odd norm" in str(caught[0].message)
 
 
-def test_orbit_sizes_sum_to_direct_enumeration(e8_histogram):
+def test_orbit_sizes_sum_to_direct_enumeration(e8_model_ball):
+    norms = [model_norm(y) for y in e8_model_ball]
     for two_n in range(2, 16, 2):
-        want = e8_histogram.counts[Fraction(two_n)]
+        want = norms.count(two_n)
         orbits = e8.orbits_of_norm(two_n)
         assert sum(o.orbit_size for o in orbits) == want
         assert [o.representative for o in orbits] == sorted(
@@ -88,6 +92,13 @@ def test_orbit_sizes_sum_to_the_theta_series():
     for n in [*range(1, 121), *(two_n // 2 for two_n in CENSUS_NORMS)]:
         sigma3 = sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
         assert sum(o.orbit_size for o in e8.orbits_of_norm(2 * n)) == 240 * sigma3, n
+
+
+def test_coordinate_model_simple_roots_have_the_e8_gram():
+    gram = [simple_root_pairings(r) for r in SIMPLE_ROOTS_2]
+    assert gram == [list(row) for row in lt.E8.gram]
+    unit = [[int(i == j) for j in range(8)] for i in range(8)]
+    assert [simple_root_coordinates(r) for r in SIMPLE_ROOTS_2] == [tuple(u) for u in unit]
 
 
 def test_orbit_gram_is_the_lattice_e8_gram():
@@ -151,8 +162,8 @@ def test_stabilizer_order_of_root():
 
 def test_orbit_root_counts_match_enumeration():
     """The closed form against two enumerations, for every orbit with 2n <= 100."""
-    hist = short_vectors(lt.E8.gram, Fraction(2), collect=True)
-    roots = [la.vec_mat(r, lt.E8.gram) for r in hist.vectors if any(r)]
+    # (r, alpha_i) for each root r of the coordinate model
+    roots = [simple_root_pairings(y) for y in e8_vectors(2) if any(y)]
     assert len(roots) == 240
     checked = 0
     for two_n in range(2, 101, 2):

@@ -137,3 +137,51 @@ def test_left_kernel_is_saturated():
         if ker:
             _, diag, _ = la.smith_normal_form(ker)
             assert all(d == 1 for d in la.diagonal_of(diag))
+
+
+def normal_form_inputs():
+    """Seeded random matrices up to 6 x 6 with many zero entries, and edge cases."""
+    from k3lat.specparse import lattice_from_text
+
+    rng = random.Random(23)
+    cases = [[[-8]], [[4, 0], [0, -9]], [[4, 0, 0], [0, 6, 0], [0, 0, 10]],
+             [[6, -4, 0, 10, 0, 14, 0, 8]], [[6], [-4], [0], [10], [0], [14], [0], [8]],
+             [[0, 0, 0], [0, 0, 0]]]
+    for spec in ("II(2,26)", "(-2) + -E8 + -E8 + H + H"):
+        cases.append([list(row) for row in lattice_from_text(spec).gram])
+    for _ in range(120):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append([[rng.choice((0, 0, rng.randint(-12, 12))) for _ in range(cols)]
+                      for _ in range(rows)])
+    return cases
+
+
+def test_smith_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    for m in normal_form_inputs():
+        left, diag, right = la.smith_normal_form(m)
+        assert la.mat_mul(la.mat_mul(left, m), right) == diag
+        assert abs(la.bareiss_determinant(left)) == 1
+        assert abs(la.bareiss_determinant(right)) == 1
+        theirs = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+        ours = la.diagonal_of(diag)
+        assert ours == [abs(int(theirs[i, i])) for i in range(len(ours))], m
+
+
+def test_hermite_invariants_match_sympy():
+    # sympy's HNF is column-style, with one column per unit of rank, so only
+    # the invariants are compared: the rank, and |det m| for square nonsingular m
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    for m in normal_form_inputs():
+        h, _ = la.hermite_normal_form(m)
+        pivots = [next(x for x in row if x) for row in h if any(row)]
+        assert len(pivots) == hermite_normal_form(sympy.Matrix(m)).cols, m
+        if len(m) == len(m[0]) == len(pivots):
+            product = 1
+            for p in pivots:
+                product *= p
+            assert product == abs(int(sympy.Matrix(m).det()))

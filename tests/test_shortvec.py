@@ -10,6 +10,7 @@ from k3lat import lattice as lt
 from k3lat.e8 import orbits_of_norm
 from k3lat.errors import IndefiniteLatticeError, NotPositiveDefiniteError
 from k3lat.shortvec import NormHistogram, rational_cholesky, root_count, short_vectors
+from oracles import e8_vectors, model_norm, simple_root_coordinates, simple_root_pairings
 
 
 def box_search(gram, bound, offset=None, exclusive=False):
@@ -75,22 +76,23 @@ def test_enumerate_e7_dual_coset():
     assert hist.counts == {Fraction(3, 2): 56}
 
 
-def test_listing_is_sorted_and_within_bound():
-    hist = short_vectors(lt.E8.gram, Fraction(4), collect=True)
-    assert hist.vectors == sorted(hist.vectors)
-    assert len(hist.vectors) == hist.total == 1 + 240 + 2160
-    for v in hist.vectors[:50]:
-        assert lt.E8.norm(v) <= 4
-
-
 def test_plus_minus_symmetry():
-    hist = short_vectors(lt.E7.gram, Fraction(6), collect=True)
-    listed = set(hist.vectors)
-    for norm, count in hist.counts.items():
+    # x and -x have the same norm and opposite labels. E7 is the part of E8
+    # with no alpha_8 component, listed here from the coordinate model.
+    listed = [c[:7] for c in map(simple_root_coordinates, e8_vectors(6)) if c[7] == 0]
+    assert {tuple(-c for c in v) for v in listed} == set(listed)
+    form = (1, 2, 0, -1, 3, 0, 1)
+    want = {}
+    for v in listed:
+        key = (sum(a * b for a, b in zip(form, v)) % 5, Fraction(lt.E7.norm(v)))
+        want[key] = want.get(key, 0) + 1
+    hist = short_vectors(lt.E7.gram, Fraction(6), label=form, modulus=5)
+    assert hist.counts == want
+    for (t, norm), count in hist.counts.items():
+        assert hist.counts[(-t % 5, norm)] == count
+    for norm, count in short_vectors(lt.E7.gram, Fraction(6)).counts.items():
         if norm != 0:
             assert count % 2 == 0
-    for v in listed:
-        assert tuple(-c for c in v) in listed
 
 
 def test_offset_shift_invariance():
@@ -135,29 +137,19 @@ def test_agrees_with_box_oracle():
         assert got.counts == want
 
 
-def test_count_only_matches_collect():
-    a = short_vectors(lt.E7.gram, Fraction(4))
-    b = short_vectors(lt.E7.gram, Fraction(4), collect=True)
-    assert a.vectors is None
-    assert a.counts == b.counts
-    assert len(b.vectors) == b.total
-
-
 def test_labelled_histogram_buckets_collected_vectors():
-    # the form x -> (x, r) mod 2 for the root r = e_0 of E8
-    gram = [list(row) for row in lt.E8.gram]
-    root = [1, 0, 0, 0, 0, 0, 0, 0]
-    form = tuple(la.vec_mat(root, gram))
+    # the form x -> (x, r) mod 2 for the simple root r = alpha_1 of E8,
+    # against the coordinate model, where (x, alpha_1) is read off directly
+    form = tuple(lt.E8.gram[0])
     for bound, exclusive in ((Fraction(4), False), (Fraction(6), True)):
-        listed = short_vectors(lt.E8.gram, bound, exclusive=exclusive, collect=True)
+        listed = e8_vectors(bound, exclusive)
         want = {}
-        for x in listed.vectors:
-            key = (la.pairing(gram, x, root) % 2, Fraction(lt.E8.norm(x)))
+        for y in listed:
+            key = (simple_root_pairings(y)[0] % 2, Fraction(model_norm(y)))
             want[key] = want.get(key, 0) + 1
         got = short_vectors(lt.E8.gram, bound, exclusive=exclusive, label=form, modulus=2)
-        assert got.vectors is None
         assert got.counts == want
-        assert got.total == listed.total
+        assert got.total == len(listed)
     # the 126 roots orthogonal to r and +-r pair evenly, the other 112 oddly
     assert got.counts[(0, Fraction(2))] == 128
     assert got.counts[(1, Fraction(2))] == 112
@@ -182,7 +174,7 @@ def test_labelled_histogram_with_offset_and_zero_rank():
 
 
 def test_unlabelled_histograms_are_unchanged():
-    # exact histograms, pinned: keys are Fractions, no vectors are kept
+    # exact histograms, pinned: keys are Fractions
     cases = [
         ((lt.E8.gram, Fraction(6)),
          {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160, Fraction(6): 6720}),
