@@ -54,9 +54,8 @@ def e8_vectors(bound, exclusive=False) -> list[tuple[int, ...]]:
             return
         # each later coordinate adds at least parity to y.y
         top = isqrt(floor(limit - used - parity * (7 - len(prefix))))
-        for y in range(-top, top + 1):
-            if y % 2 == parity:
-                extend(prefix + [y], used + y * y, parity)
+        for y in range(-top + (top + parity) % 2, top + 1, 2):
+            extend(prefix + [y], used + y * y, parity)
 
     if limit >= 0:
         extend([], 0, 0)
@@ -88,19 +87,18 @@ def simple_root_coordinates(y) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def e8_ball(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every x in E8 with (x, x) < n/2 + 2, in simple-root coordinates, with its norm."""
-    return tuple((simple_root_coordinates(y), model_norm(y))
-                 for y in e8_vectors(Fraction(n, 2) + 2, exclusive=True))
+    """Every x in E8 with (x, x) < n/2 + 2, as y = 2x, with its norm."""
+    return tuple((y, model_norm(y)) for y in e8_vectors(Fraction(n, 2) + 2, exclusive=True))
 
 
 def bucketed_row(orbit) -> dict[int, dict[Fraction, int]]:
     """counts[k][nu] for k = 0..n, as in `glue.CosetCountTable.counts`."""
     two_n = orbit.two_n
     n = two_n // 2
-    pairs_with_v = la.vec_mat(list(orbit.representative), [list(r) for r in E8.gram])
+    v2 = la.vec_mat(list(orbit.representative), SIMPLE_ROOTS_2)  # 2v in the model
     counts: dict[int, dict[Fraction, int]] = {k: {} for k in range(n + 1)}
-    for x, norm in e8_ball(n):
-        k = sum(a * b for a, b in zip(x, pairs_with_v))
+    for y, norm in e8_ball(n):
+        k = sum(a * b for a, b in zip(y, v2)) // 4
         if not 0 <= k <= n:
             continue
         nu = norm - Fraction(k * k, two_n)

@@ -97,8 +97,8 @@ def test_orbit_sizes_sum_to_the_theta_series():
 def test_coordinate_model_simple_roots_have_the_e8_gram():
     gram = [simple_root_pairings(r) for r in SIMPLE_ROOTS_2]
     assert gram == [list(row) for row in lt.E8.gram]
-    unit = [[int(i == j) for j in range(8)] for i in range(8)]
-    assert [simple_root_coordinates(r) for r in SIMPLE_ROOTS_2] == [tuple(u) for u in unit]
+    assert [simple_root_coordinates(r) for r in SIMPLE_ROOTS_2] == [
+        tuple(row) for row in la.identity(8)]
 
 
 def test_orbit_gram_is_the_lattice_e8_gram():

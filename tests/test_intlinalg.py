@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -181,7 +182,4 @@ def test_hermite_invariants_match_sympy():
         pivots = [next(x for x in row if x) for row in h if any(row)]
         assert len(pivots) == hermite_normal_form(sympy.Matrix(m)).cols, m
         if len(m) == len(m[0]) == len(pivots):
-            product = 1
-            for p in pivots:
-                product *= p
-            assert product == abs(int(sympy.Matrix(m).det()))
+            assert math.prod(pivots) == abs(int(sympy.Matrix(m).det()))
