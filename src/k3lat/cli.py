@@ -208,6 +208,7 @@ def cmd_divisors(args):
     p = {"rows": [
         {"two_n": row.two_n, "roots": row.root_count,
          "primitive": row.orbit.primitive,
+         "representative": list(row.orbit.representative),
          "classes": [{"k": c.k, "norm": norm(c.norm), "count": c.count,
                       "vanishing": c.vanishing}
                      for c in divisor_classes(row)],
@@ -242,6 +243,7 @@ def cmd_divisors(args):
 def cmd_weight(args):
     orbits = _selected_orbits(args)
     p = {"rows": [{"two_n": o.two_n, "roots": o.root_count_u, "primitive": o.primitive,
+                   "representative": list(o.representative),
                    "weight": 12 + o.root_count_u // 2}
                   for o in orbits]}
     return p, lambda: [f"2n = {row['two_n']}, representative {o.representative}: "

@@ -2,8 +2,9 @@
 
 Matrices are lists of row lists of Python ints (Fractions where stated),
 vectors are row vectors. Nothing here ever touches floating point; the
-ranks in play (<= 28) keep the dense textbook algorithms fast. The Hermite
-normal form is the one integer elimination: kernels and the Smith form use it.
+ranks in play (<= 28) keep the dense textbook algorithms fast. The integer
+eliminations are Hermite (kernels, the Smith form), Bareiss (determinant,
+adjugate) and Lagrange (signatures, the L D L^T of a definite form).
 """
 
 from __future__ import annotations
@@ -116,6 +117,40 @@ def bareiss_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
                 a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = pivot
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+def lagrange_reduction(m: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """Fraction-free Lagrange reduction of a symmetric integer matrix.
+
+    Pivots at the lowest active nonzero diagonal entry, or if there is none
+    at 2 a[i][j] after e_i -> e_i + e_j; Bareiss' update keeps each division
+    exact. Returns (minors, a): m is congruent over Q to the diagonal form
+    minors[i] / minors[i-1], or singular if minors stops short of len(m) + 1.
+    """
+    a = [list(row) for row in m]
+    active = list(range(len(a)))
+    minors = [1]
+    while active:
+        p = next((i for i in active if a[i][i]), None)
+        if p is None:
+            i = active[0]
+            j = next((j for j in active if a[i][j]), None)
+            if j is None:
+                break
+            for k in active:
+                a[i][k] += a[j][k]
+            for k in active:
+                a[k][i] += a[k][j]
+            p = i
+        prev, d = minors[-1], a[p][p]
+        minors.append(d)
+        active.remove(p)
+        pivot_row = a[p]
+        for i in active:
+            row, f = a[i], a[i][p]
+            for j in active:
+                row[j] = (d * row[j] - f * pivot_row[j]) // prev
+    return minors, a
 
 
 def fraction_inverse(m) -> list[list[Fraction]]:

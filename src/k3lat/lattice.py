@@ -82,44 +82,16 @@ def determinant(lat: Lattice) -> int:
 
 
 def signature(lat: Lattice) -> tuple[int, int]:
-    """(positive, negative) inertia indices, by exact rational diagonalization.
+    """(positive, negative) inertia indices, from the Lagrange reduction.
 
-    Uses Lagrange reduction: split off squares at nonzero diagonal entries,
-    and when the remaining block has an all-zero diagonal, symmetrize a
-    nonzero off-diagonal pair first. An active row that is all zero spans
-    the radical, so the lattice is degenerate.
+    The negative index is the number of sign changes in its minors
+    (Sylvester's law of inertia); an early stop means det 0.
     """
-    from fractions import Fraction
-
-    a = [[Fraction(x) for x in row] for row in lat.gram]
-    active = list(range(lat.rank))
-    pos = neg = 0
-    while active:
-        p = next((i for i in active if a[i][i] != 0), None)
-        if p is None:
-            # all-zero diagonal; e_i -> e_i + e_j produces 2*a[i][j] != 0
-            i = active[0]
-            j = next((j for j in active if a[i][j] != 0), None)
-            if j is None:
-                raise DegenerateLatticeError("lattice has determinant 0")
-            for k in active:
-                a[i][k] += a[j][k]
-            for k in active:
-                a[k][i] += a[k][j]
-            p = i
-        d = a[p][p]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(p)
-        # Schur complement at the pivot keeps the restricted form congruent.
-        for i in active:
-            f = a[i][p] / d
-            if f:
-                for j in active:
-                    a[i][j] -= f * a[p][j]
-    return pos, neg
+    minors, _ = la.lagrange_reduction(lat.gram)
+    if len(minors) <= lat.rank:
+        raise DegenerateLatticeError("lattice has determinant 0")
+    neg = sum((x < 0) != (y < 0) for x, y in zip(minors, minors[1:]))
+    return lat.rank - neg, neg
 
 
 class DiscriminantGroup(Record):

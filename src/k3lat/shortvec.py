@@ -1,11 +1,11 @@
 """Short-vector enumeration in positive definite lattices.
 
-Branch and bound over an exact L D L^T decomposition of the Gram matrix,
-recursing on the last coordinate outermost. The recursion runs in scaled
-integer arithmetic: after multiplying through by a common denominator D,
-the norm inequality becomes sum(dn_i * Z_i^2) <= bound * D^5 with every
-quantity an integer, and coordinate intervals fall out of math.isqrt
-exactly. No floating point anywhere.
+Branch and bound over the integer L D L^T of `intlinalg.lagrange_reduction`,
+recursing on the last coordinate outermost: with leading minors Delta_k,
+norm(y) = sum_k w_k^2 / (Delta_k Delta_(k+1)) for w_k = sum_(i>=k) a[i][k] y_i.
+Scaled by q^2 M, where q clears the denominators of the bound and the offset
+and M = lcm_k Delta_k Delta_(k+1), every quantity is an integer and the
+coordinate intervals come from math.isqrt exactly. No floating point.
 """
 
 from __future__ import annotations
@@ -18,27 +18,25 @@ from .errors import IndefiniteLatticeError, NotPositiveDefiniteError
 from .lattice import signature
 
 
-def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact G = L diag(d) L^T with L unit lower triangular.
-
-    Returns (L, pivots). Raises NotPositiveDefiniteError as soon as a pivot
-    fails to be positive, which doubles as the definiteness test.
-    """
+def _reduce_definite(gram) -> tuple[list[int], la.IntMatrix]:
+    """Lagrange reduction of G, checked positive definite: complete, with every
+    minor positive (Sylvester). Its pivots then run in index order."""
     if not la.is_symmetric(gram):
         raise ValueError("Gram matrix must be symmetric")
+    minors, a = la.lagrange_reduction(gram)
+    if len(minors) <= len(gram) or min(minors) <= 0:
+        raise NotPositiveDefiniteError("Gram matrix is not positive definite")
+    return minors, a
+
+
+def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact G = L diag(d) L^T with L unit lower triangular: (L, pivots).
+    Raises NotPositiveDefiniteError unless G is positive definite."""
+    minors, a = _reduce_definite(gram)
     n = len(gram)
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pivots: list[Fraction] = []
-    for j in range(n):
-        d = Fraction(gram[j][j]) - sum(lower[j][k] ** 2 * pivots[k] for k in range(j))
-        if d <= 0:
-            raise NotPositiveDefiniteError(f"pivot {j} is {d}, not positive")
-        pivots.append(d)
-        for i in range(j + 1, n):
-            s = Fraction(gram[i][j]) - sum(
-                lower[i][k] * lower[j][k] * pivots[k] for k in range(j))
-            lower[i][j] = s / d
-    return lower, pivots
+    lower = [[Fraction(a[i][k], minors[k + 1]) if k < i else Fraction(int(i == k))
+              for k in range(n)] for i in range(n)]
+    return lower, [Fraction(minors[k + 1], minors[k]) for k in range(n)]
 
 
 class NormHistogram:
@@ -73,10 +71,8 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
     optional integer linear form on the coordinates x, read modulo
     ``modulus``; with it the histogram is keyed by (label, norm).
     """
-    gram = [list(row) for row in gram]
     r = len(gram)
-    bound = Fraction(bound)
-    offset = [Fraction(c) for c in (offset or [0] * r)]
+    offset = offset or [0] * r
     if len(offset) != r:
         raise ValueError("offset length does not match the rank")
     if label is not None and (len(label) != r or modulus <= 0):
@@ -87,65 +83,58 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
         if (bound > 0) or (bound == 0 and not exclusive):
             hist.counts[Fraction(0) if label is None else (0, Fraction(0))] = 1
         return hist
-    lower, pivots = rational_cholesky(gram)
+    minors, a = _reduce_definite(gram)
     if bound < 0 or (exclusive and bound == 0):
         return hist
 
-    # Common denominator for every rational in play.
-    dens = [p.denominator for p in pivots] + [bound.denominator]
-    dens += [c.denominator for c in offset]
-    dens += [lower[j][i].denominator for i in range(r) for j in range(i + 1, r)]
-    big_d = lcm(*dens)
-    d2 = big_d * big_d
-    dn = [int(p * big_d) for p in pivots]
-    cn = [int(c * big_d) for c in offset]
-    # ucol[i][k] scales the coefficient of y_i inside z_k, for k < i.
-    ucol = [[int(lower[i][k] * big_d) for k in range(i)] for i in range(r)]
-    bb = int(bound * big_d) * d2 * d2
-    counts = hist.counts
-    denom5 = big_d ** 5
+    q = lcm(bound.denominator, *(c.denominator for c in offset))
+    cq = [c.numerator * (q // c.denominator) for c in offset]  # q * offset
+    products = [x * y for x, y in zip(minors, minors[1:])]  # Delta_k Delta_(k+1)
+    m = lcm(*products)
+    weight = [m // x for x in products]
+    step = [x * q for x in minors[1:]]  # q w_k grows by step[k] per unit of x_k
+    scale = q * q * m
+    bb = bound.numerator * (scale // bound.denominator)
 
-    partial = [0] * r  # partial[k] = D^2 * sum_{j>k fixed} u_kj y_j
+    partial = [0] * r  # partial[k] = sum_(i>k fixed) a[i][k] q (x_i + c_i)
     coeff = list(label) if label is not None else [0] * r
     # Leaves are keyed by the scaled integer norm (with the label, if any)
     # and converted to exact fractions once, after the search.
     raw: dict = {}
 
-    def descend(level: int, remaining: int, used: int, lab: int):
-        dni = dn[level]
-        a = cn[level] * big_d + partial[level]
-        w = isqrt(remaining * dni)
-        step = dni * d2
-        x_hi = (w - dni * a) // step
-        x_lo = -((w + dni * a) // step)
+    def descend(level: int, remaining: int, lab: int):
+        e, s = weight[level], step[level]
+        base = minors[level + 1] * cq[level] + partial[level]  # q w_level at x_level = 0
+        t = isqrt(remaining // e)
+        x_hi = (t - base) // s
+        x_lo = -((t + base) // s)
         if level == 0:
-            c0 = coeff[0]
+            c0, used = coeff[0], bb - remaining
             for xi in range(x_lo, x_hi + 1):
-                zn = xi * d2 + a
-                key = used + dni * zn * zn
+                w = s * xi + base
+                key = used + e * w * w
                 if exclusive and key == bb:
                     continue
                 if label is not None:
                     key = ((lab + c0 * xi) % modulus, key)
                 raw[key] = raw.get(key, 0) + 1
             return
-        col = ucol[level]
+        row = a[level]
         cl = coeff[level]
         for xi in range(x_lo, x_hi + 1):
-            zn = xi * d2 + a
-            spent = dni * zn * zn
-            yn = xi * big_d + cn[level]
+            w = s * xi + base
+            y = q * xi + cq[level]
             for k in range(level):
-                partial[k] += col[k] * yn
-            descend(level - 1, remaining - spent, used + spent, lab + cl * xi)
+                partial[k] += row[k] * y
+            descend(level - 1, remaining - e * w * w, lab + cl * xi)
             for k in range(level):
-                partial[k] -= col[k] * yn
+                partial[k] -= row[k] * y
 
-    descend(r - 1, bb, 0, 0)
+    descend(r - 1, bb, 0)
     if label is None:
-        counts.update((Fraction(key, denom5), c) for key, c in raw.items())
+        hist.counts.update((Fraction(key, scale), c) for key, c in raw.items())
     else:
-        counts.update(((t, Fraction(key, denom5)), c) for (t, key), c in raw.items())
+        hist.counts.update(((t, Fraction(key, scale)), c) for (t, key), c in raw.items())
     return hist
 
 

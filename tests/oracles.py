@@ -11,6 +11,10 @@ projection a = x - (k/2n) v of exactly one x in E8 with (x, v) = k, and
 then (x, x) = norm(a) + k^2/2n < n/2 + 2 for 0 <= k <= n. It shares no
 step with `glue.coset_count_row` (a labelled enumeration of U') or with
 `glue.dual_coset_counts` (a coset of U per column).
+
+`fraction_signature` is the Lagrange reduction over Q: it splits off
+squares with Fraction arithmetic, the reference for the fraction-free
+`intlinalg.lagrange_reduction` behind `lattice.signature`.
 """
 
 from __future__ import annotations
@@ -109,3 +113,40 @@ def bucketed_row(orbit) -> dict[int, dict[Fraction, int]]:
         bucket = counts[k]
         bucket[nu] = bucket.get(nu, 0) + 1
     return counts
+
+
+def fraction_signature(gram):
+    """(positive, negative) inertia indices of a symmetric matrix, or None if
+    it is singular.
+
+    Splits off squares at nonzero diagonal entries; when the remaining block
+    has an all-zero diagonal, e_i -> e_i + e_j first makes 2 a[i][j] the
+    pivot. An active row that is all zero spans the radical.
+    """
+    a = [[Fraction(x) for x in row] for row in gram]
+    active = list(range(len(a)))
+    pos = neg = 0
+    while active:
+        p = next((i for i in active if a[i][i] != 0), None)
+        if p is None:
+            i = active[0]
+            j = next((j for j in active if a[i][j] != 0), None)
+            if j is None:
+                return None
+            for k in active:
+                a[i][k] += a[j][k]
+            for k in active:
+                a[k][i] += a[k][j]
+            p = i
+        d = a[p][p]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(p)
+        for i in active:
+            f = a[i][p] / d
+            if f:
+                for j in active:
+                    a[i][j] -= f * a[p][j]
+    return pos, neg

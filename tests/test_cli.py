@@ -248,26 +248,13 @@ def payload_integers(payload):
     return set(found)
 
 
-def representatives(payload):
-    """Coordinates of the orbits that the rows of a payload describe, in order.
-
-    The text of `divisors` and `weight` names each row's orbit by its
-    representative, which their payloads do not carry (yet): it is the
-    representative `e8 orbits` lists for the same norm and index.
-    """
-    rows = payload["rows"]
-    return {c for row, o in zip(rows, k3lat.e8.orbits_of_norm(rows[0]["two_n"]))
-            for c in o.representative}
-
-
 # Integers a text form derives from its payload or prints as constants.
 TEXT_DERIVED = {
     "embed check": lambda p: {p["rank"] + p["min_generators"]},
     "sbad witness": lambda p: {abs(p["det_s1"]), 2 * abs(p["det_s"])},
     "sbad polarized": lambda p: {-2, 0},  # the bounds of -2 <= d - k^2/2n < 0
     "e8 orbits": lambda p: {len(p["orbits"])},
-    "divisors": representatives,
-    "weight": lambda p: {12, 2} | representatives(p),  # weight = 12 + roots/2
+    "weight": lambda p: {12, 2},  # weight = 12 + roots/2
 }
 
 
@@ -310,8 +297,10 @@ def test_weight_output_is_pinned(capsys):
     code, out, _ = run(capsys, "weight", "--norm", "8", "--json")
     assert code == 0
     assert out == json.dumps({"schema": 1, "rows": [
-        {"two_n": 8, "roots": 126, "primitive": False, "weight": 75},
-        {"two_n": 8, "roots": 56, "primitive": True, "weight": 40}]}, indent=2) + "\n"
+        {"two_n": 8, "roots": 126, "primitive": False,
+         "representative": [4, 6, 8, 12, 10, 8, 6, 4], "weight": 75},
+        {"two_n": 8, "roots": 56, "primitive": True,
+         "representative": [5, 8, 10, 15, 12, 9, 6, 3], "weight": 40}]}, indent=2) + "\n"
 
 
 def test_e8_orbits_json(capsys):
@@ -351,6 +340,15 @@ def test_lat_info_definite_vs_not(capsys):
     code, out, _ = run(capsys, "lat", "info", "H + H")
     assert code == 0
     assert "root count" not in out
+
+
+def test_a_spec_starting_with_a_minus_needs_the_double_dash(capsys):
+    # argparse reads a space-free argument that begins with "-" as an option
+    code, out, _ = run(capsys, "lat", "info", "-E8 ")
+    assert code == 0 and "root count: 240" in out
+    assert run(capsys, "lat", "info", "--", "-E8") == (0, out, "")
+    code, out, err = run(capsys, "lat", "info", "-E8")
+    assert (code, out) == (1, "") and "required: spec" in err
 
 
 def test_embed_check(capsys):

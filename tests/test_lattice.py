@@ -12,6 +12,7 @@ from k3lat.errors import (
     NonPrimitiveSublatticeError,
     ZeroVectorError,
 )
+from oracles import fraction_signature
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
 
@@ -76,6 +77,33 @@ def test_degeneracy_is_found_exactly_when_the_determinant_is_zero():
         assert lt.discriminant_group(lat).order == abs(det)
         assert len(lt.dual_basis(lat)) == n
     assert 60 <= degenerate <= 540
+
+
+def test_signature_agrees_with_the_fraction_reduction():
+    # Zero-heavy symmetric matrices of rank 1..7; every third has an all-zero
+    # diagonal, so the reduction must first replace e_i by e_i + e_j.
+    rng = random.Random(53)
+    kinds = {"definite": 0, "indefinite": 0, "degenerate": 0, "zero diagonal": 0}
+    for t in range(1200):
+        n = rng.randint(1, 7)
+        zeros = rng.choice((0.3, 0.6, 0.85))
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() > zeros:
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+        if t % 3 == 0:
+            for i in range(n):
+                g[i][i] = 0
+        want = fraction_signature(g)
+        if want is None:
+            kinds["degenerate"] += 1
+            with pytest.raises(DegenerateLatticeError, match="determinant 0"):
+                lt.signature(lt.from_gram(g))
+            continue
+        assert lt.signature(lt.from_gram(g)) == want
+        kinds["zero diagonal" if t % 3 == 0 else "definite" if 0 in want else "indefinite"] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_signature_additivity():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm, prod
 
 import pytest
 
@@ -13,23 +13,28 @@ from k3lat.shortvec import NormHistogram, rational_cholesky, root_count, short_v
 from oracles import e8_vectors, model_norm, simple_root_coordinates, simple_root_pairings
 
 
-def box_search(gram, bound, offset=None, exclusive=False):
-    """Independent oracle: exhaust an axis box that provably contains all
-    solutions (x_i + c_i squared is at most bound * (G^-1)_ii)."""
-    r = len(gram)
-    bound = Fraction(bound)
-    offset = [Fraction(c) for c in (offset or [0] * r)]
+def box(gram, bound, offset):
+    """An axis box that provably holds every x with norm(x + offset) <= bound:
+    (x_i + c_i) squared is at most bound * (G^-1)_ii."""
     ginv = la.fraction_inverse(gram)
     ranges = []
-    for i in range(r):
+    for i, c in enumerate(offset):
         radius = isqrt((bound * ginv[i][i]).__ceil__()) + 1
-        lo = (-offset[i] - radius).__ceil__()
-        hi = (-offset[i] + radius).__floor__()
-        ranges.append(range(lo, hi + 1))
+        ranges.append(range((-c - radius).__ceil__(), (-c + radius).__floor__() + 1))
+    return ranges
+
+
+def box_search(gram, bound, offset=None, exclusive=False):
+    """Independent oracle: exhaust the box, with y = den * (x + offset) in
+    integers."""
+    bound = Fraction(bound)
+    offset = [Fraction(c) for c in (offset or [0] * len(gram))]
+    den = lcm(*(c.denominator for c in offset))
+    shift = [int(c * den) for c in offset]
     counts = {}
-    for x in product(*ranges):
-        y = [xi + ci for xi, ci in zip(x, offset)]
-        norm = la.pairing(gram, y, y)
+    for x in product(*box(gram, bound, offset)):
+        y = [den * xi + ci for xi, ci in zip(x, shift)]
+        norm = Fraction(la.pairing(gram, y, y), den * den)
         if norm < bound or (norm == bound and not exclusive):
             counts[norm] = counts.get(norm, 0) + 1
     return counts
@@ -58,6 +63,19 @@ def test_cholesky_examples():
     rebuilt = [[sum(lower[i][k] * piv[k] * lower[j][k] for k in range(n))
                 for j in range(n)] for i in range(n)]
     assert rebuilt == [list(r) for r in lt.E8.gram]
+
+
+def test_cholesky_reassembles_random_definite_grams():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        gram = random_posdef(rng, n)
+        lower, piv = rational_cholesky(gram)
+        assert all(p > 0 for p in piv)
+        assert all(lower[i][i] == 1 and not any(lower[i][i + 1:]) for i in range(n))
+        rebuilt = [[sum(lower[i][k] * piv[k] * lower[j][k] for k in range(n))
+                    for j in range(n)] for i in range(n)]
+        assert rebuilt == gram
 
 
 def test_enumerate_e8_roots():
@@ -120,21 +138,36 @@ def test_exclusive_drops_the_boundary():
     assert incl.counts[Fraction(2)] == 240
 
 
+def leading_minors(gram):
+    return [la.bareiss_determinant([row[:k] for row in gram[:k]])
+            for k in range(len(gram) + 1)]
+
+
 def test_agrees_with_box_oracle():
+    # Ranks 1..5 and bounds with denominators up to 4. The scaling clears
+    # the products of consecutive leading minors, so include Gram matrices
+    # whose minors (1, 2, 5, 8 in the first) do not divide one another.
     rng = random.Random(41)
-    for _ in range(12):
-        rank = rng.randint(1, 4)
-        gram = random_posdef(rng, rank)
-        bound = Fraction(rng.randint(1, 10))
-        offset = None
-        if rng.random() < 0.6:
-            offset = tuple(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
-                           for _ in range(rank))
+    fixed = [[[2, 1, 0], [1, 3, 1], [0, 1, 2]], [[3, 1], [1, 2]]]
+    unchained = 0
+    for case in range(40):
+        while True:  # a box of at most 20,000 points keeps the oracle short
+            gram = fixed[case] if case < len(fixed) else random_posdef(rng, 1 + case % 5)
+            den = rng.randint(1, 4)
+            bound = Fraction(den * rng.randint(1, 8) + rng.choice((-1, 1)), den)
+            offset = [Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in gram]
+            if rng.random() < 0.4:
+                offset = [0] * len(gram)
+            if prod(map(len, box(gram, bound, offset))) <= 20_000:
+                break
+        minors = [la.bareiss_determinant([row[:k] for row in gram[:k]])
+                  for k in range(len(gram) + 1)]
+        unchained += any(y % x for x, y in zip(minors, minors[1:]))
         exclusive = rng.random() < 0.5
         got = short_vectors(tuple(map(tuple, gram)), bound,
-                            offset=offset, exclusive=exclusive)
-        want = box_search(gram, bound, offset=offset, exclusive=exclusive)
-        assert got.counts == want
+                            offset=tuple(offset), exclusive=exclusive)
+        assert got.counts == box_search(gram, bound, offset, exclusive)
+    assert unchained >= 10
 
 
 def test_labelled_histogram_buckets_collected_vectors():
