@@ -185,22 +185,19 @@ def cmd_table(args):
     return p, lambda: render(p["rows"])
 
 
-def _line_reports(row):
-    """Multiplicity reports: the norm -2 lattice line plus one line per cell."""
-    from .glue import divisor_classes, hyperplane_multiplicity
+def _line_reports(row, classes):
+    """Multiplicity reports: the norm -2 lattice line plus one line per class."""
+    from .glue import hyperplane_multiplicity
 
-    reports = [hyperplane_multiplicity(row, 0, -2)]
-    for cell in divisor_classes(row):
-        nu_internal = -cell.norm
-        reports.append(hyperplane_multiplicity(row, cell.k, nu_internal - 2))
-    return reports
+    return [hyperplane_multiplicity(row, 0, -2)] + [
+        hyperplane_multiplicity(row, c.k, -c.norm - 2) for c in classes]
 
 
 def cmd_divisors(args):
     orbits = _selected_orbits(args)
     from .glue import coset_count_row, divisor_classes
 
-    rows = [coset_count_row(o) for o in orbits]
+    rows = [(row, divisor_classes(row)) for row in map(coset_count_row, orbits)]
 
     def norm(value):
         return _signed(-value, args.internal_norms)
@@ -211,14 +208,14 @@ def cmd_divisors(args):
          "representative": list(row.orbit.representative),
          "classes": [{"k": c.k, "norm": norm(c.norm), "count": c.count,
                       "vanishing": c.vanishing}
-                     for c in divisor_classes(row)],
+                     for c in classes],
          "lines": [{"k0": rep.k0, "nu0": norm(rep.nu0),
                     "multiplicity": rep.total_multiplicity,
                     "contributions": [{"scale": c.scale, "norm": norm(c.norm),
                                        "label": c.label, "count": c.count}
                                       for c in rep.contributions]}
-                   for rep in _line_reports(row)]}
-        for row in rows]}
+                   for rep in _line_reports(row, classes)]}
+        for row, classes in rows]}
 
     def text():
         lines = []

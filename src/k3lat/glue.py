@@ -38,16 +38,16 @@ TARGET_DIM = 28
 def nikulin_embeddable(t: Lattice) -> EmbeddingReport:
     """Sufficient condition for a primitive embedding into II_{2,26}.
 
-    True iff the signature is (2, q) with q <= TARGET_DIM - 2 and the
-    minimum number of generators of T'/T plus rank(T) is less than
-    TARGET_DIM. Raises WrongSignatureError unless the positive index is 2.
+    True iff the signature is (2, q) and the minimum number of generators
+    of T'/T plus rank(T) is less than TARGET_DIM; that bounds q by
+    TARGET_DIM - 3, since rank(T) = 2 + q for a nondegenerate T. Raises
+    WrongSignatureError unless the positive index is 2.
     """
     sig = signature(t)
     if sig[0] != 2:
         raise WrongSignatureError(f"expected signature (2, q), got {sig}")
     ell = discriminant_group(t).min_generators
-    ok = sig[1] <= TARGET_DIM - 2 and t.rank + ell < TARGET_DIM
-    return EmbeddingReport(ok, t.rank, ell, sig, TARGET_DIM)
+    return EmbeddingReport(t.rank + ell < TARGET_DIM, t.rank, ell, sig, TARGET_DIM)
 
 
 class CosetCountTable(Record):

@@ -3,8 +3,9 @@
 Matrices are lists of row lists of Python ints (Fractions where stated),
 vectors are row vectors. Nothing here ever touches floating point; the
 ranks in play (<= 28) keep the dense textbook algorithms fast. The integer
-eliminations are Hermite (kernels, the Smith form), Bareiss (determinant,
-adjugate) and Lagrange (signatures, the L D L^T of a definite form).
+eliminations are Hermite (kernels, the Smith form), Bareiss Gauss-Jordan
+(the adjugate) and Lagrange (signatures, determinants, the L D L^T of a
+definite form).
 """
 
 from __future__ import annotations
@@ -59,35 +60,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def bareiss_determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    All intermediate divisions are exact integer divisions; the 0x0 matrix
-    has determinant 1.
-    """
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def bareiss_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
@@ -151,6 +123,19 @@ def lagrange_reduction(m: IntMatrix) -> tuple[list[int], IntMatrix]:
             for j in active:
                 row[j] = (d * row[j] - f * pivot_row[j]) // prev
     return minors, a
+
+
+def bareiss_determinant(m: IntMatrix) -> int:
+    """Determinant of a symmetric integer matrix: the last minor of its
+    Lagrange reduction, or 0 if the reduction stops short. Each step is a
+    congruence by a matrix of determinant +-1 (a choice of pivot, or
+    e_i -> e_i + e_j), so that minor is det m. Raises ValueError unless m
+    is symmetric.
+    """
+    if not is_symmetric(m):
+        raise ValueError("determinant needs a symmetric matrix")
+    minors, _ = lagrange_reduction(m)
+    return minors[-1] if len(minors) > len(m) else 0
 
 
 def fraction_inverse(m) -> list[list[Fraction]]:
@@ -241,28 +226,23 @@ def _is_diagonal(a) -> bool:
     return all(x == 0 for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Smith normal form with its row transform.
 
-    Returns (left, diag, right) with left @ m @ right = diag, where left and
-    right are unimodular and diag is diagonal with nonnegative entries
-    forming a divisibility chain d1 | d2 | ... Row and column HNFs alternate
-    until the matrix is diagonal (Kannan and Bachem, SIAM J. Comput. 8,
-    1979), starting with a row pass so that each entry is a pivot or 0; a
-    pair d_i, d_j with d_i not dividing d_j then becomes gcd, lcm in place.
+    Returns (left, diag) with left unimodular and left @ m @ right = diag for
+    some unimodular right, which is not built; diag is diagonal with
+    nonnegative entries forming a divisibility chain d1 | d2 | ... Row and
+    column HNFs alternate until the matrix is diagonal (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979), starting with a row pass so that each entry is
+    a pivot or 0; a pair d_i, d_j with d_i not dividing d_j then becomes
+    gcd, lcm in place.
     """
     a, left = hermite_normal_form(m)
-    right = None
     while not _is_diagonal(a):
-        at, v = hermite_normal_form(transpose(a))
-        a = transpose(at)
-        right = transpose(v) if right is None else mat_mul(right, transpose(v))
-        if _is_diagonal(a):
-            break
-        a, u = hermite_normal_form(a)
-        left = mat_mul(u, left)
-    if right is None:
-        right = identity(len(m[0]) if m else 0)
+        a = transpose(hermite_normal_form(transpose(a))[0])
+        if not _is_diagonal(a):
+            a, u = hermite_normal_form(a)
+            left = mat_mul(u, left)
     d = diagonal_of(a)
     k = sum(1 for x in d if x)
     for i in range(k):
@@ -276,9 +256,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             li, lj = left[i], left[j]
             left[i] = [x * s + y * t for s, t in zip(li, lj)]
             left[j] = [p * t - q * s for s, t in zip(li, lj)]
-            for row in right:
-                row[i], row[j] = row[i] + row[j], x * p * row[j] - y * q * row[i]
-    return left, a, right
+    return left, a
 
 
 def diagonal_of(m: IntMatrix) -> list[int]:

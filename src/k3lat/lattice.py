@@ -77,7 +77,7 @@ def sublattice(ambient: Lattice, rows) -> Lattice:
 
 
 def determinant(lat: Lattice) -> int:
-    """Exact Gram determinant (fraction-free elimination)."""
+    """Exact Gram determinant, the last minor of the Lagrange reduction."""
     return la.bareiss_determinant([list(r) for r in lat.gram])
 
 
@@ -120,7 +120,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     """
     from fractions import Fraction
 
-    left, diag, _right = la.smith_normal_form([list(row) for row in lat.gram])
+    left, diag = la.smith_normal_form([list(row) for row in lat.gram])
     divisors = []
     generators = []
     order = 1
@@ -156,7 +156,7 @@ def saturation_index(ambient: Lattice, sub: Lattice) -> int:
     if sub.ambient is not ambient and sub.ambient != ambient:
         raise ValueError("sublattice does not live in the given ambient lattice")
     b = [list(row) for row in sub.basis]
-    _, diag, _ = la.smith_normal_form(b)
+    _, diag = la.smith_normal_form(b)
     factors = [d for d in la.diagonal_of(diag) if d != 0]
     if len(factors) < len(b):
         raise ValueError("sublattice basis rows are dependent")

@@ -15,6 +15,11 @@ step with `glue.coset_count_row` (a labelled enumeration of U') or with
 `fraction_signature` is the Lagrange reduction over Q: it splits off
 squares with Fraction arithmetic, the reference for the fraction-free
 `intlinalg.lagrange_reduction` behind `lattice.signature`.
+
+`determinant` is forward Bareiss elimination with row swaps. It takes any
+square matrix, so it also serves for the unimodularity of transforms, and it
+is the reference for `intlinalg.bareiss_determinant`, which reads the
+determinant of a symmetric matrix off the Lagrange reduction.
 """
 
 from __future__ import annotations
@@ -150,3 +155,31 @@ def fraction_signature(gram):
                 for j in active:
                     a[i][j] -= f * a[p][j]
     return pos, neg
+
+
+def determinant(m) -> int:
+    """Exact determinant of a square integer matrix by forward fraction-free
+    (Bareiss) elimination; every division is exact, and the 0x0 matrix has
+    determinant 1.
+    """
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1]

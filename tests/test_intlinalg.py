@@ -5,6 +5,7 @@ import pytest
 
 from k3lat import intlinalg as la
 from k3lat.lattice import E7, E8
+from oracles import determinant, fraction_signature
 
 
 def cofactor_determinant(m):
@@ -23,18 +24,80 @@ def cofactor_determinant(m):
     return total
 
 
-def unimodular_int_inverse(m):
-    inv = la.fraction_inverse(m)
-    assert all(f.denominator == 1 for row in inv for f in row)
-    return [[int(f) for f in row] for row in inv]
+def assert_smith_form(m, left, diag):
+    """left is unimodular and left @ m @ right = diag for a unimodular right.
+
+    The column HNF is canonical and diag is its own column HNF, so the
+    column HNF of left @ m equals diag exactly when such a right exists.
+    """
+    assert abs(determinant(left)) == 1
+    column_hnf = la.transpose(la.hermite_normal_form(la.transpose(la.mat_mul(left, m)))[0])
+    assert column_hnf == diag
 
 
 def test_bareiss_matches_cofactor_oracle():
+    # the forward Bareiss reference on any square matrix, and the library's
+    # determinant on symmetric ones
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert la.bareiss_determinant(m) == cofactor_determinant(m)
+        assert determinant(m) == cofactor_determinant(m)
+        sym = [[a + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))]
+        assert la.bareiss_determinant(sym) == cofactor_determinant(sym)
+
+
+def symmetric_cases(rng, count):
+    """Seeded zero-heavy symmetric matrices of rank 0..7, cycling through
+    four kinds: random entries, the same with an all-zero diagonal, the Gram
+    B B^T of a random basis B = I + N, and B S B^T with B of deficient rank."""
+    def entry(size):
+        return rng.choice((0, 0, rng.randint(-size, size)))
+
+    def random_symmetric(n, size):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                m[i][j] = m[j][i] = entry(size)
+        return m
+
+    for case in range(count):
+        n, kind = case % 8, case // 8 % 4
+        if kind < 2:
+            m = random_symmetric(n, 9)
+            if kind == 1:
+                for i in range(n):
+                    m[i][i] = 0
+        else:
+            b = [[int(i == j) + entry(2) for j in range(n)] for i in range(n)]
+            s = la.identity(n) if kind == 2 else random_symmetric(n, 4)
+            if kind == 3 and n:
+                b[-1] = [x - y for x, y in zip(b[0], b[n // 2])]
+            m = la.mat_mul(la.mat_mul(b, s), la.transpose(b))
+        yield m
+
+
+def test_determinant_matches_forward_bareiss_on_symmetric_matrices():
+    kinds = {"definite": 0, "indefinite": 0, "degenerate": 0,
+             "nondegenerate, zero diagonal": 0}
+    for m in symmetric_cases(random.Random(29), 1200):
+        det = la.bareiss_determinant(m)
+        assert det == determinant(m), m
+        sig = fraction_signature(m)
+        assert (sig is None) == (det == 0), m
+        if sig is None:
+            kinds["degenerate"] += 1
+        elif m:
+            kinds["definite" if 0 in sig else "indefinite"] += 1
+            if len(m) > 1 and not any(m[i][i] for i in range(len(m))):
+                kinds["nondegenerate, zero diagonal"] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_determinant_rejects_a_nonsymmetric_matrix():
+    for m in ([[1, 2], [3, 4]], [[1, 2, 3]], [[0, 1], [0, 0]]):
+        with pytest.raises(ValueError):
+            la.bareiss_determinant(m)
 
 
 def test_bareiss_adjugate_matches_cofactor_oracle():
@@ -63,19 +126,21 @@ def test_bareiss_e8_det_one():
 
 
 def test_smith_identity():
-    _, d, _ = la.smith_normal_form(la.identity(3))
+    _, d = la.smith_normal_form(la.identity(3))
     assert la.diagonal_of(d) == [1, 1, 1]
 
 
 def test_smith_hand_reduced_example():
     # [[8,4],[4,0]]: row/column reduction by hand gives diag(4, 4)
-    left, diag, right = la.smith_normal_form([[8, 4], [4, 0]])
+    m = [[8, 4], [4, 0]]
+    left, diag = la.smith_normal_form(m)
     assert la.diagonal_of(diag) == [4, 4]
+    assert_smith_form(m, left, diag)
     assert abs(la.bareiss_determinant(diag)) == 16
 
 
 def test_smith_e7():
-    _, diag, _ = la.smith_normal_form([list(r) for r in E7.gram])
+    _, diag = la.smith_normal_form([list(r) for r in E7.gram])
     assert la.diagonal_of(diag) == [1, 1, 1, 1, 1, 1, 2]
 
 
@@ -85,18 +150,12 @@ def test_smith_roundtrip_random():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = [[rng.randint(-8, 8) for _ in range(cols)] for _ in range(rows)]
-        left, diag, right = la.smith_normal_form(m)
-        assert la.mat_mul(la.mat_mul(left, m), right) == diag
-        assert abs(la.bareiss_determinant(left)) == 1
-        assert abs(la.bareiss_determinant(right)) == 1
+        left, diag = la.smith_normal_form(m)
+        assert_smith_form(m, left, diag)
         d = la.diagonal_of(diag)
         assert all(x >= 0 for x in d)
         for a, b in zip(d, d[1:]):
             assert b % a == 0 if a else b == 0
-        # reassembly: left^-1 diag right^-1 returns the input
-        li = unimodular_int_inverse(left)
-        ri = unimodular_int_inverse(right)
-        assert la.mat_mul(la.mat_mul(li, diag), ri) == m
 
 
 def test_hnf_transform_and_shape():
@@ -107,7 +166,7 @@ def test_hnf_transform_and_shape():
         m = [[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)]
         h, u = la.hermite_normal_form(m)
         assert la.mat_mul(u, m) == h
-        assert abs(la.bareiss_determinant(u)) == 1
+        assert abs(determinant(u)) == 1
         pivots = []
         for row in h:
             nz = next((j for j, x in enumerate(row) if x), None)
@@ -136,7 +195,7 @@ def test_left_kernel_is_saturated():
             assert all(sum(r * c for r, c in zip(row, col)) == 0
                        for col in zip(*m))
         if ker:
-            _, diag, _ = la.smith_normal_form(ker)
+            _, diag = la.smith_normal_form(ker)
             assert all(d == 1 for d in la.diagonal_of(diag))
 
 
@@ -162,10 +221,8 @@ def test_smith_diagonal_matches_sympy():
     from sympy.matrices.normalforms import smith_normal_form
 
     for m in normal_form_inputs():
-        left, diag, right = la.smith_normal_form(m)
-        assert la.mat_mul(la.mat_mul(left, m), right) == diag
-        assert abs(la.bareiss_determinant(left)) == 1
-        assert abs(la.bareiss_determinant(right)) == 1
+        left, diag = la.smith_normal_form(m)
+        assert_smith_form(m, left, diag)
         theirs = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
         ours = la.diagonal_of(diag)
         assert ours == [abs(int(theirs[i, i])) for i in range(len(ours))], m

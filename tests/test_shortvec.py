@@ -10,7 +10,8 @@ from k3lat import lattice as lt
 from k3lat.e8 import orbits_of_norm
 from k3lat.errors import IndefiniteLatticeError, NotPositiveDefiniteError
 from k3lat.shortvec import NormHistogram, rational_cholesky, root_count, short_vectors
-from oracles import e8_vectors, model_norm, simple_root_coordinates, simple_root_pairings
+from oracles import (determinant, e8_vectors, model_norm, simple_root_coordinates,
+                     simple_root_pairings)
 
 
 def box(gram, bound, offset):
@@ -43,7 +44,7 @@ def box_search(gram, bound, offset=None, exclusive=False):
 def random_posdef(rng, rank, spread=2):
     while True:
         b = [[rng.randint(-spread, spread) for _ in range(rank)] for _ in range(rank)]
-        if la.bareiss_determinant(b) != 0:
+        if determinant(b) != 0:
             return la.mat_mul(b, la.transpose(b))
 
 
@@ -136,11 +137,6 @@ def test_exclusive_drops_the_boundary():
     excl = short_vectors(lt.E8.gram, Fraction(2), exclusive=True)
     assert excl.counts == {Fraction(0): 1}
     assert incl.counts[Fraction(2)] == 240
-
-
-def leading_minors(gram):
-    return [la.bareiss_determinant([row[:k] for row in gram[:k]])
-            for k in range(len(gram) + 1)]
 
 
 def test_agrees_with_box_oracle():
