@@ -7,7 +7,9 @@ squared length (internal positive convention) lies in [0, 2). Every such a
 is the projection a = x - ((x,v)/2n) v of a unique x in E8 with (x, v) = k.
 The row is one enumeration of U', each vector labelled by its class in
 U'/U; `dual_coset_counts` enumerates one coset of U per column and serves
-as the independent cross-check.
+as the independent cross-check. Its k = 0 column has no offset, so it runs
+the same half-space enumeration as the row (see `shortvec`); the check of
+that column is the E8-ball oracle `tests/oracles.bucketed_row`.
 """
 
 from __future__ import annotations

@@ -6,6 +6,12 @@ norm(y) = sum_k w_k^2 / (Delta_k Delta_(k+1)) for w_k = sum_(i>=k) a[i][k] y_i.
 Scaled by q^2 M, where q clears the denominators of the bound and the offset
 and M = lcm_k Delta_k Delta_(k+1), every quantity is an integer and the
 coordinate intervals come from math.isqrt exactly. No floating point.
+
+With no offset, x and -x have one norm and opposite labels, so the search
+visits only the half-space of vectors whose last nonzero coordinate is
+positive (Cohen, GTM 138, 2.7.3): while every coordinate fixed so far is 0,
+the next one starts at 0, or at 1 on the last level. Each such leaf is then
+counted under its label t and under -t, and the zero vector once.
 """
 
 from __future__ import annotations
@@ -69,7 +75,9 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
     ``offset`` is None or one rational per coordinate. ``exclusive``
     switches the bound comparison from <= to <. ``label`` is an
     optional integer linear form on the coordinates x, read modulo
-    ``modulus``; with it the histogram is keyed by (label, norm).
+    ``modulus``; with it the histogram is keyed by (label, norm). With
+    a zero offset the search lists one of each pair x, -x and folds in
+    the other (see the module docstring); otherwise it lists every vector.
     """
     r = len(gram)
     offset = offset or [0] * r
@@ -102,12 +110,14 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
     # and converted to exact fractions once, after the search.
     raw: dict = {}
 
-    def descend(level: int, remaining: int, lab: int):
+    def descend(level: int, remaining: int, lab: int, zero: bool):
         e, s = weight[level], step[level]
         base = minors[level + 1] * cq[level] + partial[level]  # q w_level at x_level = 0
         t = isqrt(remaining // e)
         x_hi = (t - base) // s
         x_lo = -((t + base) // s)
+        if zero:  # all coordinates above are 0, so base is too: x_level >= 0, x != 0
+            x_lo = int(level == 0)
         if level == 0:
             c0, used = coeff[0], bb - remaining
             for xi in range(x_lo, x_hi + 1):
@@ -126,11 +136,18 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
             y = q * xi + cq[level]
             for k in range(level):
                 partial[k] += row[k] * y
-            descend(level - 1, remaining - e * w * w, lab + cl * xi)
+            descend(level - 1, remaining - e * w * w, lab + cl * xi, zero and not xi)
             for k in range(level):
                 partial[k] -= row[k] * y
 
-    descend(r - 1, bb, 0)
+    half = not any(cq)
+    descend(r - 1, bb, 0, half)
+    if half:  # -x has the norm of x and the label -t; the zero vector is no leaf
+        leaves, raw = raw, {0 if label is None else (0, 0): 1}
+        for key, c in leaves.items():
+            mirror = key if label is None else (-key[0] % modulus, key[1])
+            raw[key] = raw.get(key, 0) + c
+            raw[mirror] = raw.get(mirror, 0) + c
     if label is None:
         hist.counts.update((Fraction(key, scale), c) for key, c in raw.items())
     else:

@@ -108,6 +108,21 @@ def test_imprimitive_rows_match_oracle_columnwise():
     assert sorted(contents) == [(24, 2), (32, 2), (32, 4)]
 
 
+def test_rows_beyond_the_golden_range_match_coset_oracle():
+    # The rows enumerate U' with no offset, up to sign; a column k >= 1 of
+    # the oracle enumerates a coset of U with an offset outside U wherever
+    # k is not 0 in U'/U, so it lists every vector and checks the fold.
+    columns = 0
+    for two_n in range(24, 42, 2):
+        for orbit in orbits_of_norm(two_n):
+            row = glue.coset_count_row(orbit)
+            for k in range(1, two_n // 2 + 1):
+                assert row.counts[k] == glue.dual_coset_counts(orbit, k), (
+                    two_n, orbit.representative, k)
+                columns += 1
+    assert columns == 426
+
+
 def test_restricted_weight():
     (two,) = orbits_of_norm(2)
     assert glue.restricted_weight(two.complement) == 75

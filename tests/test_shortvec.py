@@ -25,9 +25,9 @@ def box(gram, bound, offset):
     return ranges
 
 
-def box_search(gram, bound, offset=None, exclusive=False):
+def box_search(gram, bound, offset=None, exclusive=False, label=None, modulus=0):
     """Independent oracle: exhaust the box, with y = den * (x + offset) in
-    integers."""
+    integers. With a label form, key by (sum label_i x_i mod modulus, norm)."""
     bound = Fraction(bound)
     offset = [Fraction(c) for c in (offset or [0] * len(gram))]
     den = lcm(*(c.denominator for c in offset))
@@ -37,7 +37,9 @@ def box_search(gram, bound, offset=None, exclusive=False):
         y = [den * xi + ci for xi, ci in zip(x, shift)]
         norm = Fraction(la.pairing(gram, y, y), den * den)
         if norm < bound or (norm == bound and not exclusive):
-            counts[norm] = counts.get(norm, 0) + 1
+            key = norm if label is None else (
+                sum(c * xi for c, xi in zip(label, x)) % modulus, norm)
+            counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -164,6 +166,45 @@ def test_agrees_with_box_oracle():
                             offset=tuple(offset), exclusive=exclusive)
         assert got.counts == box_search(gram, bound, offset, exclusive)
     assert unchained >= 10
+
+
+def test_labelled_zero_offset_agrees_with_box_oracle():
+    # With no offset the enumerator lists one vector of each pair x, -x,
+    # credits the other to label -t and adds the zero vector once. Ranks 1..5,
+    # moduli 3..7 with labels t != -t, bounds with denominators 1..4, and
+    # every third bound the norm of a basis vector, so attained.
+    rng = random.Random(53)
+    attained, asymmetric = {False: 0, True: 0}, 0
+    for case in range(30):
+        rank, modulus = 1 + case % 5, rng.randint(3, 7)
+        exclusive = case % 2 == 1
+        while True:
+            gram = random_posdef(rng, rank, spread=1)
+            if case % 3 == 0:
+                i = rng.randrange(rank)
+                bound = Fraction(gram[i][i])
+            else:
+                den = rng.randint(1, 4)
+                bound = Fraction(den * rng.randint(2, 6) + rng.choice((-1, 1)), den)
+            if prod(map(len, box(gram, bound, [0] * rank))) <= 20_000:
+                break
+        form = [rng.randint(-3, 3) for _ in range(rank)]
+        form[rng.randrange(rank)] = rng.choice((1, -1))
+        inclusive = box_search(gram, bound, label=form, modulus=modulus)
+        want = {key: c for key, c in inclusive.items() if not exclusive or key[1] < bound}
+        got = short_vectors(tuple(map(tuple, gram)), bound, exclusive=exclusive,
+                            label=tuple(form), modulus=modulus)
+        assert got.counts == want, (case, gram, bound, form, modulus)
+        assert want[(0, Fraction(0))] == 1
+        attained[exclusive] += any(norm == bound for _, norm in inclusive)
+        asymmetric += any(2 * t % modulus for t, _ in want)
+    assert min(attained.values()) >= 5 and asymmetric >= 20
+    # bound 0: the zero vector alone, or nothing when the bound is strict
+    gram = ((2, 1), (1, 3))
+    want = box_search(gram, 0, label=(1, 2), modulus=5)
+    assert want == {(0, Fraction(0)): 1}
+    assert short_vectors(gram, Fraction(0), label=(1, 2), modulus=5).counts == want
+    assert short_vectors(gram, Fraction(0), exclusive=True, label=(1, 2), modulus=5).counts == {}
 
 
 def test_labelled_histogram_buckets_collected_vectors():
