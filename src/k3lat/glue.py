@@ -3,23 +3,24 @@
 The central object is the table row of an orbit of a norm-2n vector v in
 E8: for each pairing label k = (x, v) between 0 and n, the counts of
 vectors a in the dual of U = v-perp whose class corresponds to k and whose
-squared length (internal positive convention) lies in [0, 2). Every such a
-is the projection a = x - ((x,v)/2n) v of a unique x in E8 with (x, v) = k.
-The row is one enumeration of U', each vector labelled by its class in
-U'/U; `dual_coset_counts` enumerates one coset of U per column and serves
-as the independent cross-check. Its k = 0 column has no offset, so it runs
-the same half-space enumeration as the row (see `shortvec`); the check of
-that column is the E8-ball oracle `tests/oracles.bucketed_row`.
+squared length (internal positive convention) lies in [0, 2). E8 is
+unimodular, so U' is the projection pi(E8) onto v-perp. With v = m v0, v0
+primitive, p = v0 . G and 2n0 = p . v0, Q(x) = 2n0 x.G.x - (p.x)^2 on Z^8 is
+2n0 times the norm of pi(x), with kernel Z v0, and pi(x) lies in the class
+p.x mod 2n0 of U'/U = Z/2n0. The row is one labelled enumeration of Q on an
+LLL-reduced basis of Z^8/Z v0. The cross-check `dual_coset_counts` takes one
+coset of the HNF basis of U per column (the half-space search for k = 0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from . import intlinalg as la
-from .e8 import OrbitClass
+from .e8 import OrbitClass, _pairings
 from .errors import NormOutOfRangeError, WrongSignatureError
-from .lattice import E8, Lattice, determinant, discriminant_group, signature
 from .records import Record
 from .shortvec import root_count, short_vectors
 
@@ -45,6 +46,7 @@ def nikulin_embeddable(t: Lattice) -> EmbeddingReport:
     TARGET_DIM - 3, since rank(T) = 2 + q for a nondegenerate T. Raises
     WrongSignatureError unless the positive index is 2.
     """
+    from .lattice import discriminant_group, signature
     sig = signature(t)
     if sig[0] != 2:
         raise WrongSignatureError(f"expected signature (2, q), got {sig}")
@@ -67,33 +69,89 @@ class CosetCountTable(Record):
 def _pairing_solution(v) -> tuple[int, list[int]]:
     """(g, w) with (v, w) = g, the content of v (E8 is unimodular)."""
     g, w = 0, [0] * 8
-    for i, p in enumerate(la.vec_mat(list(v), E8.gram)):
+    for i, p in enumerate(_pairings(v)):
         g, a, b = la.xgcd(g, p)
         w = [a * c for c in w]
         w[i] = b
     return g, w
 
 
-def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
-    """Build the table row of an orbit by one labelled enumeration of U'.
+def _completion(v0) -> list[list[int]]:
+    """Rows b_1..b_7 making v0, b_1, ..., b_7 a basis of Z^8, for v0 primitive
+    with v0[0] != 0 (every coordinate of a dominant vector is positive). An
+    xgcd chain: with g f = v0 on coordinates 0..i-1, xgcd(g, v0[i]) = (h, x, y)
+    takes f, e_i to f' = (g f + v0[i] e_i)/h and b_i = x e_i - y f, with
+    determinant 1. Listed last first, which saves `lll_reduce` a third of its
+    steps."""
+    f, g, rows = [1] + [0] * 7, v0[0], []
+    for i in range(1, 8):
+        h, x, y = la.xgcd(g, v0[i])
+        rows.append([-y * c for c in f[:i]] + [x] + f[i + 1:])
+        f, g = [g // h * c for c in f[:i]] + [v0[i] // h] + f[i + 1:], h
+    return rows[::-1]
 
-    With v = m v0, v0 primitive, det U = 2n0 = 2n/m^2. In the dual basis u_i*
-    U' has the integer Gram 2n0 G_U^-1 = adj G_U (norm below 2 is below
-    2 det U), and the class of y in U'/U = Z/2n0 is sum c_i y_i mod 2n0 with
-    c_i = -2n0 (u_i*, w) for any w in E8 with (v0, w) = 1. Column k = m t is
-    the histogram of label t mod 2n0; columns with m not dividing k are empty.
-    """
-    two_n, u = orbit.two_n, orbit.complement
-    m, w = _pairing_solution(orbit.representative)
-    det_u, adj = la.bareiss_adjugate(u.gram)
-    dual_gram = tuple(tuple(row) for row in adj)
-    form = tuple(-c % det_u for c in
-                 la.vec_mat([E8.pairing(b, w) for b in u.basis], dual_gram))
-    hist = short_vectors(dual_gram, 2 * det_u, exclusive=True, label=form, modulus=det_u)
+
+def lll_reduce(gram, rows) -> list[list[int]]:
+    """LLL-reduce (delta = 3/4) a basis with positive definite integer Gram
+    matrix `gram`, and return `rows` under the same unimodular change. The
+    integral LLL of Cohen (GTM 138, Alg. 2.6.7) on the minors d and the entries
+    lam[k][j] = d_(j+1) mu_kj of `la.lagrange_reduction`, updated exactly."""
+    rows = [list(row) for row in rows]
+    d, lam = la.lagrange_reduction(gram)
+
+    def size_reduce(k, l):
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest to lam/d
+        if q:
+            lam[k][:l + 1] = [x - q * y for x, y in zip(lam[k], lam[l][:l] + [d[l + 1]])]
+            rows[k] = [x - q * y for x, y in zip(rows[k], rows[l])]
+
+    k, n = 1, len(gram)
+    while k < n:
+        size_reduce(k, k - 1)
+        r = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * r * r:  # Lovasz holds
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+            continue
+        rows[k - 1], rows[k] = rows[k], rows[k - 1]
+        lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+        b = (d[k - 1] * d[k + 1] + r * r) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - r * t) // d[k]
+            lam[i][k - 1] = (b * t + r * lam[i][k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
+    return rows
+
+
+def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
+    """Build the table row of an orbit by one labelled enumeration of pi(E8).
+
+    With v = m v0, rows b_i completing v0 to a basis of Z^8 project to a
+    basis of U' = pi(E8) with Gram Q_ij = 2n0 b_i.G.b_j - c_i c_j and label
+    c_i = p . b_i mod 2n0, where 2n0 = 2n/m^2. On the `lll_reduce` basis the
+    norms below 2 are Q below 4n0. Column k = m t is the histogram of label t,
+    and is empty where m does not divide k."""
+    two_n, v = orbit.two_n, orbit.representative
+    m = gcd(*v)
+    v0 = [x // m for x in v]
+    p, two_n0 = _pairings(v0), two_n // (m * m)
+
+    def projected(basis):  # (Q, c) of the basis
+        c = [sum(map(mul, p, b)) for b in basis]
+        return [[two_n0 * sum(map(mul, bg, bj)) - ci * cj for bj, cj in zip(basis, c)]
+                for bg, ci in zip(map(_pairings, basis), c)], c
+
+    basis = _completion(v0)
+    gram, c = projected(lll_reduce(projected(basis)[0], basis))
+    hist = short_vectors(gram, 2 * two_n0, exclusive=True,
+                         label=[x % two_n0 for x in c], modulus=two_n0)
     by_label: dict[int, dict[Fraction, int]] = {}
     for (t, norm), count in hist.counts.items():
-        by_label.setdefault(t, {})[norm / det_u] = count
-    counts = {k: dict(by_label.get(k // m % det_u, {})) if k % m == 0 else {}
+        by_label.setdefault(t, {})[norm / two_n0] = count
+    counts = {k: dict(by_label.get(k // m % two_n0, {})) if k % m == 0 else {}
               for k in range(two_n // 2 + 1)}
     return CosetCountTable(two_n=two_n, orbit=orbit, root_count=orbit.root_count_u,
                            counts=counts,
@@ -107,6 +165,7 @@ def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
     enumerates the coset a0 + U below internal norm 2. Returns the empty
     histogram when no E8 vector pairs to k (non-primitive v, odd k).
     """
+    from .lattice import E8
     v = orbit.representative
     g, coeff = _pairing_solution(v)
     if k % g:
@@ -201,6 +260,7 @@ def nikulin_minus2_property(s: Lattice) -> bool:
     (signatures (1,1), (1,9), (1,17)) and for even lattices of determinant
     +-2 with rank congruent to 1 mod 8 (rank small enough to fit).
     """
+    from .lattice import determinant, signature
     sig = signature(s)
     if sig[0] != 1:
         raise WrongSignatureError(f"expected Lorentzian signature (1, m), got {sig}")

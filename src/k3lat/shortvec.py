@@ -21,7 +21,6 @@ from math import isqrt, lcm
 
 from . import intlinalg as la
 from .errors import IndefiniteLatticeError, NotPositiveDefiniteError
-from .lattice import signature
 
 
 def _reduce_definite(gram) -> tuple[list[int], la.IntMatrix]:
@@ -166,6 +165,7 @@ def root_count(lat) -> int:
     Negative definite input is flipped to the internal positive convention
     first, so this is the count of norm -2 vectors in the negative convention.
     """
+    from .lattice import signature
     pos, neg = signature(lat)  # raises DegenerateLatticeError on det 0
     if neg == 0:
         gram = lat.gram

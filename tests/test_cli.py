@@ -121,6 +121,21 @@ def test_e8_orbits_loads_only_the_orbit_modules():
                       "False False"
 
 
+def test_table_and_divisors_load_no_lattice_module():
+    # The rows are read from the projection of E8 on a reduced basis of
+    # Z^8/Z v0, so neither command builds a complement or loads k3lat.lattice.
+    row_modules = ["k3lat", "k3lat.cli", "k3lat.e8", "k3lat.errors", "k3lat.glue",
+                   "k3lat.intlinalg", "k3lat.records", "k3lat.shortvec"]
+    for argv, extra in ((["table", "--to", "8", "--format", "json"], ["k3lat.parallel"]),
+                        (["divisors", "--norm", "8", "--json"], [])):
+        code = ("import sys; from k3lat.cli import main; "
+                f"main({argv!r}); "
+                "print(sorted(m for m in sys.modules if m.startswith('k3lat')))")
+        *out, modules = fresh_python(code).splitlines()
+        assert len(json.loads("\n".join(out))["rows"]) == (5 if argv[0] == "table" else 2)
+        assert modules == str(sorted(row_modules + extra)), argv
+
+
 def test_text_output_loads_no_json():
     code = ("import sys; from k3lat.cli import main; "
             "main(['lat', 'info', 'II(2,26)']); main(['e8', 'orbits', '--norm', '8']); "
