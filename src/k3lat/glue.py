@@ -19,10 +19,8 @@ from math import gcd
 from operator import mul
 
 from . import intlinalg as la
-from .e8 import OrbitClass, _pairings
 from .errors import NormOutOfRangeError, WrongSignatureError
 from .records import Record
-from .shortvec import root_count, short_vectors
 
 
 class EmbeddingReport(Record):
@@ -68,6 +66,7 @@ class CosetCountTable(Record):
 
 def _pairing_solution(v) -> tuple[int, list[int]]:
     """(g, w) with (v, w) = g, the content of v (E8 is unimodular)."""
+    from .e8 import _pairings
     g, w = 0, [0] * 8
     for i, p in enumerate(_pairings(v)):
         g, a, b = la.xgcd(g, p)
@@ -134,6 +133,8 @@ def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
     c_i = p . b_i mod 2n0, where 2n0 = 2n/m^2. On the `lll_reduce` basis the
     norms below 2 are Q below 4n0. Column k = m t is the histogram of label t,
     and is empty where m does not divide k."""
+    from .e8 import _pairings
+    from .shortvec import short_vectors
     two_n, v = orbit.two_n, orbit.representative
     m = gcd(*v)
     v0 = [x // m for x in v]
@@ -166,6 +167,7 @@ def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
     histogram when no E8 vector pairs to k (non-primitive v, odd k).
     """
     from .lattice import E8
+    from .shortvec import short_vectors
     v = orbit.representative
     g, coeff = _pairing_solution(v)
     if k % g:
@@ -179,6 +181,7 @@ def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
 
 def restricted_weight(u: Lattice) -> int:
     """Weight of the restricted form: 12 plus half the root count of U."""
+    from .shortvec import root_count
     if u.rank > 26:
         raise ValueError("complement lattice cannot have rank above 26")
     roots = root_count(u)  # raises IndefiniteLatticeError when not definite

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import os
 
-from . import lattice as lt
 from .errors import SpecSyntaxError, UnknownStandardLatticeError
 from .records import Record
 
-_NAMED = {"E8": lambda: lt.E8, "E7": lambda: lt.E7, "E6": lambda: lt.E6,
-          "H": lambda: lt.H}
+# The named lattices, constants of `lattice`: a spec parses without it.
+_NAMED = ("E8", "E7", "E6", "H")
 
 
 class Named(Record):
@@ -118,9 +117,10 @@ def _parse_atom(sc: _Scanner):
         sc.expect(",")
         q = sc.integer()
         sc.expect(")")
-        if (p, q) not in lt._STANDARD_PAIRS:
+        from .lattice import _STANDARD_PAIRS
+        if (p, q) not in _STANDARD_PAIRS:
             raise UnknownStandardLatticeError(
-                f"II({p},{q}) is not one of {list(lt._STANDARD_PAIRS)}", start)
+                f"II({p},{q}) is not one of {list(_STANDARD_PAIRS)}", start)
         return Standard(p, q)
     if name == "gram":
         sc.expect(":")
@@ -165,13 +165,14 @@ def print_spec(spec: LatticeSpec) -> str:
     return " + ".join(parts)
 
 
-def evaluate(spec: LatticeSpec, base_dir: str = ".") -> lt.Lattice:
+def evaluate(spec: LatticeSpec, base_dir: str = ".") -> Lattice:
     """Build the lattice a parsed expression denotes."""
+    from . import lattice as lt
     pieces = []
     for term in spec.terms:
         atom = term.atom
         if isinstance(atom, Named):
-            piece = _NAMED[atom.name]()
+            piece = getattr(lt, atom.name)
         elif isinstance(atom, Standard):
             piece = lt.ii(atom.p, atom.q)
         elif isinstance(atom, Rank1):
@@ -185,5 +186,5 @@ def evaluate(spec: LatticeSpec, base_dir: str = ".") -> lt.Lattice:
     return lt.direct_sum(*pieces)
 
 
-def lattice_from_text(text: str, base_dir: str = ".") -> lt.Lattice:
+def lattice_from_text(text: str, base_dir: str = ".") -> Lattice:
     return evaluate(parse_spec(text), base_dir=base_dir)

@@ -117,8 +117,8 @@ def test_e8_orbits_loads_only_the_orbit_modules():
             "'fractions' in sys.modules, 'decimal' in sys.modules)")
     *out, modules = fresh_python(code).splitlines()
     assert json.loads("\n".join(out))["orbits"][1]["orbit_size"] == 17280
-    assert modules == "['k3lat', 'k3lat.cli', 'k3lat.e8', 'k3lat.errors', 'k3lat.records'] " \
-                      "False False"
+    assert modules == ("['k3lat', 'k3lat.cli', 'k3lat.cli_e8', 'k3lat.e8', 'k3lat.errors', "
+                       "'k3lat.records'] False False")
 
 
 def test_table_and_divisors_load_no_lattice_module():
@@ -126,8 +126,9 @@ def test_table_and_divisors_load_no_lattice_module():
     # Z^8/Z v0, so neither command builds a complement or loads k3lat.lattice.
     row_modules = ["k3lat", "k3lat.cli", "k3lat.e8", "k3lat.errors", "k3lat.glue",
                    "k3lat.intlinalg", "k3lat.records", "k3lat.shortvec"]
-    for argv, extra in ((["table", "--to", "8", "--format", "json"], ["k3lat.parallel"]),
-                        (["divisors", "--norm", "8", "--json"], [])):
+    for argv, extra in ((["table", "--to", "8", "--format", "json"],
+                         ["k3lat.cli_table", "k3lat.parallel"]),
+                        (["divisors", "--norm", "8", "--json"], ["k3lat.cli_divisors"])):
         code = ("import sys; from k3lat.cli import main; "
                 f"main({argv!r}); "
                 "print(sorted(m for m in sys.modules if m.startswith('k3lat')))")
@@ -151,7 +152,76 @@ def test_a_bad_norm_exits_1_before_any_library_module_loads():
             "main(['divisors', '--norm', '3'])]; "
             "print(codes, sorted(m for m in sys.modules if m.startswith('k3lat')), "
             "'json' in sys.modules)")
-    assert fresh_python(code) == "[1, 1, 1] ['k3lat', 'k3lat.cli', 'k3lat.errors'] False\n"
+    # Each command compiles its own CLI module, and no library module.
+    assert fresh_python(code) == ("[1, 1, 1] ['k3lat', 'k3lat.cli', 'k3lat.cli_divisors', "
+                                  "'k3lat.cli_e8', 'k3lat.cli_weight', 'k3lat.errors'] "
+                                  "False\n")
+
+
+def test_a_spec_that_does_not_parse_exits_1_before_lattice_loads():
+    code = ("import sys; from k3lat.cli import main; "
+            "code = main(['lat', 'info', 'E9']); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('k3lat')))")
+    assert fresh_python(code) == ("1 ['k3lat', 'k3lat.cli', 'k3lat.cli_lat', 'k3lat.errors', "
+                                  "'k3lat.records', 'k3lat.specparse']\n")
+
+
+def test_python_m_compiles_cli_once():
+    # Under `python -m k3lat.cli` the command modules import the shared
+    # helpers from the running module, not from a second copy of k3lat.cli.
+    src = str(Path(k3lat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "k3lat.cli", "lat",
+                          "info", "E9"], env=env, capture_output=True, text=True, timeout=60)
+    imported = [line.rpartition("|")[2].strip() for line in run.stderr.splitlines()]
+    assert run.returncode == 1 and run.stdout == ""
+    assert "k3lat.cli_lat" in imported and "k3lat.cli" not in imported
+
+
+SPEC_MODULES = ["k3lat.errors", "k3lat.intlinalg", "k3lat.lattice", "k3lat.records",
+                "k3lat.specparse"]
+ROW_MODULES = ["k3lat.e8", "k3lat.errors", "k3lat.glue", "k3lat.intlinalg",
+               "k3lat.records", "k3lat.shortvec"]
+SBAD_MODULES = ["k3lat.cli_sbad", "k3lat.errors", "k3lat.intlinalg", "k3lat.lattice",
+                "k3lat.records", "k3lat.sbad"]
+# (argv, exit code, the k3lat modules it loads besides k3lat and k3lat.cli)
+COMMAND_MODULES = [
+    (["lat", "info", "-E8 + -E8 + -E8"], 0,
+     ["k3lat.cli_lat", *SPEC_MODULES, "k3lat.shortvec"]),
+    (["lat", "info", "II(2,26)"], 0, ["k3lat.cli_lat", *SPEC_MODULES]),
+    (["lat", "info", "E9"], 1,
+     ["k3lat.cli_lat", "k3lat.errors", "k3lat.records", "k3lat.specparse"]),
+    (["e8", "orbits", "--norm", "8"], 0,
+     ["k3lat.cli_e8", "k3lat.e8", "k3lat.errors", "k3lat.records"]),
+    (["table", "--to", "8"], 0, ["k3lat.cli_table", *ROW_MODULES, "k3lat.parallel"]),
+    (["divisors", "--norm", "8"], 0, ["k3lat.cli_divisors", *ROW_MODULES]),
+    (["weight", "--norm", "14"], 0,
+     ["k3lat.cli_weight", "k3lat.e8", "k3lat.errors", "k3lat.records"]),
+    (["embed", "check", "(-2) + -E8 + -E8 + H + H"], 0,
+     ["k3lat.cli_embed", *SPEC_MODULES, "k3lat.glue"]),
+    (["minus2", "property", "II(1,17)"], 0, ["k3lat.cli_minus2", *SPEC_MODULES, "k3lat.glue"]),
+    (["sbad", "witness", "--gram", "witness.txt"], 0, SBAD_MODULES),
+    (["sbad", "polarized", "--n", "4", "--dnorm", "0", "--k", "4"], 0, SBAD_MODULES),
+]
+
+
+@pytest.mark.parametrize("argv, code, modules", COMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, *_ in COMMAND_MODULES])
+def test_each_command_loads_exactly_its_own_modules(argv, code, modules, monkeypatch,
+                                                    tmp_path):
+    # A command compiles its own CLI module and the library modules it
+    # runs: no other command's body, and neither e8 nor shortvec for the
+    # embedding and -2 tests.
+    witness = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "witness.txt"
+    (tmp_path / "witness.txt").write_text(witness.read_text())
+    monkeypatch.chdir(tmp_path)
+    script = ("import contextlib, io, sys; from k3lat.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()), "
+              "contextlib.redirect_stderr(io.StringIO()):\n"
+              f"    code = main({argv!r})\n"
+              "print(code, sorted(m for m in sys.modules if m.startswith('k3lat')))")
+    expected = sorted(["k3lat", "k3lat.cli", *modules])
+    assert fresh_python(script) == f"{code} {expected}\n"
 
 
 def test_public_names_resolve_to_their_defining_modules():
