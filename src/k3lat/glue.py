@@ -7,9 +7,10 @@ squared length (internal positive convention) lies in [0, 2). E8 is
 unimodular, so U' is the projection pi(E8) onto v-perp. With v = m v0, v0
 primitive, p = v0 . G and 2n0 = p . v0, Q(x) = 2n0 x.G.x - (p.x)^2 on Z^8 is
 2n0 times the norm of pi(x), with kernel Z v0, and pi(x) lies in the class
-p.x mod 2n0 of U'/U = Z/2n0. The row is one labelled enumeration of Q on an
-LLL-reduced basis of Z^8/Z v0. The cross-check `dual_coset_counts` takes one
-coset of the HNF basis of U per column (the half-space search for k = 0).
+p.x mod 2n0 of U'/U = Z/2n0. The row is one labelled enumeration of Q on a
+basis of Z^8/Z v0, which `short_vectors` LLL-reduces. The cross-check
+`dual_coset_counts` takes one coset of the HNF basis of U per column (the
+half-space search for k = 0).
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def _completion(v0) -> list[list[int]]:
     with v0[0] != 0 (every coordinate of a dominant vector is positive). An
     xgcd chain: with g f = v0 on coordinates 0..i-1, xgcd(g, v0[i]) = (h, x, y)
     takes f, e_i to f' = (g f + v0[i] e_i)/h and b_i = x e_i - y f, with
-    determinant 1. Listed last first, which saves `lll_reduce` a third of its
-    steps."""
+    determinant 1. Listed last first, which saves the LLL of `short_vectors` a
+    third of its steps."""
     f, g, rows = [1] + [0] * 7, v0[0], []
     for i in range(1, 8):
         h, x, y = la.xgcd(g, v0[i])
@@ -90,65 +91,24 @@ def _completion(v0) -> list[list[int]]:
     return rows[::-1]
 
 
-def lll_reduce(gram, rows) -> list[list[int]]:
-    """LLL-reduce (delta = 3/4) a basis with positive definite integer Gram
-    matrix `gram`, and return `rows` under the same unimodular change. The
-    integral LLL of Cohen (GTM 138, Alg. 2.6.7) on the minors d and the entries
-    lam[k][j] = d_(j+1) mu_kj of `la.lagrange_reduction`, updated exactly."""
-    rows = [list(row) for row in rows]
-    d, lam = la.lagrange_reduction(gram)
-
-    def size_reduce(k, l):
-        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest to lam/d
-        if q:
-            lam[k][:l + 1] = [x - q * y for x, y in zip(lam[k], lam[l][:l] + [d[l + 1]])]
-            rows[k] = [x - q * y for x, y in zip(rows[k], rows[l])]
-
-    k, n = 1, len(gram)
-    while k < n:
-        size_reduce(k, k - 1)
-        r = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * r * r:  # Lovasz holds
-            for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
-            k += 1
-            continue
-        rows[k - 1], rows[k] = rows[k], rows[k - 1]
-        lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
-        b = (d[k - 1] * d[k + 1] + r * r) // d[k]
-        for i in range(k + 1, n):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - r * t) // d[k]
-            lam[i][k - 1] = (b * t + r * lam[i][k]) // d[k + 1]
-        d[k] = b
-        k = max(k - 1, 1)
-    return rows
-
-
 def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
     """Build the table row of an orbit by one labelled enumeration of pi(E8).
 
     With v = m v0, rows b_i completing v0 to a basis of Z^8 project to a
     basis of U' = pi(E8) with Gram Q_ij = 2n0 b_i.G.b_j - c_i c_j and label
-    c_i = p . b_i mod 2n0, where 2n0 = 2n/m^2. On the `lll_reduce` basis the
-    norms below 2 are Q below 4n0. Column k = m t is the histogram of label t,
-    and is empty where m does not divide k."""
+    c_i = p . b_i mod 2n0, where 2n0 = 2n/m^2. The norms below 2 are Q below
+    4n0. Column k = m t is the histogram of label t, and is empty where m does
+    not divide k."""
     from .e8 import _pairings
     from .shortvec import short_vectors
     two_n, v = orbit.two_n, orbit.representative
     m = gcd(*v)
     v0 = [x // m for x in v]
-    p, two_n0 = _pairings(v0), two_n // (m * m)
-
-    def projected(basis):  # (Q, c) of the basis
-        c = [sum(map(mul, p, b)) for b in basis]
-        return [[two_n0 * sum(map(mul, bg, bj)) - ci * cj for bj, cj in zip(basis, c)]
-                for bg, ci in zip(map(_pairings, basis), c)], c
-
-    basis = _completion(v0)
-    gram, c = projected(lll_reduce(projected(basis)[0], basis))
-    hist = short_vectors(gram, 2 * two_n0, exclusive=True,
-                         label=[x % two_n0 for x in c], modulus=two_n0)
+    p, two_n0, basis = _pairings(v0), two_n // (m * m), _completion(v0)
+    c = [sum(map(mul, p, b)) for b in basis]
+    gram = [[two_n0 * sum(map(mul, bg, bj)) - ci * cj for bj, cj in zip(basis, c)]
+            for bg, ci in zip(map(_pairings, basis), c)]
+    hist = short_vectors(gram, 2 * two_n0, exclusive=True, label=c, modulus=two_n0)
     by_label: dict[int, dict[Fraction, int]] = {}
     for (t, norm), count in hist.counts.items():
         by_label.setdefault(t, {})[norm / two_n0] = count

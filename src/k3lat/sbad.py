@@ -12,9 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from . import intlinalg as la
 from .errors import DegenerateExtensionError, DegenerateLatticeError, GramFileError
-from .lattice import Lattice, determinant, from_gram, parse_gram_text, signature
 from .records import Record
 
 
@@ -36,11 +34,13 @@ class ExtensionWitness(Record):
 
     @property
     def det_s(self) -> int:
+        from .lattice import determinant
         return determinant(self.s)
 
     @property
     def det_s1(self) -> int:
-        return la.bareiss_determinant(self.extended_gram)
+        from .intlinalg import bareiss_determinant
+        return bareiss_determinant(self.extended_gram)
 
 
 def is_sbad_extension(w: ExtensionWitness) -> bool:
@@ -50,6 +50,7 @@ def is_sbad_extension(w: ExtensionWitness) -> bool:
     A degenerate S1 (det 0) is reported via DegenerateExtensionError rather
     than as False: an isotropic bordering is not a lattice extension.
     """
+    from .lattice import from_gram, signature
     det_s = w.det_s
     if det_s == 0:
         raise DegenerateLatticeError("S must be nondegenerate")
@@ -124,6 +125,7 @@ def possible_extension_norms(two_n: int, k: int) -> list[int]:
 def read_witness_file(path) -> ExtensionWitness:
     """Witness file: Gram-file format for S plus one bordering row of
     rank+1 integers (pairings with the basis, then the self-norm)."""
+    from .lattice import parse_gram_text
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     s = parse_gram_text("\n".join(lines[:-1]), source=str(path))

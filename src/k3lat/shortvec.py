@@ -1,8 +1,10 @@
 """Short-vector enumeration in positive definite lattices.
 
-Branch and bound over the integer L D L^T of `intlinalg.lagrange_reduction`,
-recursing on the last coordinate outermost: with leading minors Delta_k,
-norm(y) = sum_k w_k^2 / (Delta_k Delta_(k+1)) for w_k = sum_(i>=k) a[i][k] y_i.
+The search LLL-reduces the basis it is given (`lll_reduce`), so its work
+does not depend on that basis, and branches and bounds over the integer
+L D L^T the LLL ends with, the Lagrange reduction of the reduced basis,
+last coordinate outermost: with leading minors Delta_k, norm(y) =
+sum_k w_k^2 / (Delta_k Delta_(k+1)) for w_k = sum_(i>=k) a[i][k] y_i.
 Scaled by q^2 M, where q clears the denominators of the bound and the offset
 and M = lcm_k Delta_k Delta_(k+1), every quantity is an integer and the
 coordinate intervals come from math.isqrt exactly. No floating point.
@@ -42,6 +44,46 @@ def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
     lower = [[Fraction(a[i][k], minors[k + 1]) if k < i else Fraction(int(i == k))
               for k in range(n)] for i in range(n)]
     return lower, [Fraction(minors[k + 1], minors[k]) for k in range(n)]
+
+
+def lll_reduce(gram, label, offset) -> tuple[list[int], la.IntMatrix, list, list]:
+    """Cohen's integral LLL (GTM 138, Alg. 2.6.7, delta = 3/4) of a positive
+    definite integer Gram matrix, on the minors d and the entries
+    lam[k][j] = d_(j+1) mu_kj of `_reduce_definite`, updated exactly. The
+    label form and the offset follow the basis: b_k -> b_k - q b_l takes c_k
+    to c_k - q c_l and o_l to o_l + q o_k, and a swap swaps both. Returns
+    (d, lam, label, offset); d and lam below its diagonal are then the
+    Lagrange reduction of the reduced basis."""
+    d, lam = _reduce_definite(gram)
+    label, offset = list(label), list(offset)
+
+    def size_reduce(k, l):
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest to lam/d
+        if q:
+            lam[k][:l + 1] = [x - q * y for x, y in zip(lam[k], lam[l][:l] + [d[l + 1]])]
+            label[k] -= q * label[l]
+            offset[l] += q * offset[k]
+
+    k, n = 1, len(gram)
+    while k < n:
+        size_reduce(k, k - 1)
+        r = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * r * r:  # Lovasz holds
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+            continue
+        lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+        for v in (label, offset):
+            v[k - 1], v[k] = v[k], v[k - 1]
+        b = (d[k - 1] * d[k + 1] + r * r) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - r * t) // d[k]
+            lam[i][k - 1] = (b * t + r * lam[i][k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
+    return d, lam, label, offset
 
 
 class NormHistogram:
@@ -86,11 +128,7 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
         raise ValueError("label form needs one coefficient per coordinate "
                          "and a positive modulus")
     hist = NormHistogram()
-    if r == 0:
-        if (bound > 0) or (bound == 0 and not exclusive):
-            hist.counts[Fraction(0) if label is None else (0, Fraction(0))] = 1
-        return hist
-    minors, a = _reduce_definite(gram)
+    minors, a, coeff, offset = lll_reduce(gram, [0] * r if label is None else label, offset)
     if bound < 0 or (exclusive and bound == 0):
         return hist
 
@@ -104,7 +142,6 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
     bb = bound.numerator * (scale // bound.denominator)
 
     partial = [0] * r  # partial[k] = sum_(i>k fixed) a[i][k] q (x_i + c_i)
-    coeff = list(label) if label is not None else [0] * r
     # Leaves are keyed by the scaled integer norm (with the label, if any)
     # and converted to exact fractions once, after the search.
     raw: dict = {}
@@ -140,7 +177,8 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
                 partial[k] -= row[k] * y
 
     half = not any(cq)
-    descend(r - 1, bb, 0, half)
+    if r:
+        descend(r - 1, bb, 0, half)
     if half:  # -x has the norm of x and the label -t; the zero vector is no leaf
         leaves, raw = raw, {0 if label is None else (0, 0): 1}
         for key, c in leaves.items():

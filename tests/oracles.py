@@ -20,6 +20,10 @@ squares with Fraction arithmetic, the reference for the fraction-free
 square matrix, so it also serves for the unimodularity of transforms, and it
 is the reference for `intlinalg.bareiss_determinant`, which reads the
 determinant of a symmetric matrix off the Lagrange reduction.
+
+`random_unimodular`, `random_definite_grams` and `skewed_gram` are seeded
+inputs, not engines: Gram matrices on skewed bases, for the tests that a
+count does not depend on the basis it is computed on.
 """
 
 from __future__ import annotations
@@ -183,3 +187,42 @@ def determinant(m) -> int:
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def random_unimodular(rng, n, steps):
+    """A product of `steps` random elementary row operations and swaps."""
+    u = la.identity(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def random_definite_grams(rng, count):
+    """Seeded positive definite Gram matrices of rank 1..7: B B^T for a
+    random nonsingular B, put on a skewed basis U B by a random unimodular U."""
+    out = []
+    while len(out) < count:
+        n = 1 + len(out) % 7
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if determinant(b) == 0:
+            continue
+        ub = la.mat_mul(random_unimodular(rng, n, 2 * n), b)
+        out.append(la.mat_mul(ub, la.transpose(ub)))
+    return out
+
+
+def skewed_gram(gram, rng, least):
+    """The Gram matrix U G U^T of `gram` under a seeded random unimodular U,
+    grown one elementary step at a time until some entry reaches `least` in
+    absolute value."""
+    u = la.identity(len(gram))
+    while True:
+        u = la.mat_mul(random_unimodular(rng, len(gram), 1), u)
+        skewed = la.mat_mul(la.mat_mul(u, gram), la.transpose(u))
+        if max(abs(x) for row in skewed for x in row) >= least:
+            return skewed

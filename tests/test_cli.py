@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import k3lat
 import k3lat.e8
 import k3lat.lattice
 from k3lat.cli import main
+from oracles import skewed_gram
 
 GOLDEN = Path(__file__).parent / "golden" / "table_2_14.md"
 
@@ -182,8 +184,7 @@ SPEC_MODULES = ["k3lat.errors", "k3lat.intlinalg", "k3lat.lattice", "k3lat.recor
                 "k3lat.specparse"]
 ROW_MODULES = ["k3lat.e8", "k3lat.errors", "k3lat.glue", "k3lat.intlinalg",
                "k3lat.records", "k3lat.shortvec"]
-SBAD_MODULES = ["k3lat.cli_sbad", "k3lat.errors", "k3lat.intlinalg", "k3lat.lattice",
-                "k3lat.records", "k3lat.sbad"]
+SBAD_MODULES = ["k3lat.cli_sbad", "k3lat.errors", "k3lat.records", "k3lat.sbad"]
 # (argv, exit code, the k3lat modules it loads besides k3lat and k3lat.cli)
 COMMAND_MODULES = [
     (["lat", "info", "-E8 + -E8 + -E8"], 0,
@@ -200,7 +201,8 @@ COMMAND_MODULES = [
     (["embed", "check", "(-2) + -E8 + -E8 + H + H"], 0,
      ["k3lat.cli_embed", *SPEC_MODULES, "k3lat.glue"]),
     (["minus2", "property", "II(1,17)"], 0, ["k3lat.cli_minus2", *SPEC_MODULES, "k3lat.glue"]),
-    (["sbad", "witness", "--gram", "witness.txt"], 0, SBAD_MODULES),
+    (["sbad", "witness", "--gram", "witness.txt"], 0,
+     [*SBAD_MODULES, "k3lat.intlinalg", "k3lat.lattice"]),
     (["sbad", "polarized", "--n", "4", "--dnorm", "0", "--k", "4"], 0, SBAD_MODULES),
 ]
 
@@ -210,8 +212,8 @@ COMMAND_MODULES = [
 def test_each_command_loads_exactly_its_own_modules(argv, code, modules, monkeypatch,
                                                     tmp_path):
     # A command compiles its own CLI module and the library modules it
-    # runs: no other command's body, and neither e8 nor shortvec for the
-    # embedding and -2 tests.
+    # runs: no other command's body, neither e8 nor shortvec for the
+    # embedding and -2 tests, and no lattice for `sbad polarized`.
     witness = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "witness.txt"
     (tmp_path / "witness.txt").write_text(witness.read_text())
     monkeypatch.chdir(tmp_path)
@@ -434,6 +436,23 @@ def test_a_spec_starting_with_a_minus_needs_the_double_dash(capsys):
     assert run(capsys, "lat", "info", "--", "-E8") == (0, out, "")
     code, out, err = run(capsys, "lat", "info", "-E8")
     assert (code, out) == (1, "") and "required: spec" in err
+
+
+def test_lat_info_on_a_skewed_basis_of_minus_e8(capsys, tmp_path):
+    # -E8 on a seeded random basis with entries of 10^4 and more: the
+    # enumerator reduces the basis it is given, so the root count comes out
+    # as on the standard basis, and as quickly.
+    minus = k3lat.lattice.rescale(k3lat.lattice.E8)
+    gram = skewed_gram(minus.gram, random.Random(1), 10 ** 4)
+    path = tmp_path / "skewed.txt"
+    path.write_text("\n".join([str(len(gram)), *(" ".join(map(str, row)) for row in gram)]))
+    code, out, _ = run(capsys, "lat", "info", "--json", f"gram:{path}")
+    assert code == 0
+    skewed = json.loads(out)
+    code, out, _ = run(capsys, "lat", "info", "--json", "--", "-E8")
+    standard = json.loads(out)
+    assert (skewed.pop("spec"), standard.pop("spec")) == (f"gram:{path}", "-E8")
+    assert skewed == standard and skewed["root_count"] == 240
 
 
 def test_embed_check(capsys):

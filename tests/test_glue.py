@@ -3,9 +3,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from oracles import bucketed_row, determinant
+from oracles import bucketed_row, determinant, random_unimodular
 
-from k3lat import glue, intlinalg as la, lattice as lt
+from k3lat import glue, intlinalg as la, lattice as lt, shortvec
 from k3lat.e8 import orbits_of_norm
 from k3lat.shortvec import short_vectors
 from k3lat.errors import (
@@ -127,77 +127,6 @@ def test_rows_beyond_the_golden_range_match_coset_oracle():
     assert columns == 426 + 26  # 26 orbits with 2n = 24..40, one k = 0 column each
 
 
-def random_unimodular(rng, n, steps):
-    """A product of `steps` random elementary row operations and swaps."""
-    u = la.identity(n)
-    for _ in range(steps if n > 1 else 0):
-        i, j = rng.sample(range(n), 2)
-        if rng.random() < 0.2:
-            u[i], u[j] = u[j], u[i]
-        else:
-            c = rng.choice((-3, -2, -1, 1, 2, 3))
-            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-    return u
-
-
-def random_definite_grams(rng, count):
-    """Seeded positive definite Gram matrices of rank 1..7: B B^T for a
-    random nonsingular B, put on a skewed basis U B by a random unimodular U."""
-    out = []
-    while len(out) < count:
-        n = 1 + len(out) % 7
-        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if determinant(b) == 0:
-            continue
-        ub = la.mat_mul(random_unimodular(rng, n, 2 * n), b)
-        out.append(la.mat_mul(ub, la.transpose(ub)))
-    return out
-
-
-def gram_schmidt_minors(gram):
-    """Cohen's d_k = B_1 ... B_k and lam_kj = d_(j+1) mu_kj (0-based k > j),
-    from a Gram-Schmidt over Fractions that shares no step with the library."""
-    n = len(gram)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = []
-    for i in range(n):
-        for j in range(i):
-            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * norms[k]
-                                         for k in range(j))) / norms[j]
-        norms.append(Fraction(gram[i][i]) - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
-    d = [Fraction(1)]
-    for b in norms:
-        d.append(d[-1] * b)
-    return d, [[d[j + 1] * mu[i][j] for j in range(i)] for i in range(n)]
-
-
-def test_lll_reduce_keeps_the_lattice_and_labels_and_reduces():
-    rng = random.Random(16)
-    grams = random_definite_grams(rng, 210)
-    swapped = 0
-    for gram in grams:
-        n = len(gram)
-        label = [rng.randint(-20, 20) for _ in range(n)]
-        modulus = rng.randint(2, 12)
-        rows = glue.lll_reduce(gram, [e + [c] for e, c in zip(la.identity(n), label)])
-        h, new_label = [row[:n] for row in rows], [row[n] for row in rows]
-        assert abs(determinant(h)) == 1
-        reduced = la.mat_mul(la.mat_mul(h, gram), la.transpose(h))
-        assert determinant(reduced) == determinant(gram)
-        d, lam = gram_schmidt_minors(reduced)
-        for k in range(1, n):
-            for j in range(k):
-                assert lam[k][j].denominator == 1 and abs(2 * lam[k][j]) <= d[j + 1]
-            # Lovasz with delta = 3/4, in Cohen's integers
-            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
-        swapped += h != la.identity(n)
-        bound = sorted(reduced[i][i] for i in range(n))[min(1, n - 1)]
-        before = short_vectors(gram, bound, label=label, modulus=modulus)
-        after = short_vectors(reduced, bound, label=new_label, modulus=modulus)
-        assert before == after and before.total >= 3, gram
-    assert swapped >= 150
-
-
 def test_completion_is_unimodular_for_every_dominant_vector():
     seen = set()
     for two_n in range(2, 102, 2):
@@ -212,24 +141,26 @@ def test_completion_is_unimodular_for_every_dominant_vector():
 
 def test_rows_are_unchanged_on_a_second_basis(monkeypatch):
     # A seeded random unimodular change of the 7-dimensional basis before the
-    # reduction; the labels c_i = p . b_i follow the basis. Both runs record
-    # the reduced bases, which must differ for most orbits.
+    # enumeration; the labels c_i = p . b_i follow the basis. Both runs record
+    # the Gram matrices handed to short_vectors, which must differ for most
+    # orbits.
     rng = random.Random(61)
     orbits = [o for two_n in range(2, 34, 2) for o in orbits_of_norm(two_n)]
-    reduced = []
-    lll_reduce, completion = glue.lll_reduce, glue._completion
+    grams = []
+    completion = glue._completion
 
-    def recording(gram, rows):
-        reduced.append(lll_reduce(gram, rows))
-        return reduced[-1]
+    def recording(gram, *args, **kwargs):
+        grams.append(gram)
+        return short_vectors(gram, *args, **kwargs)
 
-    monkeypatch.setattr(glue, "lll_reduce", recording)
+    monkeypatch.setattr(shortvec, "short_vectors", recording)
     first = [glue.coset_count_row(o).counts for o in orbits]
     monkeypatch.setattr(glue, "_completion", lambda v0: la.mat_mul(
         random_unimodular(rng, 7, 20), completion(v0)))
     assert [glue.coset_count_row(o).counts for o in orbits] == first
     half = len(orbits)
-    assert sum(a != b for a, b in zip(reduced[:half], reduced[half:])) > half // 2
+    assert len(grams) == 2 * half
+    assert sum(a != b for a, b in zip(grams[:half], grams[half:])) > half // 2
 
 
 def test_restricted_weight():

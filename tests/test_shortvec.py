@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm, prod
@@ -9,31 +10,43 @@ from k3lat import intlinalg as la
 from k3lat import lattice as lt
 from k3lat.e8 import orbits_of_norm
 from k3lat.errors import IndefiniteLatticeError, NotPositiveDefiniteError
-from k3lat.shortvec import NormHistogram, rational_cholesky, root_count, short_vectors
-from oracles import (determinant, e8_vectors, model_norm, simple_root_coordinates,
-                     simple_root_pairings)
+from k3lat.shortvec import (NormHistogram, lll_reduce, rational_cholesky, root_count,
+                            short_vectors)
+from oracles import (determinant, e8_vectors, model_norm, random_definite_grams,
+                     simple_root_coordinates, simple_root_pairings, skewed_gram)
 
 
-def box(gram, bound, offset):
+def box(gram, bound, offset, exact=False):
     """An axis box that provably holds every x with norm(x + offset) <= bound:
-    (x_i + c_i) squared is at most bound * (G^-1)_ii."""
+    (x_i + c_i) squared is at most bound * (G^-1)_ii = s. The radius is
+    isqrt(ceil(s)) + 1, or with `exact` the ceiling of sqrt(ceil(s))."""
     ginv = la.fraction_inverse(gram)
     ranges = []
     for i, c in enumerate(offset):
-        radius = isqrt((bound * ginv[i][i]).__ceil__()) + 1
+        s = (bound * ginv[i][i]).__ceil__()
+        radius = (isqrt(s - 1) + 1 if s else 0) if exact else isqrt(s) + 1
         ranges.append(range((-c - radius).__ceil__(), (-c + radius).__floor__() + 1))
     return ranges
 
 
-def box_search(gram, bound, offset=None, exclusive=False, label=None, modulus=0):
+def box_search(gram, bound, offset=None, exclusive=False, label=None, modulus=0,
+               basis=None):
     """Independent oracle: exhaust the box, with y = den * (x + offset) in
-    integers. With a label form, key by (sum label_i x_i mod modulus, norm)."""
+    integers. With a label form, key by (sum label_i x_i mod modulus, norm).
+    With a unimodular `basis` H the box is the exact one of H G H^T around
+    the offset o H^-1, and each of its points x' is counted as x = x' H, so a
+    reduced basis bounds the box while norms and labels are read on G."""
     bound = Fraction(bound)
     offset = [Fraction(c) for c in (offset or [0] * len(gram))]
     den = lcm(*(c.denominator for c in offset))
     shift = [int(c * den) for c in offset]
+    points = product(*box(gram, bound, offset))
+    if basis is not None:
+        reduced = la.mat_mul(la.mat_mul(basis, gram), la.transpose(basis))
+        centre = la.vec_mat(offset, la.fraction_inverse(basis))
+        points = (la.vec_mat(x, basis) for x in product(*box(reduced, bound, centre, True)))
     counts = {}
-    for x in product(*box(gram, bound, offset)):
+    for x in points:
         y = [den * xi + ci for xi, ci in zip(x, shift)]
         norm = Fraction(la.pairing(gram, y, y), den * den)
         if norm < bound or (norm == bound and not exclusive):
@@ -257,6 +270,88 @@ def test_unlabelled_histograms_are_unchanged():
         hist = short_vectors(*args)
         assert hist == NormHistogram(counts=want)
         assert all(type(key) is Fraction for key in hist.counts)
+
+
+def gram_schmidt_minors(gram):
+    """Cohen's d_k = B_1 ... B_k and lam_kj = d_(j+1) mu_kj (0-based k > j),
+    from a Gram-Schmidt over Fractions that shares no step with the library."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * norms[k]
+                                         for k in range(j))) / norms[j]
+        norms.append(Fraction(gram[i][i]) - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
+    d = [Fraction(1)]
+    for b in norms:
+        d.append(d[-1] * b)
+    return d, [[d[j + 1] * mu[i][j] for j in range(i)] for i in range(n)]
+
+
+def test_lll_reduce_keeps_the_lattice_and_labels_and_reduces():
+    # The label form follows the basis change H as c -> H c and the offset as
+    # o -> o H^-1, and the reduction does not depend on either: unit labels
+    # read off the columns of H, and unit offsets the rows of H^-1.
+    rng = random.Random(16)
+    grams = random_definite_grams(rng, 210)
+    swapped = nonempty = 0
+    for gram in grams:
+        n = len(gram)
+        zero, unit = [0] * n, la.identity(n)
+        d, lam, _, _ = lll_reduce(gram, zero, zero)
+        assert d[-1] == determinant(gram)
+        for k in range(1, n):
+            for j in range(k):
+                assert abs(2 * lam[k][j]) <= d[j + 1]
+            # Lovasz with delta = 3/4, in Cohen's integers
+            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+        h = la.transpose([lll_reduce(gram, e, zero)[2] for e in unit])
+        assert la.mat_mul(h, [lll_reduce(gram, zero, e)[3] for e in unit]) == unit
+        reduced = la.mat_mul(la.mat_mul(h, gram), la.transpose(h))
+        assert gram_schmidt_minors(reduced) == (d, [row[:i] for i, row in enumerate(lam)])
+        swapped += h != unit
+        # a labelled search with an offset, against the box oracle on G
+        label = [rng.randint(-20, 20) for _ in range(n)]
+        offset = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        modulus = rng.randint(2, 12)
+        bound = min(reduced[i][i] for i in range(n))
+        got = short_vectors(gram, bound, offset, label=label, modulus=modulus)
+        assert got.counts == box_search(gram, bound, offset, label=label,
+                                        modulus=modulus, basis=h), gram
+        nonempty += got.total > 0
+    assert swapped >= 150 and nonempty >= 150
+
+
+def count_descend_calls(fn, budget):
+    """fn() with every call of the enumerator's `descend` counted by a
+    profile hook, which raises once the count passes the budget."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "descend":
+            calls += 1
+            if calls > budget:
+                raise RuntimeError(f"descend ran more than {budget} times")
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_root_count_on_a_skewed_basis_stays_within_budget():
+    # The enumerator LLL-reduces the basis it is given, so -E8 with entries of
+    # 10^4 and more costs about what the standard basis costs. Searched on the
+    # basis as given, this Gram takes more than 100,000 calls.
+    minus = lt.rescale(lt.E8)
+    roots, standard = count_descend_calls(lambda: root_count(minus), 10_000)
+    assert roots == 240
+    skewed = lt.from_gram(skewed_gram(minus.gram, random.Random(1), 10 ** 4))
+    assert count_descend_calls(lambda: root_count(skewed), 2 * standard)[0] == 240
 
 
 def test_root_count_table_complements():
