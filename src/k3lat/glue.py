@@ -9,8 +9,8 @@ primitive, p = v0 . G and 2n0 = p . v0, Q(x) = 2n0 x.G.x - (p.x)^2 on Z^8 is
 2n0 times the norm of pi(x), with kernel Z v0, and pi(x) lies in the class
 p.x mod 2n0 of U'/U = Z/2n0. The row is one labelled enumeration of Q on a
 basis of Z^8/Z v0, which `short_vectors` LLL-reduces. The cross-check
-`dual_coset_counts` takes one coset of the HNF basis of U per column (the
-half-space search for k = 0).
+`dual_coset_counts` takes one coset a0 + U per column, on the HNF basis of
+U bordered by a0: the slice t = 1 of the integral lattice U + Z a0.
 """
 
 from __future__ import annotations
@@ -122,21 +122,26 @@ def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
 def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
     """Independent rank-7 oracle for one column of a table row.
 
-    Solves (x0, v) = k in E8, projects x0 into the span of U, and
-    enumerates the coset a0 + U below internal norm 2. Returns the empty
-    histogram when no E8 vector pairs to k (non-primitive v, odd k).
+    Solves (x0, v) = k in E8 and enumerates a0 + U below internal norm 2,
+    a0 the projection of x0, as the slice t = 1 of U + Z a0 under the
+    integral form d (norm(u + t a0) + t^2), d = 2n (Kannan's embedding,
+    Math. Oper. Res. 12, 1987): below 3d, |t| <= 1, and t mod 3 is the
+    label. Returns the empty histogram when no E8 vector pairs to k
+    (non-primitive v, odd k).
     """
     from .lattice import E8
     from .shortvec import short_vectors
-    v = orbit.representative
-    g, coeff = _pairing_solution(v)
+    g, coeff = _pairing_solution(orbit.representative)
     if k % g:
         return {}
-    a0 = [(k // g) * xc - Fraction(k, orbit.two_n) * vc for xc, vc in zip(coeff, v)]
-    u = orbit.complement
-    rhs = [E8.pairing(a0, b) for b in u.basis]
-    offset = la.vec_mat(rhs, la.fraction_inverse(u.gram))
-    return dict(short_vectors(u.gram, 2, offset, exclusive=True).counts)
+    x0 = [(k // g) * c for c in coeff]
+    u, d = orbit.complement, orbit.two_n
+    # (u, a0) = (u, x0) for u orthogonal to v, and d norm(a0) = d norm(x0) - k^2
+    border = [d * E8.pairing(x0, b) for b in u.basis]
+    gram = [[d * x for x in row] + [y] for row, y in zip(u.gram, border)]
+    gram.append(border + [d * E8.norm(x0) - k * k + d])
+    hist = short_vectors(gram, 3 * d, exclusive=True, label=[0] * u.rank + [1], modulus=3)
+    return {norm / d - 1: c for (t, norm), c in hist.counts.items() if t == 1}
 
 
 def restricted_weight(u: Lattice) -> int:

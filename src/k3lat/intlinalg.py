@@ -141,7 +141,7 @@ def bareiss_determinant(m: IntMatrix) -> int:
 def fraction_inverse(m) -> list[list[Fraction]]:
     """Exact inverse of a nonsingular integer matrix, adj m / det m.
 
-    Raises ZeroDivisionError on a singular input.
+    Serves `lattice.dual_basis`. Raises ZeroDivisionError if m is singular.
     """
     from fractions import Fraction
 

@@ -1,25 +1,26 @@
-"""Short-vector enumeration in positive definite lattices.
+"""Short-vector enumeration in positive definite integral lattices.
 
 The search LLL-reduces the basis it is given (`lll_reduce`), so its work
 does not depend on that basis, and branches and bounds over the integer
 L D L^T the LLL ends with, the Lagrange reduction of the reduced basis,
 last coordinate outermost: with leading minors Delta_k, norm(y) =
 sum_k w_k^2 / (Delta_k Delta_(k+1)) for w_k = sum_(i>=k) a[i][k] y_i.
-Scaled by q^2 M, where q clears the denominators of the bound and the offset
-and M = lcm_k Delta_k Delta_(k+1), every quantity is an integer and the
-coordinate intervals come from math.isqrt exactly. No floating point.
+Every norm is an integer, so a bound is read once as the largest norm it
+admits, and scaled by M = lcm_k Delta_k Delta_(k+1) every quantity is an
+integer and the coordinate intervals come from math.isqrt exactly. No
+floating point.
 
-With no offset, x and -x have one norm and opposite labels, so the search
-visits only the half-space of vectors whose last nonzero coordinate is
-positive (Cohen, GTM 138, 2.7.3): while every coordinate fixed so far is 0,
-the next one starts at 0, or at 1 on the last level. Each such leaf is then
-counted under its label t and under -t, and the zero vector once.
+x and -x have one norm and opposite labels, so the search visits only the
+half-space of vectors whose last nonzero coordinate is positive (Cohen,
+GTM 138, 2.7.3): while every coordinate fixed so far is 0, the next one
+starts at 0, or at 1 on the last level. Each such leaf is then counted
+under its label t and under -t, and the zero vector once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import ceil, floor, isqrt, lcm
 
 from . import intlinalg as la
 from .errors import IndefiniteLatticeError, NotPositiveDefiniteError
@@ -46,23 +47,21 @@ def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
     return lower, [Fraction(minors[k + 1], minors[k]) for k in range(n)]
 
 
-def lll_reduce(gram, label, offset) -> tuple[list[int], la.IntMatrix, list, list]:
+def lll_reduce(gram, label) -> tuple[list[int], la.IntMatrix, list]:
     """Cohen's integral LLL (GTM 138, Alg. 2.6.7, delta = 3/4) of a positive
     definite integer Gram matrix, on the minors d and the entries
     lam[k][j] = d_(j+1) mu_kj of `_reduce_definite`, updated exactly. The
-    label form and the offset follow the basis: b_k -> b_k - q b_l takes c_k
-    to c_k - q c_l and o_l to o_l + q o_k, and a swap swaps both. Returns
-    (d, lam, label, offset); d and lam below its diagonal are then the
-    Lagrange reduction of the reduced basis."""
+    label form follows the basis: b_k -> b_k - q b_l takes c_k to
+    c_k - q c_l, and a swap swaps it. Returns (d, lam, label); d and lam
+    below its diagonal are then the Lagrange reduction of the reduced basis."""
     d, lam = _reduce_definite(gram)
-    label, offset = list(label), list(offset)
+    label = list(label)
 
     def size_reduce(k, l):
         q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest to lam/d
         if q:
             lam[k][:l + 1] = [x - q * y for x, y in zip(lam[k], lam[l][:l] + [d[l + 1]])]
             label[k] -= q * label[l]
-            offset[l] += q * offset[k]
 
     k, n = 1, len(gram)
     while k < n:
@@ -74,8 +73,7 @@ def lll_reduce(gram, label, offset) -> tuple[list[int], la.IntMatrix, list, list
             k += 1
             continue
         lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
-        for v in (label, offset):
-            v[k - 1], v[k] = v[k], v[k - 1]
+        label[k - 1], label[k] = label[k], label[k - 1]
         b = (d[k - 1] * d[k + 1] + r * r) // d[k]
         for i in range(k + 1, n):
             t = lam[i][k]
@@ -83,7 +81,7 @@ def lll_reduce(gram, label, offset) -> tuple[list[int], la.IntMatrix, list, list
             lam[i][k - 1] = (b * t + r * lam[i][k]) // d[k + 1]
         d[k] = b
         k = max(k - 1, 1)
-    return d, lam, label, offset
+    return d, lam, label
 
 
 class NormHistogram:
@@ -108,59 +106,48 @@ class NormHistogram:
         return sum(self.counts.values())
 
 
-def short_vectors(gram, bound, offset=None, exclusive=False,
-                  label=None, modulus=0) -> NormHistogram:
-    """Enumerate all x in Z^r with norm(x + offset) within the bound.
+def short_vectors(gram, bound, *, exclusive=False, label=None,
+                  modulus=0) -> NormHistogram:
+    """Enumerate all x in Z^r with norm(x) within the bound.
 
-    ``gram`` is a sequence of integer rows and ``bound`` a rational;
-    ``offset`` is None or one rational per coordinate. ``exclusive``
-    switches the bound comparison from <= to <. ``label`` is an
-    optional integer linear form on the coordinates x, read modulo
-    ``modulus``; with it the histogram is keyed by (label, norm). With
-    a zero offset the search lists one of each pair x, -x and folds in
-    the other (see the module docstring); otherwise it lists every vector.
+    ``gram`` is a sequence of integer rows and ``bound`` a rational.
+    ``exclusive`` switches the bound comparison from <= to <. ``label`` is
+    an optional integer linear form on the coordinates x, read modulo
+    ``modulus``; with it the histogram is keyed by (label, norm). The
+    search lists one of each pair x, -x and folds in the other (see the
+    module docstring).
     """
     r = len(gram)
-    offset = offset or [0] * r
-    if len(offset) != r:
-        raise ValueError("offset length does not match the rank")
     if label is not None and (len(label) != r or modulus <= 0):
         raise ValueError("label form needs one coefficient per coordinate "
                          "and a positive modulus")
     hist = NormHistogram()
-    minors, a, coeff, offset = lll_reduce(gram, [0] * r if label is None else label, offset)
-    if bound < 0 or (exclusive and bound == 0):
+    minors, a, coeff = lll_reduce(gram, [0] * r if label is None else label)
+    top = ceil(bound) - 1 if exclusive else floor(bound)  # the largest norm admitted
+    if top < 0:
         return hist
 
-    q = lcm(bound.denominator, *(c.denominator for c in offset))
-    cq = [c.numerator * (q // c.denominator) for c in offset]  # q * offset
     products = [x * y for x, y in zip(minors, minors[1:])]  # Delta_k Delta_(k+1)
-    m = lcm(*products)
-    weight = [m // x for x in products]
-    step = [x * q for x in minors[1:]]  # q w_k grows by step[k] per unit of x_k
-    scale = q * q * m
-    bb = bound.numerator * (scale // bound.denominator)
+    scale = lcm(*products)
+    weight = [scale // x for x in products]
+    bb = top * scale
 
-    partial = [0] * r  # partial[k] = sum_(i>k fixed) a[i][k] q (x_i + c_i)
+    partial = [0] * r  # partial[k] = sum_(i>k fixed) a[i][k] x_i
     # Leaves are keyed by the scaled integer norm (with the label, if any)
     # and converted to exact fractions once, after the search.
     raw: dict = {}
 
     def descend(level: int, remaining: int, lab: int, zero: bool):
-        e, s = weight[level], step[level]
-        base = minors[level + 1] * cq[level] + partial[level]  # q w_level at x_level = 0
+        e, s, base = weight[level], minors[level + 1], partial[level]  # w_level at x_level = 0
         t = isqrt(remaining // e)
         x_hi = (t - base) // s
-        x_lo = -((t + base) // s)
-        if zero:  # all coordinates above are 0, so base is too: x_level >= 0, x != 0
-            x_lo = int(level == 0)
+        # while every coordinate above is 0, base is 0 too: x_level >= 0, x != 0
+        x_lo = int(level == 0) if zero else -((t + base) // s)
         if level == 0:
             c0, used = coeff[0], bb - remaining
             for xi in range(x_lo, x_hi + 1):
                 w = s * xi + base
                 key = used + e * w * w
-                if exclusive and key == bb:
-                    continue
                 if label is not None:
                     key = ((lab + c0 * xi) % modulus, key)
                 raw[key] = raw.get(key, 0) + 1
@@ -169,22 +156,20 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
         cl = coeff[level]
         for xi in range(x_lo, x_hi + 1):
             w = s * xi + base
-            y = q * xi + cq[level]
             for k in range(level):
-                partial[k] += row[k] * y
+                partial[k] += row[k] * xi
             descend(level - 1, remaining - e * w * w, lab + cl * xi, zero and not xi)
             for k in range(level):
-                partial[k] -= row[k] * y
+                partial[k] -= row[k] * xi
 
-    half = not any(cq)
     if r:
-        descend(r - 1, bb, 0, half)
-    if half:  # -x has the norm of x and the label -t; the zero vector is no leaf
-        leaves, raw = raw, {0 if label is None else (0, 0): 1}
-        for key, c in leaves.items():
-            mirror = key if label is None else (-key[0] % modulus, key[1])
-            raw[key] = raw.get(key, 0) + c
-            raw[mirror] = raw.get(mirror, 0) + c
+        descend(r - 1, bb, 0, True)
+    # -x has the norm of x and the label -t; the zero vector is no leaf
+    leaves, raw = raw, {0 if label is None else (0, 0): 1}
+    for key, c in leaves.items():
+        mirror = key if label is None else (-key[0] % modulus, key[1])
+        raw[key] = raw.get(key, 0) + c
+        raw[mirror] = raw.get(mirror, 0) + c
     if label is None:
         hist.counts.update((Fraction(key, scale), c) for key, c in raw.items())
     else:
@@ -192,9 +177,9 @@ def short_vectors(gram, bound, offset=None, exclusive=False,
     return hist
 
 
-def vector_count(gram, bound, offset=None, exclusive=False) -> int:
+def vector_count(gram, bound, *, exclusive=False) -> int:
     """Total number of vectors within the bound."""
-    return short_vectors(gram, bound, offset, exclusive).total
+    return short_vectors(gram, bound, exclusive=exclusive).total
 
 
 def root_count(lat) -> int:

@@ -10,7 +10,9 @@ pairing with v: every vector a of U' with label k and norm below 2 is the
 projection a = x - (k/2n) v of exactly one x in E8 with (x, v) = k, and
 then (x, x) = norm(a) + k^2/2n < n/2 + 2 for 0 <= k <= n. It shares no
 step with `glue.coset_count_row` (a labelled enumeration of U') or with
-`glue.dual_coset_counts` (a coset of U per column).
+`glue.dual_coset_counts` (a coset a0 + U per column, as a slice of the
+integral lattice U + Z a0), and it lists every vector, with no fold of x
+and -x, so it also checks the fold of `short_vectors`.
 
 `fraction_signature` is the Lagrange reduction over Q: it splits off
 squares with Fraction arithmetic, the reference for the fraction-free

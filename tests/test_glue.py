@@ -111,11 +111,10 @@ def test_imprimitive_rows_match_oracle_columnwise():
 
 
 def test_rows_beyond_the_golden_range_match_coset_oracle():
-    # The rows enumerate pi(E8) on an LLL-reduced basis of Z^8/Z v0, with no
-    # offset, up to sign. A column k >= 1 of the oracle enumerates a coset of
-    # the HNF basis of U with an offset outside U wherever k is not 0 in
-    # U'/U, so it lists every vector and checks the fold; its k = 0 column
-    # runs the half-space search on that other basis of U.
+    # The rows enumerate pi(E8) on an LLL-reduced basis of Z^8/Z v0, labelled
+    # by the class in U'/U. A column of the oracle is a coset a0 + U on the
+    # HNF basis of U, enumerated as the slice t = 1 of U + Z a0 under another
+    # integral form of rank 8; the fold x <-> -x takes that slice to t = -1.
     columns = 0
     for two_n in range(24, 42, 2):
         for orbit in orbits_of_norm(two_n):

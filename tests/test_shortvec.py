@@ -2,13 +2,14 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 
 import pytest
 
 from k3lat import intlinalg as la
 from k3lat import lattice as lt
 from k3lat.e8 import orbits_of_norm
+from k3lat.glue import coset_count_row, dual_coset_counts
 from k3lat.errors import IndefiniteLatticeError, NotPositiveDefiniteError
 from k3lat.shortvec import (NormHistogram, lll_reduce, rational_cholesky, root_count,
                             short_vectors)
@@ -16,39 +17,33 @@ from oracles import (determinant, e8_vectors, model_norm, random_definite_grams,
                      simple_root_coordinates, simple_root_pairings, skewed_gram)
 
 
-def box(gram, bound, offset, exact=False):
-    """An axis box that provably holds every x with norm(x + offset) <= bound:
-    (x_i + c_i) squared is at most bound * (G^-1)_ii = s. The radius is
-    isqrt(ceil(s)) + 1, or with `exact` the ceiling of sqrt(ceil(s))."""
+def box(gram, bound, exact=False):
+    """An axis box that provably holds every x with norm(x) <= bound: x_i
+    squared is at most bound * (G^-1)_ii = s. The radius is isqrt(ceil(s)) + 1,
+    or with `exact` the ceiling of sqrt(ceil(s))."""
     ginv = la.fraction_inverse(gram)
     ranges = []
-    for i, c in enumerate(offset):
+    for i in range(len(gram)):
         s = (bound * ginv[i][i]).__ceil__()
         radius = (isqrt(s - 1) + 1 if s else 0) if exact else isqrt(s) + 1
-        ranges.append(range((-c - radius).__ceil__(), (-c + radius).__floor__() + 1))
+        ranges.append(range(-radius, radius + 1))
     return ranges
 
 
-def box_search(gram, bound, offset=None, exclusive=False, label=None, modulus=0,
-               basis=None):
-    """Independent oracle: exhaust the box, with y = den * (x + offset) in
-    integers. With a label form, key by (sum label_i x_i mod modulus, norm).
-    With a unimodular `basis` H the box is the exact one of H G H^T around
-    the offset o H^-1, and each of its points x' is counted as x = x' H, so a
-    reduced basis bounds the box while norms and labels are read on G."""
+def box_search(gram, bound, exclusive=False, label=None, modulus=0, basis=None):
+    """Independent oracle: exhaust the box. With a label form, key by
+    (sum label_i x_i mod modulus, norm). With a unimodular `basis` H the box
+    is the exact one of H G H^T, and each of its points x' is counted as
+    x = x' H, so a reduced basis bounds the box while norms and labels are
+    read on G."""
     bound = Fraction(bound)
-    offset = [Fraction(c) for c in (offset or [0] * len(gram))]
-    den = lcm(*(c.denominator for c in offset))
-    shift = [int(c * den) for c in offset]
-    points = product(*box(gram, bound, offset))
+    points = product(*box(gram, bound))
     if basis is not None:
         reduced = la.mat_mul(la.mat_mul(basis, gram), la.transpose(basis))
-        centre = la.vec_mat(offset, la.fraction_inverse(basis))
-        points = (la.vec_mat(x, basis) for x in product(*box(reduced, bound, centre, True)))
+        points = (la.vec_mat(x, basis) for x in product(*box(reduced, bound, True)))
     counts = {}
     for x in points:
-        y = [den * xi + ci for xi, ci in zip(x, shift)]
-        norm = Fraction(la.pairing(gram, y, y), den * den)
+        norm = Fraction(la.pairing(gram, x, x))
         if norm < bound or (norm == bound and not exclusive):
             key = norm if label is None else (
                 sum(c * xi for c, xi in zip(label, x)) % modulus, norm)
@@ -105,9 +100,9 @@ def test_enumerate_e7_roots():
 
 
 def test_enumerate_e7_dual_coset():
-    gen = lt.discriminant_group(lt.E7).generators[0]
-    hist = short_vectors(lt.E7.gram, Fraction(2), offset=gen, exclusive=True)
-    assert hist.counts == {Fraction(3, 2): 56}
+    # U = v-perp for a root v of E8 is E7, and the column k = 1 of its row is
+    # the nontrivial coset of E7 in its dual: the 56 minimal vectors of norm 3/2
+    assert dual_coset_counts(orbits_of_norm(2)[0], 1) == {Fraction(3, 2): 56}
 
 
 def test_plus_minus_symmetry():
@@ -129,17 +124,6 @@ def test_plus_minus_symmetry():
             assert count % 2 == 0
 
 
-def test_offset_shift_invariance():
-    rng = random.Random(2)
-    gram = [list(r) for r in lt.E7.gram]
-    offset = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(7)]
-    base = short_vectors(lt.E7.gram, Fraction(3), offset=tuple(offset))
-    shift = [rng.randint(-2, 2) for _ in range(7)]
-    moved = tuple(o + s for o, s in zip(offset, shift))
-    again = short_vectors(lt.E7.gram, Fraction(3), offset=moved)
-    assert base.counts == again.counts
-
-
 def test_bound_monotonicity():
     small = short_vectors(lt.E8.gram, Fraction(4))
     large = short_vectors(lt.E8.gram, Fraction(8))
@@ -155,34 +139,32 @@ def test_exclusive_drops_the_boundary():
 
 
 def test_agrees_with_box_oracle():
-    # Ranks 1..5 and bounds with denominators up to 4. The scaling clears
-    # the products of consecutive leading minors, so include Gram matrices
-    # whose minors (1, 2, 5, 8 in the first) do not divide one another.
+    # Ranks 1..5 and bounds with denominators up to 4, inclusive and
+    # exclusive. The scaling clears the products of consecutive leading
+    # minors, so include Gram matrices whose minors (1, 2, 5, 8 in the first)
+    # do not divide one another.
     rng = random.Random(41)
     fixed = [[[2, 1, 0], [1, 3, 1], [0, 1, 2]], [[3, 1], [1, 2]]]
-    unchained = 0
+    unchained, modes = 0, {False: 0, True: 0}
     for case in range(40):
         while True:  # a box of at most 20,000 points keeps the oracle short
             gram = fixed[case] if case < len(fixed) else random_posdef(rng, 1 + case % 5)
             den = rng.randint(1, 4)
             bound = Fraction(den * rng.randint(1, 8) + rng.choice((-1, 1)), den)
-            offset = [Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in gram]
-            if rng.random() < 0.4:
-                offset = [0] * len(gram)
-            if prod(map(len, box(gram, bound, offset))) <= 20_000:
+            if prod(map(len, box(gram, bound))) <= 20_000:
                 break
         minors = [la.bareiss_determinant([row[:k] for row in gram[:k]])
                   for k in range(len(gram) + 1)]
         unchained += any(y % x for x, y in zip(minors, minors[1:]))
         exclusive = rng.random() < 0.5
-        got = short_vectors(tuple(map(tuple, gram)), bound,
-                            offset=tuple(offset), exclusive=exclusive)
-        assert got.counts == box_search(gram, bound, offset, exclusive)
-    assert unchained >= 10
+        modes[exclusive] += 1
+        got = short_vectors(tuple(map(tuple, gram)), bound, exclusive=exclusive)
+        assert got.counts == box_search(gram, bound, exclusive)
+    assert unchained >= 10 and min(modes.values()) >= 10
 
 
 def test_labelled_zero_offset_agrees_with_box_oracle():
-    # With no offset the enumerator lists one vector of each pair x, -x,
+    # The enumerator lists one vector of each pair x, -x,
     # credits the other to label -t and adds the zero vector once. Ranks 1..5,
     # moduli 3..7 with labels t != -t, bounds with denominators 1..4, and
     # every third bound the norm of a basis vector, so attained.
@@ -199,7 +181,7 @@ def test_labelled_zero_offset_agrees_with_box_oracle():
             else:
                 den = rng.randint(1, 4)
                 bound = Fraction(den * rng.randint(2, 6) + rng.choice((-1, 1)), den)
-            if prod(map(len, box(gram, bound, [0] * rank))) <= 20_000:
+            if prod(map(len, box(gram, bound))) <= 20_000:
                 break
         form = [rng.randint(-3, 3) for _ in range(rank)]
         form[rng.randrange(rank)] = rng.choice((1, -1))
@@ -239,10 +221,8 @@ def test_labelled_histogram_buckets_collected_vectors():
 
 
 def test_labelled_histogram_with_offset_and_zero_rank():
-    offset = tuple(lt.discriminant_group(lt.E7).generators[0])
-    plain = short_vectors(lt.E7.gram, Fraction(4), offset=offset)
-    labelled = short_vectors(lt.E7.gram, Fraction(4),
-                             offset=offset, label=(1,) * 7, modulus=3)
+    plain = short_vectors(lt.E7.gram, Fraction(4))
+    labelled = short_vectors(lt.E7.gram, Fraction(4), label=(1,) * 7, modulus=3)
     marginal = {}
     for (t, norm), count in labelled.counts.items():
         assert 0 <= t < 3
@@ -259,15 +239,11 @@ def test_labelled_histogram_with_offset_and_zero_rank():
 def test_unlabelled_histograms_are_unchanged():
     # exact histograms, pinned: keys are Fractions
     cases = [
-        ((lt.E8.gram, Fraction(6)),
-         {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160, Fraction(6): 6720}),
-        ((lt.E8.gram, Fraction(6), None, True),
-         {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160}),
-        ((lt.E7.gram, Fraction(4), lt.discriminant_group(lt.E7).generators[0]),
-         {Fraction(3, 2): 56, Fraction(7, 2): 576}),
+        (False, {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160, Fraction(6): 6720}),
+        (True, {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160}),
     ]
-    for args, want in cases:
-        hist = short_vectors(*args)
+    for exclusive, want in cases:
+        hist = short_vectors(lt.E8.gram, Fraction(6), exclusive=exclusive)
         assert hist == NormHistogram(counts=want)
         assert all(type(key) is Fraction for key in hist.counts)
 
@@ -290,37 +266,39 @@ def gram_schmidt_minors(gram):
 
 
 def test_lll_reduce_keeps_the_lattice_and_labels_and_reduces():
-    # The label form follows the basis change H as c -> H c and the offset as
-    # o -> o H^-1, and the reduction does not depend on either: unit labels
-    # read off the columns of H, and unit offsets the rows of H^-1.
+    # The label form follows the basis change H as c -> H c, and the
+    # reduction does not depend on it: unit labels read off the columns of H,
+    # which must be unimodular.
     rng = random.Random(16)
     grams = random_definite_grams(rng, 210)
-    swapped = nonempty = 0
+    swapped = compared = 0
     for gram in grams:
         n = len(gram)
-        zero, unit = [0] * n, la.identity(n)
-        d, lam, _, _ = lll_reduce(gram, zero, zero)
+        unit = la.identity(n)
+        d, lam, _ = lll_reduce(gram, [0] * n)
         assert d[-1] == determinant(gram)
         for k in range(1, n):
             for j in range(k):
                 assert abs(2 * lam[k][j]) <= d[j + 1]
             # Lovasz with delta = 3/4, in Cohen's integers
             assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
-        h = la.transpose([lll_reduce(gram, e, zero)[2] for e in unit])
-        assert la.mat_mul(h, [lll_reduce(gram, zero, e)[3] for e in unit]) == unit
+        h = la.transpose([lll_reduce(gram, e)[2] for e in unit])
+        assert determinant(h) in (1, -1)
         reduced = la.mat_mul(la.mat_mul(h, gram), la.transpose(h))
         assert gram_schmidt_minors(reduced) == (d, [row[:i] for i, row in enumerate(lam)])
         swapped += h != unit
-        # a labelled search with an offset, against the box oracle on G
+        # a labelled search to the shortest reduced basis vector, against the
+        # box oracle on G where its box has at most 5,000 points
         label = [rng.randint(-20, 20) for _ in range(n)]
-        offset = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
         modulus = rng.randint(2, 12)
         bound = min(reduced[i][i] for i in range(n))
-        got = short_vectors(gram, bound, offset, label=label, modulus=modulus)
-        assert got.counts == box_search(gram, bound, offset, label=label,
-                                        modulus=modulus, basis=h), gram
-        nonempty += got.total > 0
-    assert swapped >= 150 and nonempty >= 150
+        if prod(map(len, box(reduced, bound, True))) > 5_000:
+            continue
+        got = short_vectors(gram, bound, label=label, modulus=modulus)
+        assert got.counts == box_search(gram, bound, label=label, modulus=modulus,
+                                        basis=h), gram
+        compared += 1
+    assert swapped >= 150 and compared >= 150
 
 
 def count_descend_calls(fn, budget):
@@ -352,6 +330,34 @@ def test_root_count_on_a_skewed_basis_stays_within_budget():
     assert roots == 240
     skewed = lt.from_gram(skewed_gram(minus.gram, random.Random(1), 10 ** 4))
     assert count_descend_calls(lambda: root_count(skewed), 2 * standard)[0] == 240
+
+
+def test_exclusive_bound_is_pruned_not_filtered():
+    # Norms are integers, so an exclusive integer bound b admits what b - 1
+    # and (2b - 1)/2 admit, and the search is pruned there: the histogram and
+    # the descend count are those of the smaller bound.
+    rng = random.Random(29)
+    gram = random_posdef(rng, 5, spread=1)
+    form = [rng.randint(-3, 3) for _ in gram]
+    for g, b, kwargs in ((lt.E8.gram, 6, {}), (gram, 5, dict(label=form, modulus=5))):
+        half = Fraction(2 * b - 1, 2)
+        runs = [count_descend_calls(lambda: short_vectors(
+                    g, bound, exclusive=exclusive, **kwargs), 10_000)
+                for bound, exclusive in ((b, True), (b - 1, False), (half, False), (half, True))]
+        assert runs[0][0].total > 1
+        assert all(run == runs[0] for run in runs), [calls for _, calls in runs]
+    # no positional argument beyond the bound: a stale offset fails loudly
+    with pytest.raises(TypeError):
+        short_vectors(gram, 2, [Fraction(1, 2)] * len(gram))
+
+
+def test_table_rows_to_22_stay_within_descend_budget():
+    # The rows of `table --to 22` each prune the bound 2 * 2n0 (exclusive) at
+    # the largest norm 4n0 - 1 below it: 1,844 calls, against 2,970 when the
+    # search ran to the bound itself and dropped its leaves there.
+    orbits = [o for two_n in range(2, 24, 2) for o in orbits_of_norm(two_n)]
+    _, calls = count_descend_calls(lambda: [coset_count_row(o) for o in orbits], 1_900)
+    assert calls <= 1_900
 
 
 def test_root_count_table_complements():

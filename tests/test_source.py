@@ -78,6 +78,27 @@ def test_only_cli_main_writes_to_stdout():
     assert found == []
 
 
+def test_library_arithmetic_is_exact():
+    # Every quantity is an integer or a Fraction: no float literal, no
+    # float() call, and from math only the functions exact on integers.
+    exact = {"gcd", "lcm", "isqrt", "factorial", "floor", "ceil"}
+    found = []
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{name}:{node.lineno} {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{name}:{node.lineno} float(")
+            elif isinstance(node, ast.Import) and any(
+                    alias.name == "math" for alias in node.names):
+                found.append(f"{name}:{node.lineno} import math")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{name}:{node.lineno} math.{alias.name}"
+                          for alias in node.names if alias.name not in exact]
+    assert found == []
+
+
 def test_readme_library_example_runs():
     # The first python block after the Library heading, asserts kept under -O.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
