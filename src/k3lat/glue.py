@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from . import intlinalg as la
 from .errors import NormOutOfRangeError, WrongSignatureError
 from .records import Record
+from .reduction import xgcd
 
 
 class EmbeddingReport(Record):
@@ -70,7 +70,7 @@ def _pairing_solution(v) -> tuple[int, list[int]]:
     from .e8 import _pairings
     g, w = 0, [0] * 8
     for i, p in enumerate(_pairings(v)):
-        g, a, b = la.xgcd(g, p)
+        g, a, b = xgcd(g, p)
         w = [a * c for c in w]
         w[i] = b
     return g, w
@@ -85,7 +85,7 @@ def _completion(v0) -> list[list[int]]:
     third of its steps."""
     f, g, rows = [1] + [0] * 7, v0[0], []
     for i in range(1, 8):
-        h, x, y = la.xgcd(g, v0[i])
+        h, x, y = xgcd(g, v0[i])
         rows.append([-y * c for c in f[:i]] + [x] + f[i + 1:])
         f, g = [g // h * c for c in f[:i]] + [v0[i] // h] + f[i + 1:], h
     return rows[::-1]
@@ -111,7 +111,7 @@ def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
     hist = short_vectors(gram, 2 * two_n0, exclusive=True, label=c, modulus=two_n0)
     by_label: dict[int, dict[Fraction, int]] = {}
     for (t, norm), count in hist.counts.items():
-        by_label.setdefault(t, {})[norm / two_n0] = count
+        by_label.setdefault(t, {})[Fraction(norm, two_n0)] = count
     counts = {k: dict(by_label.get(k // m % two_n0, {})) if k % m == 0 else {}
               for k in range(two_n // 2 + 1)}
     return CosetCountTable(two_n=two_n, orbit=orbit, root_count=orbit.root_count_u,
@@ -141,7 +141,7 @@ def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
     gram = [[d * x for x in row] + [y] for row, y in zip(u.gram, border)]
     gram.append(border + [d * E8.norm(x0) - k * k + d])
     hist = short_vectors(gram, 3 * d, exclusive=True, label=[0] * u.rank + [1], modulus=3)
-    return {norm / d - 1: c for (t, norm), c in hist.counts.items() if t == 1}
+    return {Fraction(norm, d) - 1: c for (t, norm), c in hist.counts.items() if t == 1}
 
 
 def restricted_weight(u: Lattice) -> int:

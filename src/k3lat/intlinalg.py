@@ -3,16 +3,19 @@
 Matrices are lists of row lists of Python ints (Fractions where stated),
 vectors are row vectors. Nothing here ever touches floating point; the
 ranks in play (<= 28) keep the dense textbook algorithms fast. The integer
-eliminations are Hermite (kernels, the Smith form), Bareiss Gauss-Jordan
-(the adjugate) and Lagrange (signatures, determinants, the L D L^T of a
-definite form).
+eliminations here are Hermite (kernels, the Smith form) and Bareiss
+Gauss-Jordan (the adjugate). The Lagrange reduction behind signatures,
+determinants and the enumerator's L D L^T lives in `reduction`, with
+`xgcd` and `is_symmetric`; this module imports all three for its own
+eliminations, so they also resolve here.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-IntMatrix = list[list[int]]
+from .reduction import IntMatrix, is_symmetric, lagrange_reduction, xgcd
+
 IntVector = list[int]
 
 
@@ -42,26 +45,6 @@ def pairing(gram, x, y):
     return sum(xi * sum(g * yj for g, yj in zip(row, y)) for xi, row in zip(x, gram))
 
 
-def is_symmetric(m) -> bool:
-    n = len(m)
-    return all(len(row) == n for row in m) and all(
-        m[i][j] == m[j][i] for i in range(n) for j in range(i)
-    )
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with g = gcd(a,b) >= 0 and a*x + b*y = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def bareiss_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
     """(det m, adj m) of a nonsingular integer matrix, so adj m = det m * m^-1.
 
@@ -89,40 +72,6 @@ def bareiss_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
                 a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = pivot
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
-
-
-def lagrange_reduction(m: IntMatrix) -> tuple[list[int], IntMatrix]:
-    """Fraction-free Lagrange reduction of a symmetric integer matrix.
-
-    Pivots at the lowest active nonzero diagonal entry, or if there is none
-    at 2 a[i][j] after e_i -> e_i + e_j; Bareiss' update keeps each division
-    exact. Returns (minors, a): m is congruent over Q to the diagonal form
-    minors[i] / minors[i-1], or singular if minors stops short of len(m) + 1.
-    """
-    a = [list(row) for row in m]
-    active = list(range(len(a)))
-    minors = [1]
-    while active:
-        p = next((i for i in active if a[i][i]), None)
-        if p is None:
-            i = active[0]
-            j = next((j for j in active if a[i][j]), None)
-            if j is None:
-                break
-            for k in active:
-                a[i][k] += a[j][k]
-            for k in active:
-                a[k][i] += a[k][j]
-            p = i
-        prev, d = minors[-1], a[p][p]
-        minors.append(d)
-        active.remove(p)
-        pivot_row = a[p]
-        for i in active:
-            row, f = a[i], a[i][p]
-            for j in active:
-                row[j] = (d * row[j] - f * pivot_row[j]) // prev
-    return minors, a
 
 
 def bareiss_determinant(m: IntMatrix) -> int:

@@ -18,6 +18,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .records import Record
+from .reduction import is_symmetric, lagrange_reduction
 
 
 class Lattice(Record):
@@ -26,14 +27,15 @@ class Lattice(Record):
     ``gram`` is a tuple of integer row tuples. ``ambient`` and ``basis`` are
     set for sublattices: ``basis`` rows are integer coordinate vectors in
     the ambient basis and the Gram matrix equals basis . ambient_gram .
-    basis^T (checked on construction).
+    basis^T (checked on construction). ``minors``, which the signature and
+    the determinant read, is computed on first read and kept.
     """
 
-    __slots__ = ("gram", "ambient", "basis")
+    __slots__ = ("gram", "ambient", "basis", "_minors")
 
     def __init__(self, gram, ambient: Lattice | None = None, basis=None):
         g = [list(row) for row in gram]
-        if not la.is_symmetric(g):
+        if not is_symmetric(g):
             raise ValueError("Gram matrix must be symmetric")
         if (ambient is None) != (basis is None):
             raise ValueError("ambient and basis must be given together")
@@ -48,6 +50,17 @@ class Lattice(Record):
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    @property
+    def minors(self) -> tuple[int, ...]:
+        """The minors of the Lagrange reduction of the Gram matrix: rank + 1
+        of them, or fewer if the determinant is 0."""
+        try:
+            return self._minors
+        except AttributeError:
+            minors = tuple(lagrange_reduction(self.gram)[0])
+            object.__setattr__(self, "_minors", minors)
+            return minors
 
     @property
     def even(self) -> bool:
@@ -77,8 +90,12 @@ def sublattice(ambient: Lattice, rows) -> Lattice:
 
 
 def determinant(lat: Lattice) -> int:
-    """Exact Gram determinant, the last minor of the Lagrange reduction."""
-    return la.bareiss_determinant([list(r) for r in lat.gram])
+    """Exact Gram determinant: the last minor of the Lagrange reduction, or 0
+    if the reduction stops short. Each step is a congruence by a matrix of
+    determinant +-1 (a choice of pivot, or e_i -> e_i + e_j), so that minor
+    is the determinant."""
+    minors = lat.minors
+    return minors[-1] if len(minors) > lat.rank else 0
 
 
 def signature(lat: Lattice) -> tuple[int, int]:
@@ -87,7 +104,7 @@ def signature(lat: Lattice) -> tuple[int, int]:
     The negative index is the number of sign changes in its minors
     (Sylvester's law of inertia); an early stop means det 0.
     """
-    minors, _ = la.lagrange_reduction(lat.gram)
+    minors = lat.minors
     if len(minors) <= lat.rank:
         raise DegenerateLatticeError("lattice has determinant 0")
     neg = sum((x < 0) != (y < 0) for x, y in zip(minors, minors[1:]))
@@ -118,8 +135,6 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     generates the order-d_i cyclic factor, and |det L| is the product of
     the d_i. A zero elementary divisor means the lattice is degenerate.
     """
-    from fractions import Fraction
-
     left, diag = la.smith_normal_form([list(row) for row in lat.gram])
     divisors = []
     generators = []
@@ -129,6 +144,8 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
             raise DegenerateLatticeError("lattice has determinant 0")
         order *= d
         if d > 1:
+            from fractions import Fraction
+
             divisors.append(d)
             generators.append(tuple(Fraction(c, d) for c in left[i]))
     return DiscriminantGroup(tuple(divisors), tuple(generators), order)
@@ -264,7 +281,7 @@ def parse_gram_text(text: str, source: str = "<string>") -> Lattice:
         if len(row) != rank:
             raise GramFileError(f"{source}: row of length {len(row)}, expected {rank}")
         rows.append(row)
-    if not la.is_symmetric(rows):
+    if not is_symmetric(rows):
         raise GramFileError(f"{source}: Gram matrix is not symmetric")
     return from_gram(rows)
 

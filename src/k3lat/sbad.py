@@ -9,7 +9,6 @@ d - k^2/2n alone.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .errors import DegenerateExtensionError, DegenerateLatticeError, GramFileError
@@ -17,9 +16,10 @@ from .records import Record
 
 
 class ExtensionWitness(Record):
-    """S plus one bordering class: pairings with the S-basis and a self-norm."""
+    """S plus one bordering class: pairings with the S-basis and a self-norm.
+    ``s1``, the bordered lattice, is built on first read and kept."""
 
-    __slots__ = ("s", "pairings", "d_norm")
+    __slots__ = ("s", "pairings", "d_norm", "_s1")
 
     def __init__(self, s: Lattice, pairings: tuple[int, ...], d_norm: int):
         if len(pairings) != s.rank:
@@ -33,14 +33,24 @@ class ExtensionWitness(Record):
         return g
 
     @property
+    def s1(self) -> Lattice:
+        try:
+            return self._s1
+        except AttributeError:
+            from .lattice import from_gram
+            s1 = from_gram(self.extended_gram)
+            object.__setattr__(self, "_s1", s1)
+            return s1
+
+    @property
     def det_s(self) -> int:
         from .lattice import determinant
         return determinant(self.s)
 
     @property
     def det_s1(self) -> int:
-        from .intlinalg import bareiss_determinant
-        return bareiss_determinant(self.extended_gram)
+        from .lattice import determinant
+        return determinant(self.s1)
 
 
 def is_sbad_extension(w: ExtensionWitness) -> bool:
@@ -50,7 +60,7 @@ def is_sbad_extension(w: ExtensionWitness) -> bool:
     A degenerate S1 (det 0) is reported via DegenerateExtensionError rather
     than as False: an isotropic bordering is not a lattice extension.
     """
-    from .lattice import from_gram, signature
+    from .lattice import signature
     det_s = w.det_s
     if det_s == 0:
         raise DegenerateLatticeError("S must be nondegenerate")
@@ -59,7 +69,7 @@ def is_sbad_extension(w: ExtensionWitness) -> bool:
         raise DegenerateExtensionError("bordered lattice is degenerate")
     if abs(det_s1) > 2 * abs(det_s):
         return False
-    return signature(from_gram(w.extended_gram)) == (1, w.s.rank)
+    return signature(w.s1) == (1, w.s.rank)
 
 
 def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[ExtensionWitness]:
@@ -87,6 +97,8 @@ def polarized_bad(n: int, d_norm: int, k: int) -> bool:
     -2 <= d_norm - k^2/2n < 0, compared exactly."""
     if n <= 0:
         raise ValueError("polarization degree must be positive")
+    from fractions import Fraction
+
     projected = Fraction(d_norm) - Fraction(k * k, 2 * n)
     return -2 <= projected < 0
 
@@ -115,6 +127,8 @@ def possible_extension_norms(two_n: int, k: int) -> list[int]:
     """
     if two_n <= 0 or two_n % 2:
         raise ValueError("two_n must be a positive even integer")
+    from fractions import Fraction
+
     upper = Fraction(k * k, two_n)
     d = -2 * ((2 - upper) // 2)  # smallest even integer >= upper - 2
     if not upper - 2 <= d < upper:

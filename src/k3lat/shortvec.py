@@ -1,14 +1,15 @@
 """Short-vector enumeration in positive definite integral lattices.
 
-The search LLL-reduces the basis it is given (`lll_reduce`), so its work
-does not depend on that basis, and branches and bounds over the integer
-L D L^T the LLL ends with, the Lagrange reduction of the reduced basis,
-last coordinate outermost: with leading minors Delta_k, norm(y) =
-sum_k w_k^2 / (Delta_k Delta_(k+1)) for w_k = sum_(i>=k) a[i][k] y_i.
-Every norm is an integer, so a bound is read once as the largest norm it
-admits, and scaled by M = lcm_k Delta_k Delta_(k+1) every quantity is an
-integer and the coordinate intervals come from math.isqrt exactly. No
-floating point.
+The search LLL-reduces the basis it is given (`lll_reduce`, started from
+`reduction.lagrange_reduction`), so its work does not depend on that
+basis, and branches and bounds over the integer L D L^T the LLL ends with,
+the Lagrange reduction of the reduced basis, last coordinate outermost:
+with leading minors Delta_k, norm(y) = sum_k w_k^2 / (Delta_k Delta_(k+1))
+for w_k = sum_(i>=k) a[i][k] y_i. Every norm is an integer, so a bound is
+read once as the largest norm it admits and the histogram is keyed by
+integer norms; scaled by M = lcm_k Delta_k Delta_(k+1) every quantity is
+an integer and the coordinate intervals come from math.isqrt exactly. No
+floating point, and no Fraction in the search.
 
 x and -x have one norm and opposite labels, so the search visits only the
 half-space of vectors whose last nonzero coordinate is positive (Cohen,
@@ -19,19 +20,18 @@ under its label t and under -t, and the zero vector once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
 
-from . import intlinalg as la
 from .errors import IndefiniteLatticeError, NotPositiveDefiniteError
+from .reduction import IntMatrix, is_symmetric, lagrange_reduction
 
 
-def _reduce_definite(gram) -> tuple[list[int], la.IntMatrix]:
+def _reduce_definite(gram) -> tuple[list[int], IntMatrix]:
     """Lagrange reduction of G, checked positive definite: complete, with every
     minor positive (Sylvester). Its pivots then run in index order."""
-    if not la.is_symmetric(gram):
+    if not is_symmetric(gram):
         raise ValueError("Gram matrix must be symmetric")
-    minors, a = la.lagrange_reduction(gram)
+    minors, a = lagrange_reduction(gram)
     if len(minors) <= len(gram) or min(minors) <= 0:
         raise NotPositiveDefiniteError("Gram matrix is not positive definite")
     return minors, a
@@ -40,6 +40,8 @@ def _reduce_definite(gram) -> tuple[list[int], la.IntMatrix]:
 def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Exact G = L diag(d) L^T with L unit lower triangular: (L, pivots).
     Raises NotPositiveDefiniteError unless G is positive definite."""
+    from fractions import Fraction
+
     minors, a = _reduce_definite(gram)
     n = len(gram)
     lower = [[Fraction(a[i][k], minors[k + 1]) if k < i else Fraction(int(i == k))
@@ -47,7 +49,7 @@ def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
     return lower, [Fraction(minors[k + 1], minors[k]) for k in range(n)]
 
 
-def lll_reduce(gram, label) -> tuple[list[int], la.IntMatrix, list]:
+def lll_reduce(gram, label) -> tuple[list[int], IntMatrix, list]:
     """Cohen's integral LLL (GTM 138, Alg. 2.6.7, delta = 3/4) of a positive
     definite integer Gram matrix, on the minors d and the entries
     lam[k][j] = d_(j+1) mu_kj of `_reduce_definite`, updated exactly. The
@@ -85,7 +87,7 @@ def lll_reduce(gram, label) -> tuple[list[int], la.IntMatrix, list]:
 
 
 class NormHistogram:
-    """Exact counts of enumerated vectors, keyed by rational norm, or by
+    """Exact counts of enumerated vectors, keyed by integer norm, or by
     (label, norm) for a labelled query. Mutable, so not hashable."""
 
     __slots__ = ("counts",)
@@ -133,9 +135,7 @@ def short_vectors(gram, bound, *, exclusive=False, label=None,
     bb = top * scale
 
     partial = [0] * r  # partial[k] = sum_(i>k fixed) a[i][k] x_i
-    # Leaves are keyed by the scaled integer norm (with the label, if any)
-    # and converted to exact fractions once, after the search.
-    raw: dict = {}
+    raw: dict = {}  # leaves by scaled norm, or by (label, scaled norm)
 
     def descend(level: int, remaining: int, lab: int, zero: bool):
         e, s, base = weight[level], minors[level + 1], partial[level]  # w_level at x_level = 0
@@ -170,10 +170,11 @@ def short_vectors(gram, bound, *, exclusive=False, label=None,
         mirror = key if label is None else (-key[0] % modulus, key[1])
         raw[key] = raw.get(key, 0) + c
         raw[mirror] = raw.get(mirror, 0) + c
+    # every norm is an integer, so each scaled key divides by scale exactly
     if label is None:
-        hist.counts.update((Fraction(key, scale), c) for key, c in raw.items())
+        hist.counts.update((key // scale, c) for key, c in raw.items())
     else:
-        hist.counts.update(((t, Fraction(key, scale)), c) for (t, key), c in raw.items())
+        hist.counts.update(((t, key // scale), c) for (t, key), c in raw.items())
     return hist
 
 
@@ -196,4 +197,4 @@ def root_count(lat) -> int:
         gram = tuple(tuple(-x for x in row) for row in lat.gram)
     else:
         raise IndefiniteLatticeError(f"lattice of signature {(pos, neg)} is not definite")
-    return short_vectors(gram, 2).counts.get(Fraction(2), 0)
+    return short_vectors(gram, 2).counts.get(2, 0)

@@ -16,12 +16,13 @@ and -x, so it also checks the fold of `short_vectors`.
 
 `fraction_signature` is the Lagrange reduction over Q: it splits off
 squares with Fraction arithmetic, the reference for the fraction-free
-`intlinalg.lagrange_reduction` behind `lattice.signature`.
+`reduction.lagrange_reduction` behind `lattice.signature`.
 
 `determinant` is forward Bareiss elimination with row swaps. It takes any
 square matrix, so it also serves for the unimodularity of transforms, and it
-is the reference for `intlinalg.bareiss_determinant`, which reads the
-determinant of a symmetric matrix off the Lagrange reduction.
+is the reference for `intlinalg.bareiss_determinant` and
+`lattice.determinant`, which read the determinant of a symmetric matrix off
+the Lagrange reduction.
 
 `random_unimodular`, `random_definite_grams` and `skewed_gram` are seeded
 inputs, not engines: Gram matrices on skewed bases, for the tests that a

@@ -125,9 +125,11 @@ def test_e8_orbits_loads_only_the_orbit_modules():
 
 def test_table_and_divisors_load_no_lattice_module():
     # The rows are read from the projection of E8 on a reduced basis of
-    # Z^8/Z v0, so neither command builds a complement or loads k3lat.lattice.
+    # Z^8/Z v0, so neither command builds a complement or loads k3lat.lattice,
+    # and their reduction comes from k3lat.reduction without the Hermite and
+    # Smith forms of k3lat.intlinalg.
     row_modules = ["k3lat", "k3lat.cli", "k3lat.e8", "k3lat.errors", "k3lat.glue",
-                   "k3lat.intlinalg", "k3lat.records", "k3lat.shortvec"]
+                   "k3lat.records", "k3lat.reduction", "k3lat.shortvec"]
     for argv, extra in ((["table", "--to", "8", "--format", "json"],
                          ["k3lat.cli_table", "k3lat.parallel"]),
                         (["divisors", "--norm", "8", "--json"], ["k3lat.cli_divisors"])):
@@ -137,6 +139,7 @@ def test_table_and_divisors_load_no_lattice_module():
         *out, modules = fresh_python(code).splitlines()
         assert len(json.loads("\n".join(out))["rows"]) == (5 if argv[0] == "table" else 2)
         assert modules == str(sorted(row_modules + extra)), argv
+        assert "k3lat.intlinalg" not in modules and "k3lat.lattice" not in modules
 
 
 def test_text_output_loads_no_json():
@@ -181,9 +184,9 @@ def test_python_m_compiles_cli_once():
 
 
 SPEC_MODULES = ["k3lat.errors", "k3lat.intlinalg", "k3lat.lattice", "k3lat.records",
-                "k3lat.specparse"]
-ROW_MODULES = ["k3lat.e8", "k3lat.errors", "k3lat.glue", "k3lat.intlinalg",
-               "k3lat.records", "k3lat.shortvec"]
+                "k3lat.reduction", "k3lat.specparse"]
+ROW_MODULES = ["k3lat.e8", "k3lat.errors", "k3lat.glue", "k3lat.records",
+               "k3lat.reduction", "k3lat.shortvec"]
 SBAD_MODULES = ["k3lat.cli_sbad", "k3lat.errors", "k3lat.records", "k3lat.sbad"]
 # (argv, exit code, the k3lat modules it loads besides k3lat and k3lat.cli)
 COMMAND_MODULES = [
@@ -202,7 +205,7 @@ COMMAND_MODULES = [
      ["k3lat.cli_embed", *SPEC_MODULES, "k3lat.glue"]),
     (["minus2", "property", "II(1,17)"], 0, ["k3lat.cli_minus2", *SPEC_MODULES, "k3lat.glue"]),
     (["sbad", "witness", "--gram", "witness.txt"], 0,
-     [*SBAD_MODULES, "k3lat.intlinalg", "k3lat.lattice"]),
+     [*SBAD_MODULES, "k3lat.intlinalg", "k3lat.lattice", "k3lat.reduction"]),
     (["sbad", "polarized", "--n", "4", "--dnorm", "0", "--k", "4"], 0, SBAD_MODULES),
 ]
 
@@ -485,6 +488,44 @@ def test_minus2_property(capsys):
     code, out, _ = run(capsys, "minus2", "property", "(4)")
     assert code == 0
     assert ": no" in out
+
+
+def test_each_gram_is_reduced_once(capsys, monkeypatch, tmp_path):
+    # The signature and the determinant read one Lagrange reduction kept on
+    # the lattice; `sbad witness` reduces S and the bordered S1 once each.
+    from k3lat import intlinalg, reduction, shortvec
+
+    calls = []
+    original = reduction.lagrange_reduction
+
+    def counted(m):
+        calls.append(len(m))
+        return original(m)
+
+    for module in (reduction, intlinalg, k3lat.lattice, shortvec):
+        monkeypatch.setattr(module, "lagrange_reduction", counted)
+    witness = tmp_path / "w.gram"
+    witness.write_text("1\n8\n4 0\n")
+    for argv, ranks in ((["lat", "info", "II(2,26)"], [28]),
+                        (["minus2", "property", "II(1,17)"], [18]),
+                        (["sbad", "witness", "--gram", str(witness)], [1, 2])):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == ranks, argv
+
+
+def test_integral_commands_load_no_fractions(tmp_path, monkeypatch):
+    # Norms, signatures and determinants are integers: fractions (and the
+    # decimal module it imports) loads only where a rational is produced.
+    (tmp_path / "w.gram").write_text("1\n8\n4 0\n")
+    monkeypatch.chdir(tmp_path)
+    argvs = [["lat", "info", "II(2,26)"], ["lat", "info", "-E8 + -E8 + -E8"],
+             ["sbad", "witness", "--gram", "w.gram"]]
+    code = ("import contextlib, io, sys; from k3lat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "print(codes, 'fractions' in sys.modules, 'decimal' in sys.modules)")
+    assert fresh_python(code) == "[0, 0, 0] False False\n"
 
 
 def test_exit_codes(capsys):

@@ -58,6 +58,15 @@ def test_reading_the_complement_changes_neither_equality_nor_hash():
     before = hash(read)
     assert read.complement.rank == 7
     assert hash(read) == before == hash(unread) and read == unread
+    # so does reading a lattice's minors, or a witness's bordered lattice
+    read, unread = lt.from_gram([[2, 1], [1, -4]]), lt.from_gram([[2, 1], [1, -4]])
+    before = hash(read)
+    assert read.minors == (1, 2, -9) and lt.determinant(read) == -9
+    assert hash(read) == before == hash(unread) and read == unread
+    read, unread = ExtensionWitness(unread, (1, 0), 0), ExtensionWitness(unread, (1, 0), 0)
+    before = hash(read)
+    assert read.det_s1 == read.s1.minors[-1] == 4
+    assert hash(read) == before == hash(unread) and read == unread
 
 
 def test_immutable_types_reject_attribute_assignment():
@@ -65,7 +74,8 @@ def test_immutable_types_reject_attribute_assignment():
     cases = [(lt.E8, "gram"), (lt.discriminant_group(lt.rank1(4)), "order"),
              (orbit, "two_n"), (orbit, "complement"), (cell(), "count"),
              (sp.Named("E8"), "name"),
-             (ExtensionWitness(lt.rank1(2), (1,), 0), "d_norm")]
+             (lt.E8, "minors"), (ExtensionWitness(lt.rank1(2), (1,), 0), "d_norm"),
+             (ExtensionWitness(lt.rank1(2), (1,), 0), "s1")]
     for record, name in cases:
         with pytest.raises(AttributeError):
             setattr(record, name, None)

@@ -92,6 +92,10 @@ def test_cholesky_reassembles_random_definite_grams():
 def test_enumerate_e8_roots():
     hist = short_vectors(lt.E8.gram, Fraction(2))
     assert hist.counts == {Fraction(0): 1, Fraction(2): 240}
+    # every norm is an integer: the keys are ints, equal to integral Fractions
+    hist = short_vectors(lt.E8.gram, 2)
+    assert all(type(key) is int for key in hist.counts)
+    assert hist.counts == {Fraction(0): 1, Fraction(2): 240}
 
 
 def test_enumerate_e7_roots():
@@ -237,7 +241,7 @@ def test_labelled_histogram_with_offset_and_zero_rank():
 
 
 def test_unlabelled_histograms_are_unchanged():
-    # exact histograms, pinned: keys are Fractions
+    # exact histograms, pinned: keys are ints, equal to integral Fractions
     cases = [
         (False, {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160, Fraction(6): 6720}),
         (True, {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160}),
@@ -245,7 +249,7 @@ def test_unlabelled_histograms_are_unchanged():
     for exclusive, want in cases:
         hist = short_vectors(lt.E8.gram, Fraction(6), exclusive=exclusive)
         assert hist == NormHistogram(counts=want)
-        assert all(type(key) is Fraction for key in hist.counts)
+        assert all(type(key) is int for key in hist.counts)
 
 
 def gram_schmidt_minors(gram):
