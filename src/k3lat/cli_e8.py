@@ -1,13 +1,13 @@
 """`k3lat e8 orbits`: the orbits of the norm 2n vectors of E8."""
 
-from .cli import _require_positive_even
+from .cli import _require_positive_even, _signed
 
 
 def e8_orbits(args):
     two_n = _require_positive_even(args.norm)
     from .e8 import orbits_of_norm
 
-    p = {"norm": two_n if args.internal_norms else -two_n, "orbits": [
+    p = {"norm": _signed(two_n, args.internal_norms), "orbits": [
         {"index": i, "representative": list(o.representative),
          "primitive": o.primitive, "orbit_size": o.orbit_size,
          "complement_determinant": o.complement_determinant,

@@ -11,7 +11,7 @@ def embed_check(args):
          "rank": report.rank, "min_generators": report.min_generators,
          "signature": list(report.signature), "target_dim": report.target_dim}
     total = report.rank + report.min_generators
-    rel = "<" if total < report.target_dim else ">="
+    rel = "<" if report.embeddable else ">="
     return p, lambda: [f"signature: ({p['signature'][0]}, {p['signature'][1]})",
                        f"rank: {p['rank']}",
                        f"minimal discriminant-group generators: {p['min_generators']}",

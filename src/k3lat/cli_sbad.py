@@ -17,16 +17,14 @@ def sbad_witness(args):
 
 
 def sbad_polarized(args):
-    from fractions import Fraction
-
-    from .sbad import normalize_degree, polarized_bad
+    from .sbad import normalize_degree, polarized_bad, projected_norm
 
     if args.n <= 0:
         raise UsageError("polarization degree must be positive")
     verdict = polarized_bad(args.n, args.dnorm, args.k)
     p = {"n": args.n, "d_norm": args.dnorm, "k": args.k,
          "k_normalized": normalize_degree(args.n, args.k),
-         "projected_norm": Fraction(args.dnorm) - Fraction(args.k * args.k, 2 * args.n),
+         "projected_norm": projected_norm(args.n, args.dnorm, args.k),
          "bad": verdict}
     return p, lambda: [f"n = {args.n}, k = {args.k} "
                        f"(normalized {p['k_normalized']}), d = {args.dnorm}",

@@ -1,4 +1,5 @@
-"""E8 orbit machinery: dominant representatives, norm orbits, complements.
+"""E8 orbit machinery: dominant representatives, norm orbits, and
+complements, which `complement_of` builds on each call and no orbit keeps.
 
 Coordinates are always with respect to the fixed simple-root basis of the
 E8 Gram matrix `lattice.E8` (Bourbaki node order). The full orthogonal
@@ -136,19 +137,16 @@ def stabilizer_order(dominant: tuple[int, ...]) -> int:
 
 
 def complement_of(v):
-    """Rank-7 orthogonal complement of v in E8 (of v's primitive part).
-
-    A non-primitive v has the same complement as the primitive vector on
-    its line, so the input is divided by its content first.
-    """
+    """Rank-7 orthogonal complement of v in E8, built anew on each call. A
+    non-primitive v has the complement of the primitive vector on its line,
+    so v is divided by its content first."""
     from .lattice import E8, orthogonal_complement, sublattice
 
     coords = [int(c) for c in v]
     if not any(coords):
         raise ZeroVectorError("zero vector has no complement line")
     g = gcd(*coords)
-    primitive = [c // g for c in coords]
-    return orthogonal_complement(E8, sublattice(E8, [primitive]))
+    return orthogonal_complement(E8, sublattice(E8, [[c // g for c in coords]]))
 
 
 class OrbitClass(Record):
@@ -156,20 +154,9 @@ class OrbitClass(Record):
 
     ``representative`` is the dominant vector of the orbit (simple-root
     coordinates); ``root_count_u`` is the number of roots of its rank-7
-    orthogonal complement. ``complement`` is built on first read and kept.
-    """
+    orthogonal complement, which `complement_of(representative)` builds."""
 
-    __slots__ = ("two_n", "representative", "primitive", "orbit_size", "root_count_u",
-                 "_complement")
-
-    @property
-    def complement(self):
-        try:
-            return self._complement
-        except AttributeError:
-            comp = complement_of(self.representative)
-            object.__setattr__(self, "_complement", comp)
-            return comp
+    __slots__ = ("two_n", "representative", "primitive", "orbit_size", "root_count_u")
 
     @property
     def complement_determinant(self) -> int:

@@ -96,9 +96,9 @@ def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
 
     With v = m v0, rows b_i completing v0 to a basis of Z^8 project to a
     basis of U' = pi(E8) with Gram Q_ij = 2n0 b_i.G.b_j - c_i c_j and label
-    c_i = p . b_i mod 2n0, where 2n0 = 2n/m^2. The norms below 2 are Q below
-    4n0. Column k = m t is the histogram of label t, and is empty where m does
-    not divide k."""
+    c_i = p . b_i mod 2n0, where 2n0 = 2n/m^2. The norms below 2 are Q at
+    most 4n0 - 1. Column k = m t is the histogram of label t, and is empty
+    where m does not divide k."""
     from .e8 import _pairings
     from .shortvec import short_vectors
     two_n, v = orbit.two_n, orbit.representative
@@ -108,7 +108,7 @@ def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
     c = [sum(map(mul, p, b)) for b in basis]
     gram = [[two_n0 * sum(map(mul, bg, bj)) - ci * cj for bj, cj in zip(basis, c)]
             for bg, ci in zip(map(_pairings, basis), c)]
-    hist = short_vectors(gram, 2 * two_n0, exclusive=True, label=c, modulus=two_n0)
+    hist = short_vectors(gram, 2 * two_n0 - 1, label=c, modulus=two_n0)
     by_label: dict[int, dict[Fraction, int]] = {}
     for (t, norm), count in hist.counts.items():
         by_label.setdefault(t, {})[Fraction(norm, two_n0)] = count
@@ -129,18 +129,19 @@ def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
     label. Returns the empty histogram when no E8 vector pairs to k
     (non-primitive v, odd k).
     """
+    from .e8 import complement_of
     from .lattice import E8
     from .shortvec import short_vectors
     g, coeff = _pairing_solution(orbit.representative)
     if k % g:
         return {}
     x0 = [(k // g) * c for c in coeff]
-    u, d = orbit.complement, orbit.two_n
+    u, d = complement_of(orbit.representative), orbit.two_n
     # (u, a0) = (u, x0) for u orthogonal to v, and d norm(a0) = d norm(x0) - k^2
     border = [d * E8.pairing(x0, b) for b in u.basis]
     gram = [[d * x for x in row] + [y] for row, y in zip(u.gram, border)]
     gram.append(border + [d * E8.norm(x0) - k * k + d])
-    hist = short_vectors(gram, 3 * d, exclusive=True, label=[0] * u.rank + [1], modulus=3)
+    hist = short_vectors(gram, 3 * d - 1, label=[0] * u.rank + [1], modulus=3)
     return {Fraction(norm, d) - 1: c for (t, norm), c in hist.counts.items() if t == 1}
 
 

@@ -2,12 +2,12 @@
 
 Matrices are lists of row lists of Python ints (Fractions where stated),
 vectors are row vectors. Nothing here ever touches floating point; the
-ranks in play (<= 28) keep the dense textbook algorithms fast. The integer
-eliminations here are Hermite (kernels, the Smith form) and Bareiss
-Gauss-Jordan (the adjugate). The Lagrange reduction behind signatures,
-determinants and the enumerator's L D L^T lives in `reduction`, with
-`xgcd` and `is_symmetric`; this module imports all three for its own
-eliminations, so they also resolve here.
+ranks in play (<= 28) keep the dense textbook algorithms fast. The one
+integer elimination here is the Hermite normal form: it gives kernels, the
+Smith form and the exact inverse. The Lagrange reduction behind
+signatures, determinants and the enumerator's L D L^T lives in
+`reduction`, with `xgcd` and `is_symmetric`; this module imports all three
+for its own eliminations, so they also resolve here.
 """
 
 from __future__ import annotations
@@ -35,43 +35,9 @@ def mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def vec_mat(v, m):
-    """Row vector times matrix."""
-    return [sum(vi * row[j] for vi, row in zip(v, m)) for j in range(len(m[0]))]
-
-
 def pairing(gram, x, y):
     """Bilinear form value x . G . y^T."""
     return sum(xi * sum(g * yj for g, yj in zip(row, y)) for xi, row in zip(x, gram))
-
-
-def bareiss_adjugate(m: IntMatrix) -> tuple[int, IntMatrix]:
-    """(det m, adj m) of a nonsingular integer matrix, so adj m = det m * m^-1.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]: every
-    intermediate entry is a minor of the row-permuted [m | I], so each
-    division is exact. It ends at [d I | d m^-1] with d = +-det m, the sign
-    given by the row swaps. Raises ZeroDivisionError on a singular input.
-    """
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if p is None:
-            raise ZeroDivisionError("matrix is singular")
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        pivot = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = pivot
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def bareiss_determinant(m: IntMatrix) -> int:
@@ -88,14 +54,22 @@ def bareiss_determinant(m: IntMatrix) -> int:
 
 
 def fraction_inverse(m) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular integer matrix, adj m / det m.
-
-    Serves `lattice.dual_basis`. Raises ZeroDivisionError if m is singular.
-    """
+    """Exact inverse of a square integer matrix, h^-1 u for its Hermite form
+    u m = h, by back substitution (Cohen, GTM 138, 2.4.3). Serves
+    `lattice.dual_basis`. Raises ZeroDivisionError if m is singular: then h
+    has a 0 on its diagonal, and otherwise it is upper triangular."""
     from fractions import Fraction
 
-    det, adj = bareiss_adjugate(m)
-    return [[Fraction(x, det) for x in row] for row in adj]
+    h, u = hermite_normal_form(m)
+    inv = []  # the rows of m^-1, last first
+    for i in range(len(h) - 1, -1, -1):
+        if h[i][i] == 0:
+            raise ZeroDivisionError("matrix is singular")
+        acc = u[i]
+        for x, done in zip(h[i][:i:-1], inv):
+            acc = [a - x * b for a, b in zip(acc, done)]
+        inv.append([Fraction(a) / h[i][i] for a in acc])
+    return inv[::-1]
 
 
 def _row_combine(a, u, i, j, coeffs):

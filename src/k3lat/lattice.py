@@ -286,6 +286,14 @@ def parse_gram_text(text: str, source: str = "<string>") -> Lattice:
     return from_gram(rows)
 
 
+def read_gram_text(path) -> str:
+    """The text of a Gram or witness file; GramFileError unless it is UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise GramFileError(f"{path}: not a UTF-8 text file") from None
+
+
 def load_gram_file(path) -> Lattice:
-    with open(path, encoding="utf-8") as fh:
-        return parse_gram_text(fh.read(), source=str(path))
+    return parse_gram_text(read_gram_text(path), source=str(path))

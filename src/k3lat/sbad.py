@@ -92,15 +92,19 @@ def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[Extens
     return found
 
 
+def projected_norm(n: int, d_norm: int, k: int) -> Fraction:
+    """d_norm - k^2/2n, the norm of a degree-k class of self-norm d_norm
+    projected orthogonally to a degree-2n polarization, exactly."""
+    from fractions import Fraction
+    return Fraction(d_norm) - Fraction(k * k, 2 * n)
+
+
 def polarized_bad(n: int, d_norm: int, k: int) -> bool:
     """Degree-k class test for a degree-2n polarization:
     -2 <= d_norm - k^2/2n < 0, compared exactly."""
     if n <= 0:
         raise ValueError("polarization degree must be positive")
-    from fractions import Fraction
-
-    projected = Fraction(d_norm) - Fraction(k * k, 2 * n)
-    return -2 <= projected < 0
+    return -2 <= projected_norm(n, d_norm, k) < 0
 
 
 def normalize_degree(n: int, k: int) -> int:
@@ -139,9 +143,8 @@ def possible_extension_norms(two_n: int, k: int) -> list[int]:
 def read_witness_file(path) -> ExtensionWitness:
     """Witness file: Gram-file format for S plus one bordering row of
     rank+1 integers (pairings with the basis, then the self-norm)."""
-    from .lattice import parse_gram_text
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    from .lattice import parse_gram_text, read_gram_text
+    lines = [ln for ln in read_gram_text(path).splitlines() if ln.strip()]
     s = parse_gram_text("\n".join(lines[:-1]), source=str(path))
     if len(lines) != s.rank + 2:
         raise GramFileError(

@@ -6,7 +6,7 @@ basis, and branches and bounds over the integer L D L^T the LLL ends with,
 the Lagrange reduction of the reduced basis, last coordinate outermost:
 with leading minors Delta_k, norm(y) = sum_k w_k^2 / (Delta_k Delta_(k+1))
 for w_k = sum_(i>=k) a[i][k] y_i. Every norm is an integer, so a bound is
-read once as the largest norm it admits and the histogram is keyed by
+floored once, to the largest norm it admits, and the histogram is keyed by
 integer norms; scaled by M = lcm_k Delta_k Delta_(k+1) every quantity is
 an integer and the coordinate intervals come from math.isqrt exactly. No
 floating point, and no Fraction in the search.
@@ -20,7 +20,7 @@ under its label t and under -t, and the zero vector once.
 
 from __future__ import annotations
 
-from math import ceil, floor, isqrt, lcm
+from math import floor, isqrt, lcm
 
 from .errors import IndefiniteLatticeError, NotPositiveDefiniteError
 from .reduction import IntMatrix, is_symmetric, lagrange_reduction
@@ -108,16 +108,15 @@ class NormHistogram:
         return sum(self.counts.values())
 
 
-def short_vectors(gram, bound, *, exclusive=False, label=None,
-                  modulus=0) -> NormHistogram:
-    """Enumerate all x in Z^r with norm(x) within the bound.
+def short_vectors(gram, bound, *, label=None, modulus=0) -> NormHistogram:
+    """Enumerate all x in Z^r with norm(x) <= bound.
 
-    ``gram`` is a sequence of integer rows and ``bound`` a rational.
-    ``exclusive`` switches the bound comparison from <= to <. ``label`` is
-    an optional integer linear form on the coordinates x, read modulo
-    ``modulus``; with it the histogram is keyed by (label, norm). The
-    search lists one of each pair x, -x and folds in the other (see the
-    module docstring).
+    ``gram`` is a sequence of integer rows and ``bound`` a rational. Every
+    norm is an integer, so the bound is floored: to count the norms below
+    an integer b, pass b - 1. ``label`` is an optional integer linear form
+    on the coordinates x, read modulo ``modulus``; with it the histogram is
+    keyed by (label, norm). The search lists one of each pair x, -x and
+    folds in the other (see the module docstring).
     """
     r = len(gram)
     if label is not None and (len(label) != r or modulus <= 0):
@@ -125,7 +124,7 @@ def short_vectors(gram, bound, *, exclusive=False, label=None,
                          "and a positive modulus")
     hist = NormHistogram()
     minors, a, coeff = lll_reduce(gram, [0] * r if label is None else label)
-    top = ceil(bound) - 1 if exclusive else floor(bound)  # the largest norm admitted
+    top = floor(bound)  # the largest norm admitted
     if top < 0:
         return hist
 
@@ -178,9 +177,9 @@ def short_vectors(gram, bound, *, exclusive=False, label=None,
     return hist
 
 
-def vector_count(gram, bound, *, exclusive=False) -> int:
-    """Total number of vectors within the bound."""
-    return short_vectors(gram, bound, exclusive=exclusive).total
+def vector_count(gram, bound) -> int:
+    """Total number of vectors of norm at most the bound."""
+    return short_vectors(gram, bound).total
 
 
 def root_count(lat) -> int:

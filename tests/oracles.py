@@ -24,6 +24,8 @@ is the reference for `intlinalg.bareiss_determinant` and
 `lattice.determinant`, which read the determinant of a symmetric matrix off
 the Lagrange reduction.
 
+`vec_mat` is the row-vector-times-matrix product that the tests share.
+
 `random_unimodular`, `random_definite_grams` and `skewed_gram` are seeded
 inputs, not engines: Gram matrices on skewed bases, for the tests that a
 count does not depend on the basis it is computed on.
@@ -51,7 +53,13 @@ SIMPLE_ROOTS_2 = (
     (0, 0, 0, 0, -2, 2, 0, 0),
     (0, 0, 0, 0, 0, -2, 2, 0),
 )
-_GRAM_INV = la.bareiss_adjugate([list(row) for row in E8.gram])[1]  # E8 has det 1
+# E8 has det 1, so its inverse Gram matrix is integral
+_GRAM_INV = [[int(x) for x in row] for row in la.fraction_inverse(E8.gram)]
+
+
+def vec_mat(v, m):
+    """Row vector times matrix."""
+    return [sum(vi * row[j] for vi, row in zip(v, m)) for j in range(len(m[0]))]
 
 
 def e8_vectors(bound, exclusive=False) -> list[tuple[int, ...]]:
@@ -98,7 +106,7 @@ def simple_root_pairings(y) -> list[int]:
 
 def simple_root_coordinates(y) -> tuple[int, ...]:
     """Coordinates of x = y/2 in the simple roots: (x . alpha^T) G^-1."""
-    return tuple(la.vec_mat(simple_root_pairings(y), _GRAM_INV))
+    return tuple(vec_mat(simple_root_pairings(y), _GRAM_INV))
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +119,7 @@ def bucketed_row(orbit) -> dict[int, dict[Fraction, int]]:
     """counts[k][nu] for k = 0..n, as in `glue.CosetCountTable.counts`."""
     two_n = orbit.two_n
     n = two_n // 2
-    v2 = la.vec_mat(list(orbit.representative), SIMPLE_ROOTS_2)  # 2v in the model
+    v2 = vec_mat(list(orbit.representative), SIMPLE_ROOTS_2)  # 2v in the model
     counts: dict[int, dict[Fraction, int]] = {k: {} for k in range(n + 1)}
     for y, norm in e8_ball(n):
         k = sum(a * b for a, b in zip(y, v2)) // 4

@@ -545,6 +545,21 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_a_file_that_is_not_utf8_exits_1_without_a_traceback(tmp_path):
+    # 0xFF starts no UTF-8 sequence. Each command runs as a process, so an
+    # exception that escaped main would print a traceback.
+    path = tmp_path / "latin1.gram"
+    path.write_bytes(b"1\n\xff8\n4 0\n")
+    src = str(Path(k3lat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for argv in (("lat", "info", f"gram:{path}"), ("sbad", "witness", "--gram", str(path))):
+        proc = subprocess.run([sys.executable, "-m", "k3lat.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr.startswith("k3lat: ") and "Traceback" not in proc.stderr, argv
+        assert proc.stderr == f"k3lat: {path}: not a UTF-8 text file\n", argv
+
+
 def test_argument_errors_exit_1_and_library_errors_propagate(capsys, monkeypatch):
     for argv in (("e8", "orbits", "--norm", "7"),
                  ("weight", "--norm", "-2"),

@@ -8,7 +8,7 @@ from k3lat import e8, intlinalg as la, lattice as lt
 from k3lat.errors import ZeroVectorError
 from k3lat.shortvec import root_count
 from oracles import (SIMPLE_ROOTS_2, e8_vectors, model_norm, simple_root_coordinates,
-                     simple_root_pairings)
+                     simple_root_pairings, vec_mat)
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
 
@@ -107,7 +107,7 @@ def test_orbit_gram_is_the_lattice_e8_gram():
     rng = random.Random(5)
     for _ in range(200):
         x = [rng.randint(-50, 50) for _ in range(8)]
-        assert e8._pairings(x) == la.vec_mat(x, e8._GRAM)
+        assert e8._pairings(x) == vec_mat(x, e8._GRAM)
 
 
 def test_enumerator_carries_the_weight_coordinates():
@@ -117,7 +117,7 @@ def test_enumerator_carries_the_weight_coordinates():
         reps = [o.representative for o in e8.orbits_of_norm(two_n)]
         assert sorted(x for x, _ in found) == reps
         for x, p in found:
-            assert list(p) == la.vec_mat(x, e8._GRAM) and min(p) >= 0, (two_n, x)
+            assert list(p) == vec_mat(x, e8._GRAM) and min(p) >= 0, (two_n, x)
 
 
 def test_orbit_invariants():
@@ -129,9 +129,10 @@ def test_orbit_invariants():
                         for i in range(8)]
             assert all(p >= 0 for p in pairings)
             assert o.root_count_u % 2 == 0
-            assert o.complement.rank == 7
+            comp = e8.complement_of(o.representative)
+            assert comp.rank == 7
             if o.primitive:
-                assert abs(lt.determinant(o.complement)) == two_n
+                assert abs(lt.determinant(comp)) == two_n
 
 
 def test_complement_of_scaled_vector():
@@ -170,7 +171,8 @@ def test_orbit_root_counts_match_enumeration():
         for o in e8.orbits_of_norm(two_n):
             orthogonal = sum(1 for r in roots
                              if sum(a * b for a, b in zip(r, o.representative)) == 0)
-            assert o.root_count_u == orthogonal == root_count(o.complement)
+            assert o.root_count_u == orthogonal == root_count(
+                e8.complement_of(o.representative))
             checked += 1
     assert checked == 228
 
@@ -179,7 +181,7 @@ def dominant_with_zero_set(zero):
     """The dominant vector pairing 0 with the simple roots in `zero` and 1
     with the others (0-based Bourbaki nodes)."""
     pairing = [0 if i in zero else 1 for i in range(8)]
-    return tuple(int(c) for c in la.vec_mat(pairing, la.fraction_inverse(lt.E8.gram)))
+    return tuple(int(c) for c in vec_mat(pairing, la.fraction_inverse(lt.E8.gram)))
 
 
 @pytest.mark.parametrize("zero, weyl, roots", [
@@ -204,8 +206,7 @@ def test_complement_determinant_closed_form():
     for two_n in range(2, 101, 2):
         for o in e8.orbits_of_norm(two_n):
             g = math.gcd(*o.representative)
-            comp = o.complement
-            assert o.complement is comp
+            comp = e8.complement_of(o.representative)
             assert o.complement_determinant == lt.determinant(comp) == two_n // g ** 2
             kinds.add(o.primitive)
             checked += 1

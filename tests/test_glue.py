@@ -6,7 +6,7 @@ import pytest
 from oracles import bucketed_row, determinant, random_unimodular
 
 from k3lat import glue, intlinalg as la, lattice as lt, shortvec
-from k3lat.e8 import orbits_of_norm
+from k3lat.e8 import complement_of, orbits_of_norm
 from k3lat.shortvec import short_vectors
 from k3lat.errors import (
     IndefiniteLatticeError,
@@ -164,9 +164,9 @@ def test_rows_are_unchanged_on_a_second_basis(monkeypatch):
 
 def test_restricted_weight():
     (two,) = orbits_of_norm(2)
-    assert glue.restricted_weight(two.complement) == 75
+    assert glue.restricted_weight(complement_of(two.representative)) == 75
     (twelve,) = orbits_of_norm(12)
-    assert glue.restricted_weight(twelve.complement) == 35
+    assert glue.restricted_weight(complement_of(twelve.representative)) == 35
     rootfree = lt.direct_sum(lt.rank1(4), lt.rank1(6))
     assert glue.restricted_weight(rootfree) == 12
     with pytest.raises(IndefiniteLatticeError):
@@ -266,6 +266,6 @@ def test_minus2_property_truth_set():
 
 def test_weight_at_least_12_and_integral(rows):
     for row in rows:
-        w = glue.restricted_weight(row.orbit.complement)
+        w = glue.restricted_weight(complement_of(row.orbit.representative))
         assert w >= 12
         assert w == 12 + row.root_count // 2

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -100,23 +101,30 @@ def test_determinant_rejects_a_nonsymmetric_matrix():
             la.bareiss_determinant(m)
 
 
-def test_bareiss_adjugate_matches_cofactor_oracle():
+def test_fraction_inverse_matches_cofactor_oracle():
+    # the inverse from the Hermite form against adj m / det m by cofactors
     rng = random.Random(11)
-    for _ in range(40):
+    checked = 0
+    for _ in range(60):
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         if n > 1:
             m[0][0] = 0  # the elimination must swap rows at least once
         det = cofactor_determinant(m)
         if det == 0:
+            with pytest.raises(ZeroDivisionError):
+                la.fraction_inverse(m)
             continue
         adj = [[(-1) ** (i + j) * cofactor_determinant(
                     [[row[c] for c in range(n) if c != i]
                      for r, row in enumerate(m) if r != j])
                 for j in range(n)] for i in range(n)]
-        assert la.bareiss_adjugate(m) == (det, adj)
+        assert la.fraction_inverse(m) == [[Fraction(x, det) for x in row] for row in adj]
+        checked += 1
+    assert checked >= 40
     with pytest.raises(ZeroDivisionError):
-        la.bareiss_adjugate([[1, 2], [2, 4]])
+        la.fraction_inverse([[1, 2], [2, 4]])
+    assert la.fraction_inverse([]) == []
 
 
 def test_bareiss_e8_det_one():

@@ -42,7 +42,7 @@ def test_records_of_different_types_or_tuples_are_unequal():
             (lt.from_gram([[2]]), (((2,),), None, None)),
             (EmbeddingReport(True, 1, 0, (2, 0), 28), (True, 1, 0, (2, 0), 28)),
             (orbit, (orbit.two_n, orbit.representative, orbit.primitive,
-                     orbit.orbit_size, orbit.complement, orbit.root_count_u))]:
+                     orbit.orbit_size, orbit.root_count_u))]:
         assert record != fields and fields != record
 
 
@@ -53,12 +53,10 @@ def test_immutable_public_types_hash_by_value():
         assert a is not b and hash(a) == hash(b) and len({a, b}) == 1
 
 
-def test_reading_the_complement_changes_neither_equality_nor_hash():
-    read, unread = orbits_of_norm(12)[0], orbits_of_norm(12)[0]
-    before = hash(read)
-    assert read.complement.rank == 7
-    assert hash(read) == before == hash(unread) and read == unread
-    # so does reading a lattice's minors, or a witness's bordered lattice
+def test_reading_a_cache_changes_neither_equality_nor_hash():
+    # a lattice's minors and a witness's bordered lattice are built on first
+    # read and kept; an orbit keeps no complement
+    assert not hasattr(orbits_of_norm(12)[0], "complement")
     read, unread = lt.from_gram([[2, 1], [1, -4]]), lt.from_gram([[2, 1], [1, -4]])
     before = hash(read)
     assert read.minors == (1, 2, -9) and lt.determinant(read) == -9
@@ -72,7 +70,7 @@ def test_reading_the_complement_changes_neither_equality_nor_hash():
 def test_immutable_types_reject_attribute_assignment():
     orbit = orbits_of_norm(4)[0]
     cases = [(lt.E8, "gram"), (lt.discriminant_group(lt.rank1(4)), "order"),
-             (orbit, "two_n"), (orbit, "complement"), (cell(), "count"),
+             (orbit, "two_n"), (orbit, "root_count_u"), (cell(), "count"),
              (sp.Named("E8"), "name"),
              (lt.E8, "minors"), (ExtensionWitness(lt.rank1(2), (1,), 0), "d_norm"),
              (ExtensionWitness(lt.rank1(2), (1,), 0), "s1")]

@@ -9,6 +9,7 @@ from k3lat import sbad
 from k3lat.e8 import orbits_of_norm
 from k3lat.errors import DegenerateExtensionError, DegenerateLatticeError, GramFileError
 from k3lat.glue import coset_count_row
+from oracles import vec_mat
 
 
 def test_witness_examples():
@@ -74,7 +75,7 @@ def test_witness_invariant_under_basis_change():
                 u[i][col] += c * u[j][col]
         new_gram = la.mat_mul(la.mat_mul(u, [list(r) for r in s.gram]),
                               la.transpose(u))
-        new_pairings = tuple(la.vec_mat(list(pairings), la.transpose(u)))
+        new_pairings = tuple(vec_mat(list(pairings), la.transpose(u)))
         w2 = sbad.ExtensionWitness(s=lt.from_gram(new_gram),
                                    pairings=new_pairings, d_norm=d_norm)
         try:
@@ -88,6 +89,7 @@ def test_polarized_bad_examples():
     assert sbad.polarized_bad(1, -2, 0)
     assert sbad.polarized_bad(4, 0, 4)
     assert not sbad.polarized_bad(2, 2, 1)
+    assert sbad.projected_norm(4, 0, 4) == -2 and sbad.projected_norm(2, 2, 1) == Fraction(7, 4)
 
 
 def test_polarized_shift_invariance():
@@ -155,3 +157,8 @@ def test_witness_file(tmp_path):
         bad.write_text(text)
         with pytest.raises(GramFileError):
             sbad.read_witness_file(bad)
+    bad.write_bytes(b"1\n8\n4 0\xff\n")
+    with pytest.raises(GramFileError, match="not a UTF-8 text file"):
+        sbad.read_witness_file(bad)
+    with pytest.raises(GramFileError, match="not a UTF-8 text file"):
+        lt.load_gram_file(bad)

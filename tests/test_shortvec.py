@@ -2,19 +2,19 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
-from math import isqrt, prod
+from math import ceil, isqrt, prod
 
 import pytest
 
 from k3lat import intlinalg as la
 from k3lat import lattice as lt
-from k3lat.e8 import orbits_of_norm
+from k3lat.e8 import complement_of, orbits_of_norm
 from k3lat.glue import coset_count_row, dual_coset_counts
 from k3lat.errors import IndefiniteLatticeError, NotPositiveDefiniteError
 from k3lat.shortvec import (NormHistogram, lll_reduce, rational_cholesky, root_count,
                             short_vectors)
 from oracles import (determinant, e8_vectors, model_norm, random_definite_grams,
-                     simple_root_coordinates, simple_root_pairings, skewed_gram)
+                     simple_root_coordinates, simple_root_pairings, skewed_gram, vec_mat)
 
 
 def box(gram, bound, exact=False):
@@ -40,7 +40,7 @@ def box_search(gram, bound, exclusive=False, label=None, modulus=0, basis=None):
     points = product(*box(gram, bound))
     if basis is not None:
         reduced = la.mat_mul(la.mat_mul(basis, gram), la.transpose(basis))
-        points = (la.vec_mat(x, basis) for x in product(*box(reduced, bound, True)))
+        points = (vec_mat(x, basis) for x in product(*box(reduced, bound, True)))
     counts = {}
     for x in points:
         norm = Fraction(la.pairing(gram, x, x))
@@ -137,14 +137,14 @@ def test_bound_monotonicity():
 
 def test_exclusive_drops_the_boundary():
     incl = short_vectors(lt.E8.gram, Fraction(2))
-    excl = short_vectors(lt.E8.gram, Fraction(2), exclusive=True)
+    excl = short_vectors(lt.E8.gram, ceil(Fraction(2)) - 1)
     assert excl.counts == {Fraction(0): 1}
     assert incl.counts[Fraction(2)] == 240
 
 
 def test_agrees_with_box_oracle():
     # Ranks 1..5 and bounds with denominators up to 4, inclusive and
-    # exclusive. The scaling clears the products of consecutive leading
+    # exclusive (a strict bound b is passed as ceil(b) - 1). The scaling clears the products of consecutive leading
     # minors, so include Gram matrices whose minors (1, 2, 5, 8 in the first)
     # do not divide one another.
     rng = random.Random(41)
@@ -162,7 +162,7 @@ def test_agrees_with_box_oracle():
         unchained += any(y % x for x, y in zip(minors, minors[1:]))
         exclusive = rng.random() < 0.5
         modes[exclusive] += 1
-        got = short_vectors(tuple(map(tuple, gram)), bound, exclusive=exclusive)
+        got = short_vectors(tuple(map(tuple, gram)), ceil(bound) - 1 if exclusive else bound)
         assert got.counts == box_search(gram, bound, exclusive)
     assert unchained >= 10 and min(modes.values()) >= 10
 
@@ -191,7 +191,7 @@ def test_labelled_zero_offset_agrees_with_box_oracle():
         form[rng.randrange(rank)] = rng.choice((1, -1))
         inclusive = box_search(gram, bound, label=form, modulus=modulus)
         want = {key: c for key, c in inclusive.items() if not exclusive or key[1] < bound}
-        got = short_vectors(tuple(map(tuple, gram)), bound, exclusive=exclusive,
+        got = short_vectors(tuple(map(tuple, gram)), ceil(bound) - 1 if exclusive else bound,
                             label=tuple(form), modulus=modulus)
         assert got.counts == want, (case, gram, bound, form, modulus)
         assert want[(0, Fraction(0))] == 1
@@ -203,7 +203,7 @@ def test_labelled_zero_offset_agrees_with_box_oracle():
     want = box_search(gram, 0, label=(1, 2), modulus=5)
     assert want == {(0, Fraction(0)): 1}
     assert short_vectors(gram, Fraction(0), label=(1, 2), modulus=5).counts == want
-    assert short_vectors(gram, Fraction(0), exclusive=True, label=(1, 2), modulus=5).counts == {}
+    assert short_vectors(gram, ceil(Fraction(0)) - 1, label=(1, 2), modulus=5).counts == {}
 
 
 def test_labelled_histogram_buckets_collected_vectors():
@@ -216,7 +216,8 @@ def test_labelled_histogram_buckets_collected_vectors():
         for y in listed:
             key = (simple_root_pairings(y)[0] % 2, Fraction(model_norm(y)))
             want[key] = want.get(key, 0) + 1
-        got = short_vectors(lt.E8.gram, bound, exclusive=exclusive, label=form, modulus=2)
+        got = short_vectors(lt.E8.gram, ceil(bound) - 1 if exclusive else bound,
+                            label=form, modulus=2)
         assert got.counts == want
         assert got.total == len(listed)
     # the 126 roots orthogonal to r and +-r pair evenly, the other 112 oddly
@@ -247,7 +248,7 @@ def test_unlabelled_histograms_are_unchanged():
         (True, {Fraction(0): 1, Fraction(2): 240, Fraction(4): 2160}),
     ]
     for exclusive, want in cases:
-        hist = short_vectors(lt.E8.gram, Fraction(6), exclusive=exclusive)
+        hist = short_vectors(lt.E8.gram, ceil(Fraction(6)) - 1 if exclusive else Fraction(6))
         assert hist == NormHistogram(counts=want)
         assert all(type(key) is int for key in hist.counts)
 
@@ -337,28 +338,31 @@ def test_root_count_on_a_skewed_basis_stays_within_budget():
 
 
 def test_exclusive_bound_is_pruned_not_filtered():
-    # Norms are integers, so an exclusive integer bound b admits what b - 1
-    # and (2b - 1)/2 admit, and the search is pruned there: the histogram and
-    # the descend count are those of the smaller bound.
+    # Norms are integers, so the norms below an integer b are those up to
+    # b - 1 and up to (2b - 1)/2, and the search is pruned there: a rational
+    # bound is floored, and the histogram and the descend count are those of
+    # the integer bound. A strict bound is passed as ceil(b) - 1.
     rng = random.Random(29)
     gram = random_posdef(rng, 5, spread=1)
     form = [rng.randint(-3, 3) for _ in gram]
     for g, b, kwargs in ((lt.E8.gram, 6, {}), (gram, 5, dict(label=form, modulus=5))):
         half = Fraction(2 * b - 1, 2)
-        runs = [count_descend_calls(lambda: short_vectors(
-                    g, bound, exclusive=exclusive, **kwargs), 10_000)
-                for bound, exclusive in ((b, True), (b - 1, False), (half, False), (half, True))]
+        runs = [count_descend_calls(lambda: short_vectors(g, bound, **kwargs), 10_000)
+                for bound in (b - 1, half, ceil(half) - 1)]
         assert runs[0][0].total > 1
         assert all(run == runs[0] for run in runs), [calls for _, calls in runs]
-    # no positional argument beyond the bound: a stale offset fails loudly
+    # no positional argument beyond the bound: a stale offset fails loudly,
+    # and so does the strict-bound keyword that the search no longer takes
     with pytest.raises(TypeError):
         short_vectors(gram, 2, [Fraction(1, 2)] * len(gram))
+    with pytest.raises(TypeError):
+        short_vectors(gram, 2, exclusive=True)
 
 
 def test_table_rows_to_22_stay_within_descend_budget():
-    # The rows of `table --to 22` each prune the bound 2 * 2n0 (exclusive) at
-    # the largest norm 4n0 - 1 below it: 1,844 calls, against 2,970 when the
-    # search ran to the bound itself and dropped its leaves there.
+    # The rows of `table --to 22` each search to the largest norm 4n0 - 1
+    # below 2 * 2n0: 1,844 calls, against 2,970 when the search ran to
+    # 2 * 2n0 itself and dropped its leaves there.
     orbits = [o for two_n in range(2, 24, 2) for o in orbits_of_norm(two_n)]
     _, calls = count_descend_calls(lambda: [coset_count_row(o) for o in orbits], 1_900)
     assert calls <= 1_900
@@ -368,7 +372,7 @@ def test_root_count_table_complements():
     by_roots = {}
     for two_n in (6, 10):
         (orbit,) = orbits_of_norm(two_n)
-        by_roots[two_n] = root_count(orbit.complement)
+        by_roots[two_n] = root_count(complement_of(orbit.representative))
     assert by_roots == {6: 74, 10: 60}
 
 
