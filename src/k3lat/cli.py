@@ -35,17 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _json_value(x):
-    """JSON form of what json cannot encode itself: exact rationals."""
-    from fractions import Fraction
-
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    return x
-
-
 def _signed(norm, internal: bool):
     """Internal norms are positive; reports default to the negative convention."""
     return norm if internal else -norm
@@ -252,10 +241,9 @@ def main(argv=None) -> int:
         return 1
     try:
         if getattr(args, "json", False) or getattr(args, "format", None) == "json":
-            import json
+            from .jsonout import dumps
 
-            lines = [json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2,
-                                default=_json_value)]
+            lines = [dumps({"schema": SCHEMA_VERSION, **payload})]
         else:
             lines = text()
         output = "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 """`k3lat table`: coset count table rows, as markdown, CSV or JSON."""
 
+from math import gcd
+
 from .cli import _signed
 from .errors import UsageError
 
@@ -50,16 +52,31 @@ def _table_csv(rows) -> list[str]:
                        for row in rows]
 
 
+def _cells(row, internal: bool) -> list[dict]:
+    """The cells of a row in (k, norm) order. A cell's key is 2n nu, so its
+    norm nu is key/2n: an int, or a "p/q" string in lowest terms."""
+    two_n, out = row.two_n, []
+    for k in sorted(row.counts):
+        cells = row.counts[k]
+        for key in sorted(cells):
+            g = gcd(key, two_n)
+            num = _signed(key // g, internal)
+            out.append({"k": k, "norm": num if g == two_n else f"{num}/{two_n // g}",
+                        "count": cells[key]})
+    return out
+
+
 def table(args):
+    rows = _collect_rows(args.start, args.stop)
     p = {"rows": [
         {"two_n": row.two_n, "roots": row.root_count,
          "primitive": row.orbit.primitive,
          "representative": list(row.orbit.representative),
          "orbit_size": row.orbit.orbit_size,
-         "totals": [row.column_totals[k] for k in range(row.two_n // 2 + 1)],
-         "cells": [{"k": k, "norm": _signed(nu, args.internal_norms),
-                    "count": row.counts[k][nu]}
-                   for k in sorted(row.counts) for nu in sorted(row.counts[k])]}
-        for row in _collect_rows(args.start, args.stop)]}
+         "totals": [row.column_totals[k] for k in range(row.two_n // 2 + 1)]}
+        for row in rows]}
+    if args.format == "json":  # markdown and CSV print the totals alone
+        for out, row in zip(p["rows"], rows):
+            out["cells"] = _cells(row, args.internal_norms)
     render = _table_markdown if args.format == "md" else _table_csv
     return p, lambda: render(p["rows"])

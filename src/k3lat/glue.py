@@ -15,7 +15,6 @@ U bordered by a0: the slice t = 1 of the integral lattice U + Z a0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -56,10 +55,11 @@ def nikulin_embeddable(t: Lattice) -> EmbeddingReport:
 class CosetCountTable(Record):
     """Counts of short dual-coset vectors for one orbit row.
 
-    ``counts[k][nu]`` is the number of vectors a in the dual of U with
-    label k and internal norm nu (0 <= nu < 2); ``column_totals[k]`` sums a
-    column. Labels run over 0..n; other labels follow from the symmetry
-    k -> -k -> 2n - k. ``root_count`` is that of U.
+    ``counts[k][2n nu]`` is the number of vectors a in the dual of U with
+    label k and internal norm nu (0 <= nu < 2), keyed by the integer 2n nu;
+    ``column_totals[k]`` sums a column. Labels run over 0..n; other labels
+    follow from the symmetry k -> -k -> 2n - k. Columns may share one cell
+    dict, so treat them as read-only. ``root_count`` is that of U.
     """
 
     __slots__ = ("two_n", "orbit", "root_count", "counts", "column_totals")
@@ -97,8 +97,9 @@ def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
     With v = m v0, rows b_i completing v0 to a basis of Z^8 project to a
     basis of U' = pi(E8) with Gram Q_ij = 2n0 b_i.G.b_j - c_i c_j and label
     c_i = p . b_i mod 2n0, where 2n0 = 2n/m^2. The norms below 2 are Q at
-    most 4n0 - 1. Column k = m t is the histogram of label t, and is empty
-    where m does not divide k."""
+    most 4n0 - 1, and Q(x) = q puts pi(x) in the cell 2n nu = m^2 q. Column
+    k = m t is the histogram of label t, and is empty where m does not divide
+    k."""
     from .e8 import _pairings
     from .shortvec import short_vectors
     two_n, v = orbit.two_n, orbit.representative
@@ -109,10 +110,10 @@ def coset_count_row(orbit: OrbitClass) -> CosetCountTable:
     gram = [[two_n0 * sum(map(mul, bg, bj)) - ci * cj for bj, cj in zip(basis, c)]
             for bg, ci in zip(map(_pairings, basis), c)]
     hist = short_vectors(gram, 2 * two_n0 - 1, label=c, modulus=two_n0)
-    by_label: dict[int, dict[Fraction, int]] = {}
+    by_label: dict[int, dict[int, int]] = {}
     for (t, norm), count in hist.counts.items():
-        by_label.setdefault(t, {})[Fraction(norm, two_n0)] = count
-    counts = {k: dict(by_label.get(k // m % two_n0, {})) if k % m == 0 else {}
+        by_label.setdefault(t, {})[m * m * norm] = count
+    counts = {k: by_label.get(k // m % two_n0, {}) if k % m == 0 else {}
               for k in range(two_n // 2 + 1)}
     return CosetCountTable(two_n=two_n, orbit=orbit, root_count=orbit.root_count_u,
                            counts=counts,
@@ -127,8 +128,11 @@ def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
     integral form d (norm(u + t a0) + t^2), d = 2n (Kannan's embedding,
     Math. Oper. Res. 12, 1987): below 3d, |t| <= 1, and t mod 3 is the
     label. Returns the empty histogram when no E8 vector pairs to k
-    (non-primitive v, odd k).
+    (non-primitive v, odd k). Its cells are keyed by nu as a Fraction, the
+    keys that `perfbench/reference.py` compares with.
     """
+    from fractions import Fraction
+
     from .e8 import complement_of
     from .lattice import E8
     from .shortvec import short_vectors
@@ -167,18 +171,21 @@ def divisor_classes(row: CosetCountTable) -> list[DivisorCell]:
     """All cells with norm strictly between -2 and 0 (negative convention).
 
     For each label k there is at most one admissible cell, since dual
-    norms are even integers minus k^2/2n. Zero-count cells are reported
-    with vanishing=False.
+    norms are even integers minus k^2/2n: in units of 1/2n, the cell
+    2n nu = 2n lift - k^2 for the smallest even integer lift > k^2/2n.
+    Zero-count cells are reported with vanishing=False.
     """
-    out = []
-    for k in range(row.two_n // 2 + 1):
-        shift = Fraction(k * k, row.two_n)
-        lift = 2 * (shift // 2) + 2  # smallest even integer > shift, if any
-        nu = lift - shift
-        if nu >= 2:
-            continue  # shift is an even integer: no cell in the open range
-        count = row.counts.get(k, {}).get(nu, 0)
-        out.append(DivisorCell(k=k, norm=-nu, count=count, vanishing=count > 0))
+    from fractions import Fraction
+
+    two_n, out = row.two_n, []
+    for k in range(two_n // 2 + 1):
+        shift = k * k  # 2n times k^2/2n
+        if shift % (2 * two_n) == 0:
+            continue  # k^2/2n is an even integer: no cell in the open range
+        key = (shift // (2 * two_n) + 1) * 2 * two_n - shift
+        count = row.counts.get(k, {}).get(key, 0)
+        out.append(DivisorCell(k=k, norm=Fraction(-key, two_n), count=count,
+                               vanishing=count > 0))
     return out
 
 
@@ -203,6 +210,8 @@ class DivisorReport(Record):
 
 
 def hyperplane_multiplicity(row: CosetCountTable, k0: int, nu0) -> DivisorReport:
+    from fractions import Fraction
+
     nu0 = Fraction(nu0)
     if nu0 >= 0:
         raise NormOutOfRangeError("the dual direction must have negative norm")
@@ -214,7 +223,8 @@ def hyperplane_multiplicity(row: CosetCountTable, k0: int, nu0) -> DivisorReport
     while c * c * nu0 >= -2:
         scaled = c * c * nu0
         label = min(c * k0 % row.two_n, -c * k0 % row.two_n)  # fold k -> 2n - k
-        count = row.counts.get(label, {}).get(2 + scaled, 0)
+        key = (2 + scaled) * row.two_n  # the cell 2n nu, if an integer
+        count = 0 if key.denominator > 1 else row.counts.get(label, {}).get(int(key), 0)
         contribs.append(ScaleContribution(scale=c, norm=scaled, label=label,
                                           count=count))
         c += 1

@@ -259,25 +259,42 @@ def ii(p: int, q: int) -> Lattice:
                          f"{sorted(_STANDARD_PAIRS)}") from None
 
 
+def gram_integers(line: str, source: str, what: str) -> list[int]:
+    """The entries of one line of a Gram or witness file. Each must be ASCII
+    digits with an optional sign, within Python's int-to-str digit limit;
+    anything else, such as a byte-order mark or another script's digits that
+    int() would read, is a GramFileError naming the line."""
+    out = []
+    for tok in line.split():
+        digits = tok[1:] if tok[0] in "+-" else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise GramFileError(f"{source}: {what}: {tok[:20]!r} is not an integer")
+        try:
+            out.append(int(tok))
+        except ValueError:
+            import sys
+
+            raise GramFileError(f"{source}: {what}: an entry has more than "
+                                f"{sys.get_int_max_str_digits()} digits") from None
+    return out
+
+
 def parse_gram_text(text: str, source: str = "<string>") -> Lattice:
     """Parse the Gram-file format: rank line, then rank x rank integer rows."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GramFileError(f"{source}: empty Gram file")
-    try:
-        rank = int(lines[0].split()[0])
-    except ValueError:
-        raise GramFileError(f"{source}: first line must be the rank") from None
+    first = gram_integers(lines[0], source, "rank line")
+    if len(first) != 1:
+        raise GramFileError(f"{source}: first line must be the rank alone")
+    rank = first[0]
     if rank < 0:
         raise GramFileError(f"{source}: negative rank")
     if len(lines) < 1 + rank:
         raise GramFileError(f"{source}: expected {rank} matrix rows")
     rows = []
-    for ln in lines[1:1 + rank]:
-        try:
-            row = [int(tok) for tok in ln.split()]
-        except ValueError:
-            raise GramFileError(f"{source}: non-integer matrix entry") from None
+    for i, ln in enumerate(lines[1:1 + rank], 1):
+        row = gram_integers(ln, source, f"matrix row {i}")
         if len(row) != rank:
             raise GramFileError(f"{source}: row of length {len(row)}, expected {rank}")
         rows.append(row)

@@ -143,16 +143,13 @@ def possible_extension_norms(two_n: int, k: int) -> list[int]:
 def read_witness_file(path) -> ExtensionWitness:
     """Witness file: Gram-file format for S plus one bordering row of
     rank+1 integers (pairings with the basis, then the self-norm)."""
-    from .lattice import parse_gram_text, read_gram_text
+    from .lattice import gram_integers, parse_gram_text, read_gram_text
     lines = [ln for ln in read_gram_text(path).splitlines() if ln.strip()]
     s = parse_gram_text("\n".join(lines[:-1]), source=str(path))
     if len(lines) != s.rank + 2:
         raise GramFileError(
             f"{path}: expected rank line, {s.rank} Gram rows and one bordering row")
-    try:
-        border = [int(tok) for tok in lines[-1].split()]
-    except ValueError:
-        raise GramFileError(f"{path}: non-integer entry") from None
+    border = gram_integers(lines[-1], str(path), "bordering row")
     if len(border) != s.rank + 1:
         raise GramFileError(f"{path}: bordering row must have {s.rank + 1} entries")
     return ExtensionWitness(s=s, pairings=tuple(border[:-1]), d_norm=border[-1])

@@ -14,6 +14,9 @@ step with `glue.coset_count_row` (a labelled enumeration of U') or with
 integral lattice U + Z a0), and it lists every vector, with no fold of x
 and -x, so it also checks the fold of `short_vectors`.
 
+`rational_counts` reads a row's integer cell keys 2n nu back as the norms
+nu, the keys of `bucketed_row` and `glue.dual_coset_counts`.
+
 `fraction_signature` is the Lagrange reduction over Q: it splits off
 squares with Fraction arithmetic, the reference for the fraction-free
 `reduction.lagrange_reduction` behind `lattice.signature`.
@@ -133,6 +136,12 @@ def bucketed_row(orbit) -> dict[int, dict[Fraction, int]]:
         bucket = counts[k]
         bucket[nu] = bucket.get(nu, 0) + 1
     return counts
+
+
+def rational_counts(row) -> dict[int, dict[Fraction, int]]:
+    """`row.counts` with each cell keyed by its norm Fraction(key, 2n)."""
+    return {k: {Fraction(key, row.two_n): c for key, c in cells.items()}
+            for k, cells in row.counts.items()}
 
 
 def fraction_signature(gram):

@@ -116,11 +116,12 @@ def test_e8_orbits_loads_only_the_orbit_modules():
     code = ("import sys; from k3lat.cli import main; "
             "main(['e8', 'orbits', '--norm', '8', '--json']); "
             "print(sorted(m for m in sys.modules if m.startswith('k3lat')), "
-            "'fractions' in sys.modules, 'decimal' in sys.modules)")
+            "'fractions' in sys.modules, 'decimal' in sys.modules, 'json' in sys.modules)")
     *out, modules = fresh_python(code).splitlines()
     assert json.loads("\n".join(out))["orbits"][1]["orbit_size"] == 17280
+    # the JSON text comes from k3lat.jsonout, which loads no json for it
     assert modules == ("['k3lat', 'k3lat.cli', 'k3lat.cli_e8', 'k3lat.e8', 'k3lat.errors', "
-                       "'k3lat.records'] False False")
+                       "'k3lat.jsonout', 'k3lat.records'] False False False")
 
 
 def test_table_and_divisors_load_no_lattice_module():
@@ -131,8 +132,9 @@ def test_table_and_divisors_load_no_lattice_module():
     row_modules = ["k3lat", "k3lat.cli", "k3lat.e8", "k3lat.errors", "k3lat.glue",
                    "k3lat.records", "k3lat.reduction", "k3lat.shortvec"]
     for argv, extra in ((["table", "--to", "8", "--format", "json"],
-                         ["k3lat.cli_table", "k3lat.parallel"]),
-                        (["divisors", "--norm", "8", "--json"], ["k3lat.cli_divisors"])):
+                         ["k3lat.cli_table", "k3lat.jsonout", "k3lat.parallel"]),
+                        (["divisors", "--norm", "8", "--json"],
+                         ["k3lat.cli_divisors", "k3lat.jsonout"])):
         code = ("import sys; from k3lat.cli import main; "
                 f"main({argv!r}); "
                 "print(sorted(m for m in sys.modules if m.startswith('k3lat')))")
@@ -517,15 +519,21 @@ def test_each_gram_is_reduced_once(capsys, monkeypatch, tmp_path):
 def test_integral_commands_load_no_fractions(tmp_path, monkeypatch):
     # Norms, signatures and determinants are integers: fractions (and the
     # decimal module it imports) loads only where a rational is produced.
+    # The table keys its cells by the integer 2n nu and renders each norm
+    # from it, and no JSON output here has a string that needs escaping,
+    # so the json module does not load either.
     (tmp_path / "w.gram").write_text("1\n8\n4 0\n")
     monkeypatch.chdir(tmp_path)
     argvs = [["lat", "info", "II(2,26)"], ["lat", "info", "-E8 + -E8 + -E8"],
-             ["sbad", "witness", "--gram", "w.gram"]]
+             ["sbad", "witness", "--gram", "w.gram"], ["lat", "info", "II(2,26)", "--json"],
+             ["table", "--from", "2", "--to", "22", "--format", "json"],
+             ["e8", "orbits", "--norm", "352", "--json"]]
     code = ("import contextlib, io, sys; from k3lat.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [main(argv) for argv in {argvs!r}]\n"
-            "print(codes, 'fractions' in sys.modules, 'decimal' in sys.modules)")
-    assert fresh_python(code) == "[0, 0, 0] False False\n"
+            "print(codes, 'fractions' in sys.modules, 'decimal' in sys.modules, "
+            "'json' in sys.modules)")
+    assert fresh_python(code) == "[0, 0, 0, 0, 0, 0] False False False\n"
 
 
 def test_exit_codes(capsys):
@@ -558,6 +566,36 @@ def test_a_file_that_is_not_utf8_exits_1_without_a_traceback(tmp_path):
         assert (proc.returncode, proc.stdout) == (1, ""), argv
         assert proc.stderr.startswith("k3lat: ") and "Traceback" not in proc.stderr, argv
         assert proc.stderr == f"k3lat: {path}: not a UTF-8 text file\n", argv
+
+
+def test_gram_and_witness_files_take_only_ascii_integers(capsys, tmp_path):
+    # Each of these was read, or misreported, by int() on whitespace tokens:
+    # a second token on the rank line was ignored, another script's digit
+    # was read as its value, a byte-order mark was reported as a missing
+    # rank and an entry beyond the digit limit as a non-integer.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    cases = [("1 1\n8\n", "4 0", "first line must be the rank alone"),
+             ("1\n\u0662\n", "4 0", "matrix row 1: '\u0662' is not an integer"),
+             ("\ufeff1\n8\n", "4 0", "rank line: '\\ufeff1' is not an integer"),
+             ("1\n8\n", "4 \u0662", "bordering row: '\u0662' is not an integer"),
+             ("1\n+8\n", "4 1_0", "bordering row: '1_0' is not an integer")]
+    if limit:
+        cases += [("1\n" + "1" * (limit + 1) + "\n", "4 0",
+                   f"matrix row 1: an entry has more than {limit} digits"),
+                  ("1\n8\n", "4 " + "1" * (limit + 1),
+                   f"bordering row: an entry has more than {limit} digits")]
+    path = tmp_path / "g.gram"
+    for gram, border, message in cases:
+        path.write_text(gram + border + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "sbad", "witness", "--gram", str(path))
+        assert (code, out, err) == (1, "", f"k3lat: {path}: {message}\n"), gram
+        if "bordering" not in message:
+            path.write_text(gram, encoding="utf-8")
+            code, out, err = run(capsys, "lat", "info", f"gram:{path}")
+            assert (code, out, err) == (1, "", f"k3lat: {path}: {message}\n"), gram
+    path.write_text("1\n+8\n", encoding="utf-8")  # an ASCII sign is an integer
+    code, out, _ = run(capsys, "lat", "info", f"gram:{path}")
+    assert code == 0 and out.startswith("rank: 1\n") and "determinant: 8\n" in out
 
 
 def test_argument_errors_exit_1_and_library_errors_propagate(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from oracles import bucketed_row, determinant, random_unimodular
+from oracles import bucketed_row, determinant, random_unimodular, rational_counts
 
 from k3lat import glue, intlinalg as la, lattice as lt, shortvec
 from k3lat.e8 import complement_of, orbits_of_norm
@@ -66,7 +66,9 @@ def test_k0_column_is_exactly_one(rows):
 
 def test_cells_lift_to_even_norms(rows):
     for row in rows:
-        for k, cells in row.counts.items():
+        # each cell is keyed by the integer 2n nu
+        assert all(type(key) is int for cells in row.counts.values() for key in cells)
+        for k, cells in rational_counts(row).items():
             for nu in cells:
                 assert 0 <= nu < 2
                 lift = nu + Fraction(k * k, row.two_n)
@@ -76,13 +78,13 @@ def test_cells_lift_to_even_norms(rows):
 
 def test_oracle_equivalence_and_symmetry(rows):
     for row in rows:
-        n = row.two_n // 2
+        n, counts = row.two_n // 2, rational_counts(row)
         for k in range(0, 2 * row.two_n + 1):
             reduced = k % row.two_n
             if reduced > n:
                 reduced = row.two_n - reduced
             oracle = glue.dual_coset_counts(row.orbit, k)
-            assert oracle == row.counts.get(reduced, {}), (row.two_n, k)
+            assert oracle == counts.get(reduced, {}), (row.two_n, k)
 
 
 def test_rows_match_bucketed_e8_oracle():
@@ -92,7 +94,7 @@ def test_rows_match_bucketed_e8_oracle():
         for orbit in orbits_of_norm(two_n):
             if not orbit.primitive:
                 imprimitive.append(two_n)
-            assert glue.coset_count_row(orbit).counts == bucketed_row(orbit), (
+            assert rational_counts(glue.coset_count_row(orbit)) == bucketed_row(orbit), (
                 two_n, orbit.representative)
     assert imprimitive == [8, 16, 18]
 
@@ -104,9 +106,9 @@ def test_imprimitive_rows_match_oracle_columnwise():
             if orbit.primitive:
                 continue
             contents.append((two_n, gcd(*orbit.representative)))
-            row = glue.coset_count_row(orbit)
+            counts = rational_counts(glue.coset_count_row(orbit))
             for k in range(two_n // 2 + 1):
-                assert row.counts[k] == glue.dual_coset_counts(orbit, k), (two_n, k)
+                assert counts[k] == glue.dual_coset_counts(orbit, k), (two_n, k)
     assert sorted(contents) == [(24, 2), (32, 2), (32, 4)]
 
 
@@ -118,9 +120,9 @@ def test_rows_beyond_the_golden_range_match_coset_oracle():
     columns = 0
     for two_n in range(24, 42, 2):
         for orbit in orbits_of_norm(two_n):
-            row = glue.coset_count_row(orbit)
+            counts = rational_counts(glue.coset_count_row(orbit))
             for k in range(two_n // 2 + 1):
-                assert row.counts[k] == glue.dual_coset_counts(orbit, k), (
+                assert counts[k] == glue.dual_coset_counts(orbit, k), (
                     two_n, orbit.representative, k)
                 columns += 1
     assert columns == 426 + 26  # 26 orbits with 2n = 24..40, one k = 0 column each
@@ -219,7 +221,7 @@ def test_degree10_k5_cell_in_independent_coordinates(rows):
     assert total_norm4 == 2160
     assert count == 32
     ten = row_for(rows, 10, 60)
-    assert ten.counts[5] == {Fraction(3, 2): 32}
+    assert rational_counts(ten)[5] == {Fraction(3, 2): 32}
 
 
 def test_hyperplane_multiplicity_examples(rows):

@@ -9,7 +9,7 @@ from k3lat import sbad
 from k3lat.e8 import orbits_of_norm
 from k3lat.errors import DegenerateExtensionError, DegenerateLatticeError, GramFileError
 from k3lat.glue import coset_count_row
-from oracles import vec_mat
+from oracles import rational_counts, vec_mat
 
 
 def test_witness_examples():
@@ -126,8 +126,7 @@ def test_possible_extension_norms_match_table_cells():
     # every nonzero cell's divisor norm nu_int - 2 must equal d - k^2/2n
     for two_n in range(2, 16, 2):
         for orbit in orbits_of_norm(two_n):
-            row = coset_count_row(orbit)
-            for k, cells in row.counts.items():
+            for k, cells in rational_counts(coset_count_row(orbit)).items():
                 for nu_int, count in cells.items():
                     if count == 0 or nu_int == 0:
                         continue
@@ -153,8 +152,9 @@ def test_witness_file(tmp_path):
     bad = tmp_path / "bad.gram"
     for text in ("1\n8\n4\n", "", "1\n", "x\n8\n4 0\n", "-1\n0\n",
                  "1\n8\n4 0\n1 1\n", "2\n2 1\n1 2\n", "1\n8 1\n4 0\n",
-                 "1\nx\n4 0\n", "1\n8\n4 x\n", "2\n2 1\n0 2\n1 1 0\n"):
-        bad.write_text(text)
+                 "1\nx\n4 0\n", "1\n8\n4 x\n", "2\n2 1\n0 2\n1 1 0\n",
+                 "1 1\n8\n4 0\n", "\ufeff1\n8\n4 0\n", "1\n\u0662\n4 0\n", "1\n8\n4 0_0\n"):
+        bad.write_text(text, encoding="utf-8")
         with pytest.raises(GramFileError):
             sbad.read_witness_file(bad)
     bad.write_bytes(b"1\n8\n4 0\xff\n")
