@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain error (wrong
 signature, degenerate input, ...). All reported norms use the negative
-(geometric) sign convention unless --internal-norms is given; rationals in
-JSON are exact, encoded as "p/q" strings when not integral.
+(geometric) sign convention unless --internal-norms is given. `_rational`
+renders each rational, in text and JSON: an int, or "p/q" in lowest terms.
 
 Each command computes its values once and returns its schema-1 payload
 with a function that renders its text form as a list of lines; `main`
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import gcd
 
 from .errors import GramFileError, LatticeError, SpecSyntaxError, UsageError
 
@@ -38,6 +39,21 @@ class _Parser(argparse.ArgumentParser):
 def _signed(norm, internal: bool):
     """Internal norms are positive; reports default to the negative convention."""
     return norm if internal else -norm
+
+
+def _too_many_digits() -> UsageError:
+    """The error of a result past Python's int-to-str digit limit."""
+    return UsageError(f"result has more than {sys.get_int_max_str_digits()} decimal digits")
+
+
+def _rational(num: int, den: int):
+    """The exact rational num/den, for den > 0: an int, or a "p/q" string in
+    lowest terms. A "p/q" past the digit limit is the error of `main`."""
+    g = gcd(num, den)
+    try:
+        return num // g if g == den else f"{num // g}/{den // g}"
+    except ValueError:
+        raise _too_many_digits() from None
 
 
 def _lattice_from_arg(text: str):
@@ -250,8 +266,7 @@ def main(argv=None) -> int:
     except ValueError:
         # Rendering only formats computed values, so this is Python's
         # int-to-str digit limit; nothing has been written yet.
-        print(f"k3lat: result has more than {sys.get_int_max_str_digits()} "
-              "decimal digits", file=sys.stderr)
+        print(f"k3lat: {_too_many_digits()}", file=sys.stderr)
         return 1
     sys.stdout.write(output)
     return 0

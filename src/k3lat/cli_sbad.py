@@ -1,5 +1,6 @@
 """`k3lat sbad`: the Picard-lattice extension tests."""
 
+from .cli import _rational
 from .errors import UsageError
 
 
@@ -24,7 +25,7 @@ def sbad_polarized(args):
     verdict = polarized_bad(args.n, args.dnorm, args.k)
     p = {"n": args.n, "d_norm": args.dnorm, "k": args.k,
          "k_normalized": normalize_degree(args.n, args.k),
-         "projected_norm": projected_norm(args.n, args.dnorm, args.k),
+         "projected_norm": _rational(projected_norm(args.n, args.dnorm, args.k), 2 * args.n),
          "bad": verdict}
     return p, lambda: [f"n = {args.n}, k = {args.k} "
                        f"(normalized {p['k_normalized']}), d = {args.dnorm}",

@@ -1,8 +1,6 @@
 """`k3lat table`: coset count table rows, as markdown, CSV or JSON."""
 
-from math import gcd
-
-from .cli import _signed
+from .cli import _rational, _signed
 from .errors import UsageError
 
 
@@ -54,15 +52,12 @@ def _table_csv(rows) -> list[str]:
 
 def _cells(row, internal: bool) -> list[dict]:
     """The cells of a row in (k, norm) order. A cell's key is 2n nu, so its
-    norm nu is key/2n: an int, or a "p/q" string in lowest terms."""
+    norm nu is key/2n."""
     two_n, out = row.two_n, []
     for k in sorted(row.counts):
         cells = row.counts[k]
-        for key in sorted(cells):
-            g = gcd(key, two_n)
-            num = _signed(key // g, internal)
-            out.append({"k": k, "norm": num if g == two_n else f"{num}/{two_n // g}",
-                        "count": cells[key]})
+        out += [{"k": k, "norm": _rational(_signed(key, internal), two_n),
+                 "count": cells[key]} for key in sorted(cells)]
     return out
 
 

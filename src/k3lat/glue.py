@@ -161,8 +161,8 @@ def restricted_weight(u: Lattice) -> int:
 
 
 class DivisorCell(Record):
-    """One (k, norm) cell in the divisor range, negative sign convention:
-    ``norm`` is a Fraction in (-2, 0)."""
+    """One (k, norm) cell in the divisor range: ``norm`` is 2n times its norm
+    in (-2, 0), negative convention, so -norm is its `CosetCountTable` key."""
 
     __slots__ = ("k", "norm", "count", "vanishing")
 
@@ -175,8 +175,6 @@ def divisor_classes(row: CosetCountTable) -> list[DivisorCell]:
     2n nu = 2n lift - k^2 for the smallest even integer lift > k^2/2n.
     Zero-count cells are reported with vanishing=False.
     """
-    from fractions import Fraction
-
     two_n, out = row.two_n, []
     for k in range(two_n // 2 + 1):
         shift = k * k  # 2n times k^2/2n
@@ -184,14 +182,13 @@ def divisor_classes(row: CosetCountTable) -> list[DivisorCell]:
             continue  # k^2/2n is an even integer: no cell in the open range
         key = (shift // (2 * two_n) + 1) * 2 * two_n - shift
         count = row.counts.get(k, {}).get(key, 0)
-        out.append(DivisorCell(k=k, norm=Fraction(-key, two_n), count=count,
-                               vanishing=count > 0))
+        out.append(DivisorCell(k=k, norm=-key, count=count, vanishing=count > 0))
     return out
 
 
 class ScaleContribution(Record):
-    """One scale c of a dual line: ``norm`` is that of c * t0, negative
-    convention, and ``count`` the table count at (``label``, 2 + norm)."""
+    """One scale c of a dual line: ``norm`` is 2n times that of c * t0,
+    negative convention, and ``count`` the table count at (``label``, 2 + norm)."""
 
     __slots__ = ("scale", "norm", "label", "count")
 
@@ -199,32 +196,30 @@ class ScaleContribution(Record):
 class DivisorReport(Record):
     """Total vanishing order along the hyperplane of a primitive dual line.
 
-    The line is given by its class data: label k0 and negative-convention
-    norm nu0 of the primitive dual vector t0. Each integer scale c with
-    c^2 nu0 >= -2 contributes the table count at (c*k0 reduced, 2 + c^2 nu0);
-    the scale whose vector lands on an actual norm -2 lattice vector
-    contributes via the label-0 zero-norm cell.
+    The line is given by its class data: label k0 and nu0, 2n times the
+    negative-convention norm of the primitive dual vector t0. Each integer
+    scale c with c^2 nu0 >= -4n contributes the table count at (c*k0
+    reduced, 4n + c^2 nu0); the scale whose vector lands on an actual norm
+    -2 lattice vector contributes via the label-0 zero-norm cell.
     """
 
     __slots__ = ("k0", "nu0", "contributions", "total_multiplicity")
 
 
-def hyperplane_multiplicity(row: CosetCountTable, k0: int, nu0) -> DivisorReport:
-    from fractions import Fraction
-
-    nu0 = Fraction(nu0)
+def hyperplane_multiplicity(row: CosetCountTable, k0: int, nu0: int) -> DivisorReport:
+    """The `DivisorReport` of the dual line (k0, nu0) of a row, nu0 in units of 1/2n."""
+    four_n = 2 * row.two_n
     if nu0 >= 0:
         raise NormOutOfRangeError("the dual direction must have negative norm")
-    if nu0 < -2:
+    if nu0 < -four_n:
         raise NormOutOfRangeError(
             "no divisor arises from a dual vector of norm below -2")
     contribs = []
     c = 1
-    while c * c * nu0 >= -2:
+    while c * c * nu0 >= -four_n:
         scaled = c * c * nu0
         label = min(c * k0 % row.two_n, -c * k0 % row.two_n)  # fold k -> 2n - k
-        key = (2 + scaled) * row.two_n  # the cell 2n nu, if an integer
-        count = 0 if key.denominator > 1 else row.counts.get(label, {}).get(int(key), 0)
+        count = row.counts.get(label, {}).get(four_n + scaled, 0)
         contribs.append(ScaleContribution(scale=c, norm=scaled, label=label,
                                           count=count))
         c += 1

@@ -1,8 +1,8 @@
 """The JSON text of a CLI payload, without the `json` module.
 
-`dumps(obj)` returns exactly what ``json.dumps(obj, indent=2,
-default=_json_value)`` returns for a payload of dicts with string keys,
-lists, tuples, strings, ints, bools, None and Fractions. With an indent
+`dumps(obj)` returns exactly what ``json.dumps(obj, indent=2)`` returns
+for a payload of dicts with string keys, lists, tuples, strings, ints,
+bools and None; any other leaf is a TypeError, as in `json`. With an indent
 the `json` module encodes in pure Python; here each container is one
 join, so a large table renders several times faster. An int is written by
 `int.__repr__`, as `json` writes it, so an int beyond Python's int-to-str
@@ -12,17 +12,6 @@ to `json`.
 """
 
 from __future__ import annotations
-
-
-def _json_value(x):
-    """JSON form of what json cannot encode itself: exact rationals."""
-    from fractions import Fraction
-
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    return x
 
 
 def _string(s: str) -> str:
@@ -57,12 +46,9 @@ def _text(x, nl: str) -> str:
         return "true"
     if x is False:
         return "false"
-    value = _json_value(x)
-    if value is x:
-        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    return _text(value, nl)
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2, default=_json_value)``."""
+    """The text of ``json.dumps(obj, indent=2)``."""
     return _text(obj, "\n")

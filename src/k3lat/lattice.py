@@ -3,7 +3,7 @@
 A lattice is a free Z-module with an integer Gram matrix. Sublattices keep a
 reference to their ambient lattice plus integer basis rows in ambient
 coordinates, so orthogonal complements can be taken exactly. All arithmetic
-is over Python ints and Fractions.
+is over Python ints; only `dual_basis` returns Fractions.
 """
 
 from __future__ import annotations
@@ -112,12 +112,11 @@ def signature(lat: Lattice) -> tuple[int, int]:
 
 
 class DiscriminantGroup(Record):
-    """The finite group L'/L with generators given as dual vectors.
+    """The finite group L'/L, with its generators given by integer rows.
 
     ``divisors`` is the elementary-divisor chain d1 | d2 | ... (entries > 1),
-    ``generators[i]`` is a rational coordinate vector in the lattice basis
-    whose class generates the cyclic factor of order divisors[i], and
-    ``order`` is the group order |det L|.
+    ``generators[i]`` an integer row L_i whose dual vector L_i / d_i (lattice
+    basis) generates the cyclic factor of order d_i, and ``order`` is |det L|.
     """
 
     __slots__ = ("divisors", "generators", "order")
@@ -144,10 +143,8 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
             raise DegenerateLatticeError("lattice has determinant 0")
         order *= d
         if d > 1:
-            from fractions import Fraction
-
             divisors.append(d)
-            generators.append(tuple(Fraction(c, d) for c in left[i]))
+            generators.append(tuple(left[i]))
     return DiscriminantGroup(tuple(divisors), tuple(generators), order)
 
 

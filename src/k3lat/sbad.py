@@ -4,7 +4,7 @@ A witness extension borders the Gram matrix of a Lorentzian lattice S by
 one extra class D (its pairings with the S-basis and its self-intersection)
 and asks whether the extension keeps signature (1, m+1) with determinant at
 most twice that of S. The polarized variants work with the projected norm
-d - k^2/2n alone.
+d - k^2/2n alone, as the integer 2n d - k^2.
 """
 
 from __future__ import annotations
@@ -92,19 +92,18 @@ def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[Extens
     return found
 
 
-def projected_norm(n: int, d_norm: int, k: int) -> Fraction:
-    """d_norm - k^2/2n, the norm of a degree-k class of self-norm d_norm
-    projected orthogonally to a degree-2n polarization, exactly."""
-    from fractions import Fraction
-    return Fraction(d_norm) - Fraction(k * k, 2 * n)
+def projected_norm(n: int, d_norm: int, k: int) -> int:
+    """2n times d_norm - k^2/2n, the norm of a degree-k class of self-norm
+    d_norm projected orthogonally to a degree-2n polarization: an integer."""
+    return 2 * n * d_norm - k * k
 
 
 def polarized_bad(n: int, d_norm: int, k: int) -> bool:
     """Degree-k class test for a degree-2n polarization:
-    -2 <= d_norm - k^2/2n < 0, compared exactly."""
+    -2 <= d_norm - k^2/2n < 0, compared exactly in units of 1/2n."""
     if n <= 0:
         raise ValueError("polarization degree must be positive")
-    return -2 <= projected_norm(n, d_norm, k) < 0
+    return -4 * n <= projected_norm(n, d_norm, k) < 0
 
 
 def normalize_degree(n: int, k: int) -> int:
@@ -131,13 +130,10 @@ def possible_extension_norms(two_n: int, k: int) -> list[int]:
     """
     if two_n <= 0 or two_n % 2:
         raise ValueError("two_n must be a positive even integer")
-    from fractions import Fraction
-
-    upper = Fraction(k * k, two_n)
-    d = -2 * ((2 - upper) // 2)  # smallest even integer >= upper - 2
-    if not upper - 2 <= d < upper:
-        raise RuntimeError(f"even norm {d} outside the window [{upper - 2}, {upper})")
-    return [int(d)]
+    d = -2 * ((2 * two_n - k * k) // (2 * two_n))  # smallest even d >= k^2/two_n - 2
+    if not -2 * two_n <= projected_norm(two_n // 2, d, k) < 0:
+        raise RuntimeError(f"even norm {d} outside the window [-2, 0) of d - {k}^2/{two_n}")
+    return [d]
 
 
 def read_witness_file(path) -> ExtensionWitness:

@@ -81,13 +81,13 @@ class _Scanner:
         if self.peek() in "+-":
             self.pos += 1
         digits = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":  # ASCII digits only, as in Gram files
             self.pos += 1
         if self.pos == digits:
             raise SpecSyntaxError("expected an integer", start)
         try:
             return int(self.text[start:self.pos])
-        except ValueError:  # non-ASCII digits, or more digits than int() takes
+        except ValueError:  # more digits than int() takes
             raise SpecSyntaxError("expected an integer", start) from None
 
     def word(self) -> str:

@@ -116,8 +116,9 @@ def test_criterion_2_weight(all_rows):
 
 def test_criterion_3_multiplicities(all_rows):
     (two,) = [r for r in all_rows if r.two_n == 2]
-    odd_line = glue.hyperplane_multiplicity(two, 0, Fraction(-2))
-    even_line = glue.hyperplane_multiplicity(two, 1, Fraction(-1, 2))
+    # Norms in units of 1/2n = 1/2: the lines of norm -2 and -1/2.
+    odd_line = glue.hyperplane_multiplicity(two, 0, -4)
+    even_line = glue.hyperplane_multiplicity(two, 1, -1)
     got = (odd_line.total_multiplicity, even_line.total_multiplicity)
     ok = got == (1, 57)
     detail = report(3, "hyperplane multiplicities at 2n=2 are 1 and 57", ok,

@@ -516,24 +516,36 @@ def test_each_gram_is_reduced_once(capsys, monkeypatch, tmp_path):
         assert calls == ranks, argv
 
 
-def test_integral_commands_load_no_fractions(tmp_path, monkeypatch):
-    # Norms, signatures and determinants are integers: fractions (and the
-    # decimal module it imports) loads only where a rational is produced.
-    # The table keys its cells by the integer 2n nu and renders each norm
-    # from it, and no JSON output here has a string that needs escaping,
-    # so the json module does not load either.
-    (tmp_path / "w.gram").write_text("1\n8\n4 0\n")
+def test_no_command_of_the_corpus_loads_fractions(tmp_path, monkeypatch):
+    # Every rational a command reports is an integer over a known
+    # denominator, rendered by cli._rational, so fractions (and the decimal
+    # module it imports) loads for no command, its errors included. Nor does
+    # json: no output of these has a string that needs escaping.
+    golden = json.loads((GOLDEN.parent / "cli_outputs.json").read_text())
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    argvs = [["lat", "info", "II(2,26)"], ["lat", "info", "-E8 + -E8 + -E8"],
-             ["sbad", "witness", "--gram", "w.gram"], ["lat", "info", "II(2,26)", "--json"],
-             ["table", "--from", "2", "--to", "22", "--format", "json"],
-             ["e8", "orbits", "--norm", "352", "--json"]]
+    argvs = [case["argv"] for case in golden["cases"]] + [
+        ["table", "--from", "2", "--to", "22", "--format", "json"],
+        ["e8", "orbits", "--norm", "352", "--json"]]
     code = ("import contextlib, io, sys; from k3lat.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
             f"    codes = [main(argv) for argv in {argvs!r}]\n"
             "print(codes, 'fractions' in sys.modules, 'decimal' in sys.modules, "
             "'json' in sys.modules)")
-    assert fresh_python(code) == "[0, 0, 0, 0, 0, 0] False False False\n"
+    want = [case["code"] for case in golden["cases"]] + [0, 0]
+    assert fresh_python(code) == f"{want} False False False\n"
+
+
+def test_lattice_specs_take_only_ascii_digits(capsys):
+    # Another script's digits, which str.isdigit accepts and int() reads,
+    # are not integers of a spec, as they are not of a Gram file.
+    for spec, offset in (("(\u0662)", 1), ("(\uff12)", 1), ("II(\u0662,26)", 3),
+                         ("II(2,\uff12\uff16)", 5)):
+        code, out, err = run(capsys, "lat", "info", spec)
+        assert (code, out, err) == (
+            1, "", f"k3lat: parse error: expected an integer (at offset {offset})\n"), spec
 
 
 def test_exit_codes(capsys):

@@ -178,8 +178,9 @@ def test_restricted_weight():
 def test_divisor_classes(rows):
     two = row_for(rows, 2, 126)
     cells = glue.divisor_classes(two)
+    # each norm is 2n times it: -3 is -3/2 at 2n = 2
     assert [(c.k, c.norm, c.count, c.vanishing) for c in cells] == [
-        (1, Fraction(-3, 2), 56, True)]
+        (1, -3, 56, True)]
 
     eight_nonprim = row_for(rows, 8, 126)
     k1 = [c for c in glue.divisor_classes(eight_nonprim) if c.k == 1]
@@ -187,7 +188,7 @@ def test_divisor_classes(rows):
 
     ten = row_for(rows, 10, 60)
     k5 = [c for c in glue.divisor_classes(ten) if c.k == 5]
-    assert k5[0].norm == Fraction(-3, 2)
+    assert k5[0].norm == -15  # -3/2 at 2n = 10
     # agrees with the dual-coset oracle (above) and the independent
     # coordinate model (below)
     assert k5[0].count == 32 and k5[0].vanishing
@@ -225,22 +226,23 @@ def test_degree10_k5_cell_in_independent_coordinates(rows):
 
 
 def test_hyperplane_multiplicity_examples(rows):
+    # norms are 2n times them: at 2n = 2, -1 is -1/2 and -4 is -2
     two = row_for(rows, 2, 126)
-    even_line = glue.hyperplane_multiplicity(two, 1, Fraction(-1, 2))
+    even_line = glue.hyperplane_multiplicity(two, 1, -1)
     assert even_line.total_multiplicity == 57
     assert [(c.scale, c.norm, c.label, c.count) for c in even_line.contributions] == [
-        (1, Fraction(-1, 2), 1, 56), (2, Fraction(-2), 0, 1)]
+        (1, -1, 1, 56), (2, -4, 0, 1)]
 
-    odd_line = glue.hyperplane_multiplicity(two, 0, Fraction(-2))
+    odd_line = glue.hyperplane_multiplicity(two, 0, -4)
     assert odd_line.total_multiplicity == 1
 
-    lone = glue.hyperplane_multiplicity(row_for(rows, 4, 84), 0, Fraction(-2))
+    lone = glue.hyperplane_multiplicity(row_for(rows, 4, 84), 0, -8)  # -2 at 2n = 4
     assert lone.total_multiplicity == 1
 
     with pytest.raises(NormOutOfRangeError):
-        glue.hyperplane_multiplicity(two, 1, Fraction(1, 2))
+        glue.hyperplane_multiplicity(two, 1, 1)
     with pytest.raises(NormOutOfRangeError):
-        glue.hyperplane_multiplicity(two, 1, Fraction(-5, 2))
+        glue.hyperplane_multiplicity(two, 1, -5)
 
 
 def test_minus2_property_truth_set():

@@ -89,7 +89,8 @@ def test_polarized_bad_examples():
     assert sbad.polarized_bad(1, -2, 0)
     assert sbad.polarized_bad(4, 0, 4)
     assert not sbad.polarized_bad(2, 2, 1)
-    assert sbad.projected_norm(4, 0, 4) == -2 and sbad.projected_norm(2, 2, 1) == Fraction(7, 4)
+    # 2n times the projected norm: -2 at 2n = 8, and 7/4 at 2n = 4
+    assert sbad.projected_norm(4, 0, 4) == -16 and sbad.projected_norm(2, 2, 1) == 7
 
 
 def test_polarized_shift_invariance():
