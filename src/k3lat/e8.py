@@ -1,5 +1,5 @@
-"""E8 orbit machinery: dominant representatives, norm orbits, and
-complements, which `complement_of` builds on each call and no orbit keeps.
+"""E8 orbit machinery: dominant representatives, norm orbits, and complement
+basis rows, which `complement_of` computes on each call and no orbit keeps.
 
 Coordinates are always with respect to the fixed simple-root basis of the
 E8 Gram matrix `lattice.E8` (Bourbaki node order). The full orthogonal
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from math import factorial, gcd, isqrt
+from operator import index
 
 from .errors import ZeroVectorError
 from .records import Record
@@ -49,7 +50,7 @@ def dominant_representative(x) -> tuple[int, ...]:
     pairing; the endpoint does not depend on that choice. Idempotent, and
     constant on orbits (so x and -x reduce to the same vector).
     """
-    coords = [int(c) for c in x]
+    coords = [index(c) for c in x]
     if len(coords) != 8:
         raise ValueError("expected an E8 coordinate vector of length 8")
     if not any(coords):
@@ -136,17 +137,17 @@ def stabilizer_order(dominant: tuple[int, ...]) -> int:
     return parabolic_orders(dominant)[0]
 
 
-def complement_of(v):
-    """Rank-7 orthogonal complement of v in E8, built anew on each call. A
-    non-primitive v has the complement of the primitive vector on its line,
-    so v is divided by its content first."""
-    from .lattice import E8, orthogonal_complement, sublattice
+def complement_of(v) -> list[list[int]]:
+    """The 7 HNF basis rows of the complement of v in E8, for
+    `lattice.sublattice(E8, rows)`. A non-primitive v has the complement of
+    the primitive vector on its line, so v is divided by its content first."""
+    from .lattice import E8, orthogonal_complement
 
-    coords = [int(c) for c in v]
+    coords = [index(c) for c in v]
     if not any(coords):
         raise ZeroVectorError("zero vector has no complement line")
     g = gcd(*coords)
-    return orthogonal_complement(E8, sublattice(E8, [[c // g for c in coords]]))
+    return orthogonal_complement(E8, [[c // g for c in coords]])
 
 
 class OrbitClass(Record):
@@ -154,7 +155,7 @@ class OrbitClass(Record):
 
     ``representative`` is the dominant vector of the orbit (simple-root
     coordinates); ``root_count_u`` is the number of roots of its rank-7
-    orthogonal complement, which `complement_of(representative)` builds."""
+    orthogonal complement, with basis rows `complement_of(representative)`."""
 
     __slots__ = ("two_n", "representative", "primitive", "orbit_size", "root_count_u")
 

@@ -134,18 +134,17 @@ def dual_coset_counts(orbit: OrbitClass, k: int) -> dict[Fraction, int]:
     from fractions import Fraction
 
     from .e8 import complement_of
-    from .lattice import E8
+    from .lattice import E8, sublattice
     from .shortvec import short_vectors
     g, coeff = _pairing_solution(orbit.representative)
     if k % g:
         return {}
-    x0 = [(k // g) * c for c in coeff]
-    u, d = complement_of(orbit.representative), orbit.two_n
+    rows, d = complement_of(orbit.representative), orbit.two_n
+    rows.append([(k // g) * c for c in coeff])  # x0
     # (u, a0) = (u, x0) for u orthogonal to v, and d norm(a0) = d norm(x0) - k^2
-    border = [d * E8.pairing(x0, b) for b in u.basis]
-    gram = [[d * x for x in row] + [y] for row, y in zip(u.gram, border)]
-    gram.append(border + [d * E8.norm(x0) - k * k + d])
-    hist = short_vectors(gram, 3 * d - 1, label=[0] * u.rank + [1], modulus=3)
+    gram = [[d * x for x in row] for row in sublattice(E8, rows).gram]
+    gram[-1][-1] += d - k * k
+    hist = short_vectors(gram, 3 * d - 1, label=[0] * (len(rows) - 1) + [1], modulus=3)
     return {Fraction(norm, d) - 1: c for (t, norm), c in hist.counts.items() if t == 1}
 
 

@@ -35,11 +35,6 @@ def mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def pairing(gram, x, y):
-    """Bilinear form value x . G . y^T."""
-    return sum(xi * sum(g * yj for g, yj in zip(row, y)) for xi, row in zip(x, gram))
-
-
 def bareiss_determinant(m: IntMatrix) -> int:
     """Determinant of a symmetric integer matrix: the last minor of its
     Lagrange reduction, or 0 if the reduction stops short. Each step is a

@@ -1,14 +1,15 @@
 """Integral lattices: Gram arithmetic, duals, discriminant groups, complements.
 
-A lattice is a free Z-module with an integer Gram matrix. Sublattices keep a
-reference to their ambient lattice plus integer basis rows in ambient
-coordinates, so orthogonal complements can be taken exactly. All arithmetic
-is over Python ints; only `dual_basis` returns Fractions.
+A lattice is its integer Gram matrix alone. A sublattice is a list of integer
+basis rows in ambient coordinates: `sublattice` gives their lattice, and
+`orthogonal_complement` the HNF kernel rows of their complement. All
+arithmetic is over Python ints; only `dual_basis` returns Fractions.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 from . import intlinalg as la
 from .errors import (
@@ -24,28 +25,18 @@ from .reduction import is_symmetric, lagrange_reduction
 class Lattice(Record):
     """An integral lattice given by a symmetric Gram matrix.
 
-    ``gram`` is a tuple of integer row tuples. ``ambient`` and ``basis`` are
-    set for sublattices: ``basis`` rows are integer coordinate vectors in
-    the ambient basis and the Gram matrix equals basis . ambient_gram .
-    basis^T (checked on construction). ``minors``, which the signature and
-    the determinant read, is computed on first read and kept.
+    ``gram`` is a tuple of integer row tuples, entries taken by `operator.index`
+    (a float is a TypeError, not truncated). ``minors``, which the signature
+    and the determinant read, is computed on first read and kept.
     """
 
-    __slots__ = ("gram", "ambient", "basis", "_minors")
+    __slots__ = ("gram", "_minors")
 
-    def __init__(self, gram, ambient: Lattice | None = None, basis=None):
-        g = [list(row) for row in gram]
+    def __init__(self, gram):
+        g = tuple(tuple(map(index, row)) for row in gram)
         if not is_symmetric(g):
             raise ValueError("Gram matrix must be symmetric")
-        if (ambient is None) != (basis is None):
-            raise ValueError("ambient and basis must be given together")
-        if ambient is not None:
-            b = [list(row) for row in basis]
-            expected = la.mat_mul(la.mat_mul(b, [list(r) for r in ambient.gram]),
-                                  la.transpose(b))
-            if expected != g:
-                raise ValueError("Gram does not match basis in ambient lattice")
-        super().__init__(gram, ambient, basis)
+        super().__init__(g)
 
     @property
     def rank(self) -> int:
@@ -66,27 +57,25 @@ class Lattice(Record):
     def even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def pairing(self, x, y):
-        """Exact bilinear form value of two coordinate vectors (int or Fraction)."""
-        return la.pairing(self.gram, x, y)
-
-    def norm(self, x):
-        return self.pairing(x, x)
-
     def __repr__(self):
         return f"Lattice(rank={self.rank}, det={determinant(self)})"
 
 
 def from_gram(rows) -> Lattice:
-    return Lattice(tuple(tuple(int(x) for x in row) for row in rows))
+    return Lattice(rows)
+
+
+def _basis_rows(ambient: Lattice, rows) -> list[list[int]]:
+    b = [list(map(index, row)) for row in rows]
+    if any(len(row) != ambient.rank for row in b):
+        raise ValueError(f"basis rows must have {ambient.rank} entries, the ambient rank")
+    return b
 
 
 def sublattice(ambient: Lattice, rows) -> Lattice:
-    """Sublattice of ``ambient`` spanned by the given integer basis rows."""
-    b = [list(map(int, row)) for row in rows]
-    g = la.mat_mul(la.mat_mul(b, [list(r) for r in ambient.gram]), la.transpose(b))
-    return Lattice(tuple(tuple(row) for row in g), ambient=ambient,
-                   basis=tuple(tuple(row) for row in b))
+    """The lattice spanned by integer basis rows of ``ambient``: Gram B G B^T."""
+    b = _basis_rows(ambient, rows)
+    return Lattice(la.mat_mul(la.mat_mul(b, ambient.gram), la.transpose(b)))
 
 
 def determinant(lat: Lattice) -> int:
@@ -159,17 +148,15 @@ def dual_basis(lat: Lattice) -> list[tuple[Fraction, ...]]:
 
 def is_primitive_vector(lat: Lattice, x) -> bool:
     """True iff x is not a proper integer multiple of a lattice vector."""
-    coords = [int(c) for c in x]
+    coords = [index(c) for c in x]
     if not any(coords):
         raise ZeroVectorError("zero vector has no primitivity")
     return gcd(*coords) == 1
 
 
-def saturation_index(ambient: Lattice, sub: Lattice) -> int:
-    """Index of sub inside its saturation in the ambient lattice."""
-    if sub.ambient is not ambient and sub.ambient != ambient:
-        raise ValueError("sublattice does not live in the given ambient lattice")
-    b = [list(row) for row in sub.basis]
+def saturation_index(rows) -> int:
+    """Index of the span of integer rows inside its saturation."""
+    b = [list(map(index, row)) for row in rows]
     _, diag = la.smith_normal_form(b)
     factors = [d for d in la.diagonal_of(diag) if d != 0]
     if len(factors) < len(b):
@@ -180,32 +167,22 @@ def saturation_index(ambient: Lattice, sub: Lattice) -> int:
     return idx
 
 
-def orthogonal_complement(ambient: Lattice, sub: Lattice) -> Lattice:
-    """The full sublattice of ``ambient`` orthogonal to ``sub``.
-
-    Requires sub to be embedded primitively (equal to its saturation); the
-    returned basis is the canonical Hermite-form kernel basis, so repeated
-    runs give identical coordinates.
-    """
-    if saturation_index(ambient, sub) != 1:
+def orthogonal_complement(ambient: Lattice, rows) -> list[list[int]]:
+    """The canonical Hermite-form kernel basis of the vectors of ``ambient``
+    orthogonal to the rows, which must span a primitive sublattice (equal to
+    its saturation); repeated runs give identical coordinates."""
+    b = _basis_rows(ambient, rows)
+    if saturation_index(b) != 1:
         raise NonPrimitiveSublatticeError(
             "sublattice is a proper finite-index subgroup of its saturation")
-    b = [list(row) for row in sub.basis]
-    g = [list(row) for row in ambient.gram]
-    pair_map = la.mat_mul(g, la.transpose(b))  # x @ pair_map = pairings with sub
-    kernel = la.left_kernel(pair_map)
-    return sublattice(ambient, kernel)
+    return la.left_kernel(la.mat_mul(ambient.gram, la.transpose(b)))
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
-    """Block-diagonal sum; ambient/basis data is not carried over."""
-    total = sum(l.rank for l in lattices)
-    g = [[0] * total for _ in range(total)]
-    off = 0
+    """Block-diagonal sum."""
+    total, off, g = sum(l.rank for l in lattices), 0, []
     for l in lattices:
-        for i in range(l.rank):
-            for j in range(l.rank):
-                g[off + i][off + j] = l.gram[i][j]
+        g += [[0] * off + list(row) + [0] * (total - off - l.rank) for row in l.gram]
         off += l.rank
     return from_gram(g)
 

@@ -10,6 +10,7 @@ d - k^2/2n alone, as the integer 2n d - k^2.
 from __future__ import annotations
 
 from itertools import product
+from operator import index
 
 from .errors import DegenerateExtensionError, DegenerateLatticeError, GramFileError
 from .records import Record
@@ -83,7 +84,7 @@ def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[Extens
     span = range(-max_pairing, max_pairing + 1)
     for d in d_norms:
         for pairings in product(span, repeat=s.rank):
-            w = ExtensionWitness(s=s, pairings=tuple(pairings), d_norm=int(d))
+            w = ExtensionWitness(s=s, pairings=tuple(pairings), d_norm=index(d))
             try:
                 if is_sbad_extension(w):
                     found.append(w)

@@ -27,7 +27,9 @@ is the reference for `intlinalg.bareiss_determinant` and
 `lattice.determinant`, which read the determinant of a symmetric matrix off
 the Lagrange reduction.
 
-`vec_mat` is the row-vector-times-matrix product that the tests share.
+`vec_mat` is the row-vector-times-matrix product that the tests share, and
+`vec_norm` the norm x.G.x^T read through it. `complement_lattice(v)` is
+v-perp in E8 as a lattice: `sublattice` of the rows `e8.complement_of` gives.
 
 `random_unimodular`, `random_definite_grams` and `skewed_gram` are seeded
 inputs, not engines: Gram matrices on skewed bases, for the tests that a
@@ -41,7 +43,7 @@ from functools import lru_cache
 from math import floor, isqrt
 
 from k3lat import intlinalg as la
-from k3lat.lattice import E8
+from k3lat.lattice import E8, sublattice
 
 # The Bourbaki simple roots alpha_1..alpha_8 of E8 in the coordinate model,
 # doubled so that every entry is an integer: alpha_1 = (1,-1,...,-1,1)/2,
@@ -63,6 +65,17 @@ _GRAM_INV = [[int(x) for x in row] for row in la.fraction_inverse(E8.gram)]
 def vec_mat(v, m):
     """Row vector times matrix."""
     return [sum(vi * row[j] for vi, row in zip(v, m)) for j in range(len(m[0]))]
+
+
+def vec_norm(v, gram):
+    """The norm v . G . v^T."""
+    return sum(a * b for a, b in zip(v, vec_mat(v, gram)))
+
+
+def complement_lattice(v):
+    """The orthogonal complement of v in E8, as a lattice."""
+    from k3lat.e8 import complement_of
+    return sublattice(E8, complement_of(v))
 
 
 def e8_vectors(bound, exclusive=False) -> list[tuple[int, ...]]:

@@ -30,11 +30,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import bucketed_row, rational_counts
+from oracles import bucketed_row, complement_lattice, rational_counts
 
 from k3lat import glue, lattice as lt
 from k3lat.cli import main
-from k3lat.e8 import complement_of, orbits_of_norm
+from k3lat.e8 import orbits_of_norm
 from k3lat.sbad import ExtensionWitness, is_sbad_extension, possible_extension_norms
 from k3lat.shortvec import root_count
 
@@ -107,7 +107,7 @@ def test_criterion_1_table_reproduction(capsys):
 
 def test_criterion_2_weight(all_rows):
     (two,) = [r for r in all_rows if r.two_n == 2]
-    weight = glue.restricted_weight(complement_of(two.orbit.representative))
+    weight = glue.restricted_weight(complement_lattice(two.orbit.representative))
     ok = weight == 75
     detail = report(2, "restricted weight for the 2n=2 complement equals 75",
                     ok, f"computed {weight}")

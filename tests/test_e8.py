@@ -7,14 +7,14 @@ import pytest
 from k3lat import e8, intlinalg as la, lattice as lt
 from k3lat.errors import ZeroVectorError
 from k3lat.shortvec import root_count
-from oracles import (SIMPLE_ROOTS_2, e8_vectors, model_norm, simple_root_coordinates,
-                     simple_root_pairings, vec_mat)
+from oracles import (SIMPLE_ROOTS_2, complement_lattice, e8_vectors, model_norm,
+                     simple_root_coordinates, simple_root_pairings, vec_mat, vec_norm)
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
 
 
 def reflect_simple(x, i):
-    p = lt.E8.pairing(x, [1 if j == i else 0 for j in range(8)])
+    p = vec_mat(x, lt.E8.gram)[i]
     out = list(x)
     out[i] -= p
     return tuple(out)
@@ -29,7 +29,7 @@ def e8_model_ball():
 def test_every_root_reduces_to_highest_root(e8_model_ball):
     roots = [simple_root_coordinates(y) for y in e8_model_ball if model_norm(y) == 2]
     assert len(roots) == 240
-    assert all(lt.E8.norm(r) == 2 for r in roots)
+    assert all(vec_norm(r, lt.E8.gram) == 2 for r in roots)
     assert {e8.dominant_representative(r) for r in roots} == {HIGHEST_ROOT}
 
 
@@ -123,13 +123,11 @@ def test_enumerator_carries_the_weight_coordinates():
 def test_orbit_invariants():
     for two_n in range(2, 16, 2):
         for o in e8.orbits_of_norm(two_n):
-            assert lt.E8.norm(o.representative) == two_n
-            pairings = [lt.E8.pairing(o.representative,
-                                      [1 if j == i else 0 for j in range(8)])
-                        for i in range(8)]
+            assert vec_norm(o.representative, lt.E8.gram) == two_n
+            pairings = vec_mat(o.representative, lt.E8.gram)
             assert all(p >= 0 for p in pairings)
             assert o.root_count_u % 2 == 0
-            comp = e8.complement_of(o.representative)
+            comp = complement_lattice(o.representative)
             assert comp.rank == 7
             if o.primitive:
                 assert abs(lt.determinant(comp)) == two_n
@@ -138,8 +136,8 @@ def test_orbit_invariants():
 def test_complement_of_scaled_vector():
     w = HIGHEST_ROOT
     doubled = tuple(2 * c for c in w)
-    assert e8.complement_of(doubled).gram == e8.complement_of(w).gram
-    assert e8.complement_of(doubled).basis == e8.complement_of(w).basis
+    assert complement_lattice(doubled).gram == complement_lattice(w).gram
+    assert e8.complement_of(doubled) == e8.complement_of(w)
     with pytest.raises(ZeroVectorError):
         e8.complement_of((0,) * 8)
 
@@ -172,7 +170,7 @@ def test_orbit_root_counts_match_enumeration():
             orthogonal = sum(1 for r in roots
                              if sum(a * b for a, b in zip(r, o.representative)) == 0)
             assert o.root_count_u == orthogonal == root_count(
-                e8.complement_of(o.representative))
+                complement_lattice(o.representative))
             checked += 1
     assert checked == 228
 
@@ -196,7 +194,7 @@ def test_parabolic_orders_by_component_type(zero, weyl, roots):
     assert e8.dominant_representative(x) == x
     assert e8.parabolic_orders(x) == (weyl, roots)
     assert e8.stabilizer_order(x) == weyl
-    assert root_count(e8.complement_of(x)) == roots
+    assert root_count(complement_lattice(x)) == roots
 
 
 def test_complement_determinant_closed_form():
@@ -206,7 +204,7 @@ def test_complement_determinant_closed_form():
     for two_n in range(2, 101, 2):
         for o in e8.orbits_of_norm(two_n):
             g = math.gcd(*o.representative)
-            comp = e8.complement_of(o.representative)
+            comp = complement_lattice(o.representative)
             assert o.complement_determinant == lt.determinant(comp) == two_n // g ** 2
             kinds.add(o.primitive)
             checked += 1

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from k3lat import e8, sbad
 from k3lat import intlinalg as la
 from k3lat import lattice as lt
 from k3lat.errors import (
@@ -161,7 +162,7 @@ def test_dual_basis():
 
 
 def test_orthogonal_complement_of_root():
-    comp = lt.orthogonal_complement(lt.E8, lt.sublattice(lt.E8, [HIGHEST_ROOT]))
+    comp = lt.sublattice(lt.E8, lt.orthogonal_complement(lt.E8, [HIGHEST_ROOT]))
     assert comp.rank == 7
     assert abs(lt.determinant(comp)) == 2
     from k3lat.shortvec import root_count
@@ -170,15 +171,14 @@ def test_orthogonal_complement_of_root():
 
 def test_orthogonal_complement_h_inside_hh():
     hh = lt.direct_sum(lt.H, lt.H)
-    comp = lt.orthogonal_complement(hh, lt.sublattice(hh, [[1, 0, 0, 0],
-                                                           [0, 1, 0, 0]]))
-    assert comp.gram == lt.H.gram
+    rows = lt.orthogonal_complement(hh, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert lt.sublattice(hh, rows).gram == lt.H.gram
 
 
 def test_orthogonal_complement_rejects_imprimitive():
     doubled = [2 * c for c in HIGHEST_ROOT]
     with pytest.raises(NonPrimitiveSublatticeError):
-        lt.orthogonal_complement(lt.E8, lt.sublattice(lt.E8, [doubled]))
+        lt.orthogonal_complement(lt.E8, [doubled])
 
 
 def test_complement_determinant_in_unimodular_ambient():
@@ -196,9 +196,54 @@ def test_complement_determinant_in_unimodular_ambient():
             sub = lt.sublattice(ambient, [v])
             if lt.determinant(sub) == 0:
                 continue
-            comp = lt.orthogonal_complement(ambient, sub)
+            comp = lt.sublattice(ambient, lt.orthogonal_complement(ambient, [v]))
             assert abs(lt.determinant(comp)) == abs(lt.determinant(sub))
             hits += 1
+
+
+def test_a_sublattice_is_the_lattice_of_its_gram():
+    # Equality and hashing read the Gram matrix alone: the complement built
+    # from rows equals, and hashes as, the lattice of the same Gram.
+    for v in (HIGHEST_ROOT, (1, 0, 0, 0, 0, 0, 0, 0), (3, 1, 4, 1, 5, 9, 2, 6)):
+        rows = e8.complement_of(v)
+        comp = lt.sublattice(lt.E8, rows)
+        same = lt.from_gram([list(row) for row in comp.gram])
+        assert comp == same and hash(comp) == hash(same)
+        assert comp.gram == tuple(tuple(row) for row in la.mat_mul(
+            la.mat_mul(rows, lt.E8.gram), la.transpose(rows)))
+    assert lt.sublattice(lt.E8, [HIGHEST_ROOT]) == lt.rank1(2)
+
+
+def test_inexact_entries_are_rejected_not_truncated():
+    # A float or a non-integral Fraction is a TypeError wherever the library
+    # takes integer entries; int() would truncate 2.5 to 2 and 7/2 to 3.
+    inexact = (2.5, Fraction(7, 2), 2.0, Fraction(4, 1))
+    for x in inexact:
+        with pytest.raises(TypeError):
+            lt.from_gram([[x]])
+        with pytest.raises(TypeError):
+            lt.Lattice(((x,),))
+        with pytest.raises(TypeError):
+            lt.sublattice(lt.E8, [[x, 0, 0, 0, 0, 0, 0, 0]])
+        with pytest.raises(TypeError):
+            lt.is_primitive_vector(lt.E8, [x, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(TypeError):
+            e8.dominant_representative([x, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(TypeError):
+            e8.complement_of([x, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(TypeError):
+            sbad.search_sbad_extensions(lt.rank1(2), 1, [x])
+    # integers of any type that has __index__ are taken as they are
+    assert lt.from_gram([[True]]).gram == ((1,),)
+    assert type(lt.Lattice([[2]]).gram[0][0]) is int
+
+
+def test_basis_rows_of_the_wrong_length_are_rejected():
+    for rows in ([[1, 0]], [[1] * 9], [HIGHEST_ROOT, [1] * 7]):
+        with pytest.raises(ValueError, match="8 entries"):
+            lt.sublattice(lt.E8, rows)
+        with pytest.raises(ValueError, match="8 entries"):
+            lt.orthogonal_complement(lt.E8, rows)
 
 
 def test_constructors():

@@ -39,7 +39,7 @@ def test_records_of_different_types_or_tuples_are_unequal():
             (sp.Named("E8"), ("E8",)),
             (sp.Term(False, sp.Named("E8")), (False, sp.Named("E8"))),
             (cell(), (1, Fraction(-1, 2), 3, True)),
-            (lt.from_gram([[2]]), (((2,),), None, None)),
+            (lt.from_gram([[2]]), (((2,),),)),
             (EmbeddingReport(True, 1, 0, (2, 0), 28), (True, 1, 0, (2, 0), 28)),
             (orbit, (orbit.two_n, orbit.representative, orbit.primitive,
                      orbit.orbit_size, orbit.root_count_u))]:
@@ -97,11 +97,6 @@ def test_norm_histograms_are_mutable_and_own_their_counts():
 def test_lattice_validation_and_repr():
     with pytest.raises(ValueError, match="symmetric"):
         lt.Lattice(((2, 1), (0, 2)))
-    with pytest.raises(ValueError, match="together"):
-        lt.Lattice(((2,),), ambient=lt.E8)
-    with pytest.raises(ValueError, match="does not match"):
-        lt.Lattice(((4,),), ambient=lt.rank1(2), basis=((1,),))
-    assert lt.Lattice(((8,),), lt.rank1(2), ((2,),)).rank == 1
     with pytest.raises(ValueError, match="one pairing per basis vector"):
         ExtensionWitness(lt.rank1(2), (1, 2), 0)
     assert repr(lt.E8) == "Lattice(rank=8, det=1)"

@@ -8,13 +8,14 @@ import pytest
 
 from k3lat import intlinalg as la
 from k3lat import lattice as lt
-from k3lat.e8 import complement_of, orbits_of_norm
+from k3lat.e8 import orbits_of_norm
 from k3lat.glue import coset_count_row, dual_coset_counts
 from k3lat.errors import IndefiniteLatticeError, NotPositiveDefiniteError
 from k3lat.shortvec import (NormHistogram, lll_reduce, rational_cholesky, root_count,
                             short_vectors)
-from oracles import (determinant, e8_vectors, model_norm, random_definite_grams,
-                     simple_root_coordinates, simple_root_pairings, skewed_gram, vec_mat)
+from oracles import (complement_lattice, determinant, e8_vectors, model_norm,
+                     random_definite_grams, simple_root_coordinates, simple_root_pairings,
+                     skewed_gram, vec_mat, vec_norm)
 
 
 def box(gram, bound, exact=False):
@@ -43,7 +44,7 @@ def box_search(gram, bound, exclusive=False, label=None, modulus=0, basis=None):
         points = (vec_mat(x, basis) for x in product(*box(reduced, bound, True)))
     counts = {}
     for x in points:
-        norm = Fraction(la.pairing(gram, x, x))
+        norm = Fraction(vec_norm(x, gram))
         if norm < bound or (norm == bound and not exclusive):
             key = norm if label is None else (
                 sum(c * xi for c, xi in zip(label, x)) % modulus, norm)
@@ -117,7 +118,7 @@ def test_plus_minus_symmetry():
     form = (1, 2, 0, -1, 3, 0, 1)
     want = {}
     for v in listed:
-        key = (sum(a * b for a, b in zip(form, v)) % 5, Fraction(lt.E7.norm(v)))
+        key = (sum(a * b for a, b in zip(form, v)) % 5, Fraction(vec_norm(v, lt.E7.gram)))
         want[key] = want.get(key, 0) + 1
     hist = short_vectors(lt.E7.gram, Fraction(6), label=form, modulus=5)
     assert hist.counts == want
@@ -372,7 +373,7 @@ def test_root_count_table_complements():
     by_roots = {}
     for two_n in (6, 10):
         (orbit,) = orbits_of_norm(two_n)
-        by_roots[two_n] = root_count(complement_of(orbit.representative))
+        by_roots[two_n] = root_count(complement_lattice(orbit.representative))
     assert by_roots == {6: 74, 10: 60}
 
 

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,3 +106,19 @@ def test_readme_library_example_runs():
     library = readme.split("\n## Library\n", 1)[1]
     block = library.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec", optimize=0), {})
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer wraps the functions named in
+    # perfbench/layertrace.WRAPPED by name; a name that a module no longer
+    # binds would otherwise fail only in a traced benchmark run. The dict is
+    # read from the source, not imported.
+    tree = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text(encoding="utf-8"))
+    (wrapped,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    assert len(wrapped) >= 9
+    missing = [f"{module}.{name}" for module, names in wrapped.items()
+               for name in names
+               if not callable(getattr(import_module(f"k3lat.{module}"), name, None))]
+    assert missing == []
