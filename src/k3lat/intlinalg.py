@@ -3,8 +3,9 @@
 Matrices are lists of row lists of Python ints (Fractions where stated),
 vectors are row vectors. Nothing here ever touches floating point; the
 ranks in play (<= 28) keep the dense textbook algorithms fast. The one
-integer elimination here is the Hermite normal form: it gives kernels, the
-Smith form and the exact inverse. The Lagrange reduction behind
+integer elimination here is a Hermite form of augmented rows [m | x], each
+transform carried as extra columns (Cohen, GTM 138, 2.4): it gives kernels,
+the Smith form and the exact inverse. The Lagrange reduction behind
 signatures, determinants and the enumerator's L D L^T lives in
 `reduction`, with `xgcd` and `is_symmetric`; this module imports all three
 for its own eliminations, so they also resolve here.
@@ -29,8 +30,6 @@ def transpose(m):
 
 def mat_mul(a, b):
     """Matrix product; entries may be ints or Fractions."""
-    if not a or not b:
-        return []
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
@@ -50,11 +49,13 @@ def bareiss_determinant(m: IntMatrix) -> int:
 
 def fraction_inverse(m) -> list[list[Fraction]]:
     """Exact inverse of a square integer matrix, h^-1 u for its Hermite form
-    u m = h, by back substitution (Cohen, GTM 138, 2.4.3). Serves
-    `lattice.dual_basis`. Raises ZeroDivisionError if m is singular: then h
-    has a 0 on its diagonal, and otherwise it is upper triangular."""
+    u m = h, by back substitution (Cohen, GTM 138, 2.4.3), for `lattice.dual_basis`.
+    Raises ValueError unless m is square, and ZeroDivisionError if m is
+    singular: then h has a 0 on its diagonal, and otherwise it is upper triangular."""
     from fractions import Fraction
 
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("inverse needs a square matrix")
     h, u = hermite_normal_form(m)
     inv = []  # the rows of m^-1, last first
     for i in range(len(h) - 1, -1, -1):
@@ -67,17 +68,42 @@ def fraction_inverse(m) -> list[list[Fraction]]:
     return inv[::-1]
 
 
-def _row_combine(a, u, i, j, coeffs):
-    """Apply the unimodular 2x2 transform `coeffs` to rows i, j of a and u."""
-    p, q, r, s = coeffs
-    a[i], a[j] = (
-        [p * x + q * y for x, y in zip(a[i], a[j])],
-        [r * x + s * y for x, y in zip(a[i], a[j])],
-    )
-    u[i], u[j] = (
-        [p * x + q * y for x, y in zip(u[i], u[j])],
-        [r * x + s * y for x, y in zip(u[i], u[j])],
-    )
+def _echelon(rows, cols: int):
+    """Bring the first `cols` columns of `rows` to row Hermite form in place,
+    each row operation acting on the whole row: [m | I] ends as [h | u]."""
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        top, rows[p] = rows[p], rows[r]
+        for i, row in enumerate(rows[r + 1:], r + 1):
+            if row[c] == 0:
+                continue
+            if row[c] % top[c] == 0:
+                q = row[c] // top[c]
+                rows[i] = [x - q * y for x, y in zip(row, top)]
+            else:
+                g, x, y = xgcd(top[c], row[c])
+                s, t = top[c] // g, row[c] // g
+                top, rows[i] = ([x * a + y * b for a, b in zip(top, row)],
+                                [s * b - t * a for a, b in zip(top, row)])
+        if top[c] < 0:
+            top = [-x for x in top]
+        rows[r] = top
+        for j in range(r):
+            q = rows[j][c] // top[c]
+            if q:
+                rows[j] = [x - q * y for x, y in zip(rows[j], top)]
+        r += 1
+    return rows
+
+
+def _hermite(m: IntMatrix, extra) -> tuple[IntMatrix, IntMatrix]:
+    """(h, u @ extra) for the Hermite form u @ m = h, from [m | extra]."""
+    n = len(m[0]) if m else 0
+    a = _echelon([list(row) + list(e) for row, e in zip(m, extra)], n)
+    return [row[:n] for row in a], [row[n:] for row in a]
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -87,45 +113,12 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     pivots with increasing pivot columns, entries above each pivot reduced
     into [0, pivot), and zero rows collected at the bottom.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(row) for row in m]
-    u = identity(rows)
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            u[r], u[p] = u[p], u[r]
-        for i in range(r + 1, rows):
-            if a[i][c] == 0:
-                continue
-            if a[i][c] % a[r][c] == 0:
-                q = a[i][c] // a[r][c]
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-            else:
-                g, x, y = xgcd(a[r][c], a[i][c])
-                _row_combine(a, u, r, i, (x, y, -(a[i][c] // g), a[r][c] // g))
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
-        for j in range(r):
-            q = a[j][c] // a[r][c]
-            if q:
-                a[j] = [x - q * y for x, y in zip(a[j], a[r])]
-                u[j] = [x - q * y for x, y in zip(u[j], u[r])]
-        r += 1
-        if r == rows:
-            break
-    return a, u
+    return _hermite(m, identity(len(m)))
 
 
 def row_hnf(m: IntMatrix) -> IntMatrix:
     """Canonical HNF basis of the row lattice of m, zero rows dropped."""
-    h, _ = hermite_normal_form(m)
+    h = _echelon([list(row) for row in m], len(m[0]) if m else 0)
     return [row for row in h if any(row)]
 
 
@@ -136,8 +129,7 @@ def left_kernel(m: IntMatrix) -> IntMatrix:
     returned basis spans a primitive sublattice of Z^rows.
     """
     h, u = hermite_normal_form(m)
-    ker = [u[i] for i in range(len(h)) if not any(h[i])]
-    return row_hnf(ker) if ker else []
+    return row_hnf([x for x, row in zip(u, h) if not any(row)])
 
 
 def _is_diagonal(a) -> bool:
@@ -150,30 +142,23 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     Returns (left, diag) with left unimodular and left @ m @ right = diag for
     some unimodular right, which is not built; diag is diagonal with
     nonnegative entries forming a divisibility chain d1 | d2 | ... Row and
-    column HNFs alternate until the matrix is diagonal (Kannan and Bachem,
-    SIAM J. Comput. 8, 1979), starting with a row pass so that each entry is
-    a pivot or 0; a pair d_i, d_j with d_i not dividing d_j then becomes
-    gcd, lcm in place.
+    column HNFs alternate, a row pass on [a | left] first and last, until the
+    matrix is diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979), so each
+    entry is a pivot or 0; a pair d_i, d_j with d_i not dividing d_j then
+    becomes gcd, lcm by one Hermite step on [d_i | left_i], [d_j | left_j].
     """
     a, left = hermite_normal_form(m)
     while not _is_diagonal(a):
-        a = transpose(hermite_normal_form(transpose(a))[0])
-        if not _is_diagonal(a):
-            a, u = hermite_normal_form(a)
-            left = mat_mul(u, left)
+        a, left = _hermite(transpose(_echelon(transpose(a), len(a))), left)
     d = diagonal_of(a)
     k = sum(1 for x in d if x)
     for i in range(k):
         for j in range(i + 1, k):
             if d[j] % d[i] == 0:
                 continue
-            g, x, y = xgcd(d[i], d[j])
-            p, q = d[i] // g, d[j] // g
-            d[i], d[j] = g, d[j] * p
+            (g, *left[i]), (_, *left[j]) = _echelon([[d[i], *left[i]], [d[j], *left[j]]], 1)
+            d[i], d[j] = g, d[i] * d[j] // g
             a[i][i], a[j][j] = d[i], d[j]
-            li, lj = left[i], left[j]
-            left[i] = [x * s + y * t for s, t in zip(li, lj)]
-            left[j] = [p * t - q * s for s, t in zip(li, lj)]
     return left, a
 
 

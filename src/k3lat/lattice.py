@@ -9,7 +9,7 @@ arithmetic is over Python ints; only `dual_basis` returns Fractions.
 from __future__ import annotations
 
 from math import gcd
-from operator import index
+from operator import index, mul
 
 from . import intlinalg as la
 from .errors import (
@@ -68,14 +68,14 @@ def from_gram(rows) -> Lattice:
 def _basis_rows(ambient: Lattice, rows) -> list[list[int]]:
     b = [list(map(index, row)) for row in rows]
     if any(len(row) != ambient.rank for row in b):
-        raise ValueError(f"basis rows must have {ambient.rank} entries, the ambient rank")
+        raise ValueError(f"each row must have {ambient.rank} entries, the ambient rank")
     return b
 
 
 def sublattice(ambient: Lattice, rows) -> Lattice:
     """The lattice spanned by integer basis rows of ``ambient``: Gram B G B^T."""
     b = _basis_rows(ambient, rows)
-    return Lattice(la.mat_mul(la.mat_mul(b, ambient.gram), la.transpose(b)))
+    return Lattice([[sum(map(mul, u, v)) for v in b] for u in la.mat_mul(b, ambient.gram)])
 
 
 def determinant(lat: Lattice) -> int:
@@ -147,8 +147,9 @@ def dual_basis(lat: Lattice) -> list[tuple[Fraction, ...]]:
 
 
 def is_primitive_vector(lat: Lattice, x) -> bool:
-    """True iff x is not a proper integer multiple of a lattice vector."""
-    coords = [index(c) for c in x]
+    """True iff x is not a proper integer multiple of a lattice vector;
+    ValueError unless x has lat.rank coordinates."""
+    coords = _basis_rows(lat, [x])[0]
     if not any(coords):
         raise ZeroVectorError("zero vector has no primitivity")
     return gcd(*coords) == 1

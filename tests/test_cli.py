@@ -434,6 +434,13 @@ def test_lat_info_definite_vs_not(capsys):
     assert "root count" not in out
 
 
+def test_lat_info_divisors_form_a_divisibility_chain(capsys):
+    # The Hermite passes leave diag(4, 6), which the gcd/lcm step of the
+    # Smith form turns into the chain 2 | 12.
+    code, out, _ = run(capsys, "lat", "info", "(4) + (6)")
+    assert code == 0 and "discriminant group divisors: [2, 12]" in out
+
+
 def test_a_spec_starting_with_a_minus_needs_the_double_dash(capsys):
     # argparse reads a space-free argument that begins with "-" as an option
     code, out, _ = run(capsys, "lat", "info", "-E8 ")

@@ -125,6 +125,9 @@ def test_fraction_inverse_matches_cofactor_oracle():
     with pytest.raises(ZeroDivisionError):
         la.fraction_inverse([[1, 2], [2, 4]])
     assert la.fraction_inverse([]) == []
+    for m in ([[1, 2]], [[1], [2]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="square"):
+            la.fraction_inverse(m)
 
 
 def test_bareiss_e8_det_one():
@@ -190,6 +193,22 @@ def test_hnf_transform_and_shape():
                 continue
             for above in range(i):
                 assert 0 <= h[above][nz] < row[nz]
+
+
+def test_normal_forms_of_matrices_without_rows_or_columns():
+    # (m, hermite_normal_form, row_hnf, left_kernel, smith_normal_form)
+    cases = [
+        ([], ([], []), [], [], ([], [])),
+        ([[]], ([[]], [[1]]), [], [[1]], ([[1]], [[]])),
+        ([[], []], ([[], []], la.identity(2)), [], la.identity(2),
+         (la.identity(2), [[], []])),
+        ([[0, 0]], ([[0, 0]], [[1]]), [], [[1]], ([[1]], [[0, 0]])),
+    ]
+    for m, hnf, basis, kernel, smith in cases:
+        assert la.hermite_normal_form(m) == hnf, m
+        assert la.row_hnf(m) == basis, m
+        assert la.left_kernel(m) == kernel, m
+        assert la.smith_normal_form(m) == smith, m
 
 
 def test_left_kernel_is_saturated():

@@ -175,6 +175,13 @@ def test_orthogonal_complement_h_inside_hh():
     assert lt.sublattice(hh, rows).gram == lt.H.gram
 
 
+def test_bases_without_rows_or_columns():
+    # the complement of the zero sublattice is the whole lattice
+    assert lt.orthogonal_complement(lt.E8, []) == la.identity(8)
+    # and in the rank-0 lattice, k empty rows span a lattice of rank k
+    assert lt.sublattice(lt.from_gram([]), [[], []]).gram == ((0, 0), (0, 0))
+
+
 def test_orthogonal_complement_rejects_imprimitive():
     doubled = [2 * c for c in HIGHEST_ROOT]
     with pytest.raises(NonPrimitiveSublatticeError):
@@ -272,6 +279,9 @@ def test_is_primitive_vector():
     assert not lt.is_primitive_vector(lt.E8, [2 * c for c in HIGHEST_ROOT])
     with pytest.raises(ZeroVectorError):
         lt.is_primitive_vector(lt.E8, [0] * 8)
+    for lat, x in ((lt.E8, [1, 0]), (lt.E8, [1] * 9), (lt.rank1(2), [3, 5, 7])):
+        with pytest.raises(ValueError, match=f"{lat.rank} entries"):
+            lt.is_primitive_vector(lat, x)
 
 
 def test_gram_file_roundtrip(tmp_path):
