@@ -8,16 +8,18 @@ renders each rational, in text and JSON: an int, or "p/q" in lowest terms.
 Each command computes its values once and returns its schema-1 payload
 with a function that renders its text form as a list of lines; `main`
 renders the whole output before it writes anything. This module holds
-what every command runs: the parser, `main` and the shared helpers. A
-command's body is in a module of its own (`cli_lat`, `cli_e8`, ...) that
-its `cmd_*` entry imports when it runs, as the body imports the library
-modules it runs, so a command compiles no other command's code. The
-`cmd_*` entries stay here as the stable names for tracing and tests.
+what every command runs: the grammar table, `main` and the shared
+helpers. `main` reads a well-formed command line from the table itself;
+argparse is loaded, and its parser built from the same table, only for
+help and usage errors. A command's body is in a module of its own
+(`cli_lat`, `cli_e8`, ...) that its `cmd_*` entry imports when it runs,
+as the body imports the library modules it runs, so a command compiles
+no other command's code. The `cmd_*` entries stay here as the stable
+names for tracing and tests.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from math import gcd
@@ -25,15 +27,6 @@ from math import gcd
 from .errors import GramFileError, LatticeError, SpecSyntaxError, UsageError
 
 SCHEMA_VERSION = 1
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is exit 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _signed(norm, internal: bool):
@@ -130,120 +123,148 @@ def cmd_minus2(args):
 
 # ------------------------------------------------------------------ parser
 
+_FLAG = {"action": "store_true", "default": False}
+_NORM = ("--norm", {"type": int, "required": True, "metavar": "2N"})
+_ORBIT = ("--orbit", {"type": int, "metavar": "I"})
 
-def _lat(parser):
-    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    info = sub.add_parser("info", help="rank, signature, determinant, ...")
-    info.add_argument("spec", help="lattice-spec expression, e.g. '(-2) + -E8'")
-    info.add_argument("--json", action="store_true")
-    info.set_defaults(func=cmd_lat_info)
-
-
-def _e8(parser):
-    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    orbs = sub.add_parser("orbits", help="orbits of vectors of a given norm")
-    orbs.add_argument("--norm", type=int, required=True, metavar="2N")
-    orbs.add_argument("--json", action="store_true")
-    orbs.add_argument("--internal-norms", action="store_true")
-    orbs.set_defaults(func=cmd_e8_orbits)
-
-
-def _table(parser):
-    parser.add_argument("--from", dest="start", type=int, default=2, metavar="2N")
-    parser.add_argument("--to", dest="stop", type=int, default=14, metavar="2N")
-    parser.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    parser.add_argument("--internal-norms", action="store_true")
-    parser.set_defaults(func=cmd_table)
-
-
-def _divisors(parser):
-    parser.add_argument("--norm", type=int, required=True, metavar="2N")
-    parser.add_argument("--orbit", type=int, default=None, metavar="I")
-    parser.add_argument("--json", action="store_true")
-    parser.add_argument("--internal-norms", action="store_true")
-    parser.set_defaults(func=cmd_divisors)
-
-
-def _weight(parser):
-    parser.add_argument("--norm", type=int, required=True, metavar="2N")
-    parser.add_argument("--orbit", type=int, default=None, metavar="I")
-    parser.add_argument("--json", action="store_true")
-    parser.set_defaults(func=cmd_weight)
+# For each command path, in the order of `--help`: its help, the name of
+# its `cmd_*` entry (None where subcommands follow), and its arguments,
+# each a positional name or an option string with argparse's keywords.
+_GRAMMAR = {
+    ("lat",): ("lattice inspection", None, ()),
+    ("lat", "info"): ("rank, signature, determinant, ...", "cmd_lat_info", (
+        ("spec", {"help": "lattice-spec expression, e.g. '(-2) + -E8'"}), ("--json", _FLAG))),
+    ("e8",): ("E8 orbit analysis", None, ()),
+    ("e8", "orbits"): ("orbits of vectors of a given norm", "cmd_e8_orbits", (
+        _NORM, ("--json", _FLAG), ("--internal-norms", _FLAG))),
+    ("table",): ("coset count table rows", "cmd_table", (
+        ("--from", {"dest": "start", "type": int, "default": 2, "metavar": "2N"}),
+        ("--to", {"dest": "stop", "type": int, "default": 14, "metavar": "2N"}),
+        ("--format", {"choices": ("md", "csv", "json"), "default": "md"}),
+        ("--internal-norms", _FLAG))),
+    ("divisors",): ("divisor classes and multiplicities", "cmd_divisors", (
+        _NORM, _ORBIT, ("--json", _FLAG), ("--internal-norms", _FLAG))),
+    ("weight",): ("restricted form weight per orbit", "cmd_weight", (
+        _NORM, _ORBIT, ("--json", _FLAG))),
+    ("embed",): ("embedding feasibility", None, ()),
+    ("embed", "check"): ("primitive embedding test", "cmd_embed_check", (
+        ("spec", {}), ("--json", _FLAG))),
+    ("sbad",): ("Picard-lattice extension tests", None, ()),
+    ("sbad", "witness"): ("check a bordered witness file", "cmd_sbad_witness", (
+        ("--gram", {"required": True, "metavar": "FILE"}), ("--json", _FLAG))),
+    ("sbad", "polarized"): ("degree-k class test", "cmd_sbad_polarized", (
+        ("--n", {"type": int, "required": True}), ("--dnorm", {"type": int, "required": True}),
+        ("--k", {"type": int, "required": True}), ("--json", _FLAG))),
+    ("minus2",): ("short-dual-vector property", None, ()),
+    ("minus2", "property"): (None, "cmd_minus2", (("spec", {}), ("--json", _FLAG))),
+}
 
 
-def _embed(parser):
-    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    check = sub.add_parser("check", help="primitive embedding test")
-    check.add_argument("spec")
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(func=cmd_embed_check)
+class _Args:
+    """A command's arguments as attributes, as in argparse's Namespace."""
+
+    def __init__(self, values):
+        self.__dict__.update(values)
 
 
-def _sbad(parser):
-    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    wit = sub.add_parser("witness", help="check a bordered witness file")
-    wit.add_argument("--gram", required=True, metavar="FILE")
-    wit.add_argument("--json", action="store_true")
-    wit.set_defaults(func=cmd_sbad_witness)
-    pol = sub.add_parser("polarized", help="degree-k class test")
-    pol.add_argument("--n", type=int, required=True)
-    pol.add_argument("--dnorm", type=int, required=True)
-    pol.add_argument("--k", type=int, required=True)
-    pol.add_argument("--json", action="store_true")
-    pol.set_defaults(func=cmd_sbad_polarized)
+def _read(argv):
+    """The arguments of a well-formed command line, as argparse reads them:
+    a command path, each option of the command at most once with a value
+    not led by "-", every required option and each positional. Anything
+    else (help, "--", --opt=value, an abbreviation, a repeat, a bad value,
+    a missing or extra argument) gives None, and argparse reads argv."""
+    path = tuple(argv[:1])
+    if path in _GRAMMAR and not _GRAMMAR[path][1]:
+        path = tuple(argv[:2])
+    if path not in _GRAMMAR or not _GRAMMAR[path][1]:
+        return None
+    _, func, arguments = _GRAMMAR[path]
+    options = {name: (kw.get("dest", name[2:].replace("-", "_")), kw)
+               for name, kw in arguments if name.startswith("-")}
+    positionals = [name for name, _ in arguments if not name.startswith("-")]
+    values = dict(zip(("command", "subcommand"), path), func=globals()[func])
+    values.update((dest, kw.get("default")) for dest, kw in options.values())
+    found, seen, words = [], set(), iter(argv[len(path):])
+    for word in words:
+        if not word.startswith("-"):
+            found.append(word)
+            continue
+        if word not in options or word in seen:
+            return None
+        seen.add(word)
+        dest, kw = options[word]
+        if kw.get("action"):
+            values[dest] = True
+            continue
+        word = next(words, "-")  # a missing value is refused as one led by "-"
+        try:
+            values[dest] = kw.get("type", str)(word)
+        except ValueError:
+            return None
+        if word.startswith("-") or "choices" in kw and values[dest] not in kw["choices"]:
+            return None
+    if len(found) != len(positionals) or any(
+            kw.get("required") and name not in seen for name, (_, kw) in options.items()):
+        return None
+    return _Args({**values, **dict(zip(positionals, found))})
 
 
-def _minus2(parser):
-    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    prop = sub.add_parser("property")
-    prop.add_argument("spec")
-    prop.add_argument("--json", action="store_true")
-    prop.set_defaults(func=cmd_minus2)
-
-
-# (name, help, function that adds the command's arguments and subcommands)
-_COMMANDS = (
-    ("lat", "lattice inspection", _lat),
-    ("e8", "E8 orbit analysis", _e8),
-    ("table", "coset count table rows", _table),
-    ("divisors", "divisor classes and multiplicities", _divisors),
-    ("weight", "restricted form weight per orbit", _weight),
-    ("embed", "embedding feasibility", _embed),
-    ("sbad", "Picard-lattice extension tests", _sbad),
-    ("minus2", "short-dual-vector property", _minus2),
-)
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for `argv` (default: the process arguments).
+def build_parser(argv=None):
+    """The argparse parser of `_GRAMMAR` for `argv` (default: the process
+    arguments), which `main` builds only for what `_read` refuses.
 
     Only the command that argv names gets its arguments and subcommands;
     the others are bare entries, enough for the command list in `--help`
     and for the choices in an invalid-choice error.
     """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse exits 2 on usage errors; the contract here is exit 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
+    def add_commands(parser, path, dest):
+        sub = parser.add_subparsers(dest=dest, metavar=dest)
+        for child, (summary, func, arguments) in _GRAMMAR.items():
+            if child[:-1] != path:
+                continue
+            keywords = {"help": summary} if summary else {}
+            if child[0] != named:
+                sub.add_parser(child[0], add_help=False, **keywords)
+                continue
+            command = sub.add_parser(child[-1], **keywords)
+            for name, kw in arguments:
+                command.add_argument(name, **kw)
+            if func:
+                command.set_defaults(func=globals()[func])
+            else:
+                add_commands(command, child, "subcommand")
+
     if argv is None:
         argv = sys.argv[1:]
     named = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = _Parser(prog="k3lat",
-                     description="Exact arithmetic for even integral lattices")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, summary, populate in _COMMANDS:
-        if name == named:
-            populate(sub.add_parser(name, help=summary))
-        else:
-            sub.add_parser(name, help=summary, add_help=False)
+    parser = Parser(prog="k3lat", description="Exact arithmetic for even integral lattices")
+    add_commands(parser, (), "command")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 1
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        parser = build_parser(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 1
     try:
         payload, text = args.func(args)
     except SpecSyntaxError as exc:
@@ -268,7 +289,14 @@ def main(argv=None) -> int:
         # int-to-str digit limit; nothing has been written yet.
         print(f"k3lat: {_too_many_digits()}", file=sys.stderr)
         return 1
-    sys.stdout.write(output)
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:  # a full disk, or a pipe closed by its reader
+        # Python flushes stdout again at exit; devnull takes what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"k3lat: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import pytest
 import k3lat
 import k3lat.e8
 import k3lat.lattice
-from k3lat.cli import main
+from k3lat.cli import _GRAMMAR, _read, build_parser, main
 from oracles import skewed_gram
 
 GOLDEN = Path(__file__).parent / "golden" / "table_2_14.md"
@@ -229,6 +231,123 @@ def test_each_command_loads_exactly_its_own_modules(argv, code, modules, monkeyp
               "print(code, sorted(m for m in sys.modules if m.startswith('k3lat')))")
     expected = sorted(["k3lat", "k3lat.cli", *modules])
     assert fresh_python(script) == f"{code} {expected}\n"
+
+
+def test_well_formed_commands_load_neither_argparse_nor_gettext(monkeypatch, tmp_path):
+    # main reads a well-formed command line from the grammar table; argparse,
+    # with the gettext it loads for its messages, loads only for help and
+    # usage errors, or for a spec led by "-". locale is not pinned: site
+    # loads it on some hosts.
+    witness = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "witness.txt"
+    (tmp_path / "witness.txt").write_text(witness.read_text())
+    monkeypatch.chdir(tmp_path)
+    argvs = [argv for argv, *_ in COMMAND_MODULES if not argv[-1].startswith("-")]
+    assert len(argvs) == len(COMMAND_MODULES) - 1
+    script = ("import contextlib, io, sys, k3lat.cli\n"
+              "def loaded():\n"
+              "    return [name in sys.modules for name in ('argparse', 'gettext')]\n"
+              "print(loaded())\n"
+              "with contextlib.redirect_stdout(io.StringIO()), "
+              "contextlib.redirect_stderr(io.StringIO()):\n"
+              f"    codes = [k3lat.cli.main(argv) for argv in {argvs!r}]\n"
+              "print(codes, loaded())\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    k3lat.cli.main(['lat', 'info', '-E8 + -E8 + -E8'])\n"
+              "print(loaded())\n")
+    codes = [code for argv, code, _ in COMMAND_MODULES if argv in argvs]
+    assert fresh_python(script) == f"[False, False]\n{codes} [False, False]\n[True, True]\n"
+
+
+# Words for the generated command lines: (good, bad) values of each kind.
+INT_WORDS = (["8", "2", "14", "0", "+6", " 10", "007", "\u0668"],
+             ["x", "4.0", "", "-4", "-", "1e3", "--json"])
+STR_WORDS = (["w.txt", "", "a=b", "info"], ["-w.txt", "-", "--json"])
+CHOICE_WORDS = (["md", "csv", "json"], ["yaml", "JSON", "-md", ""])
+SPECS = (["II(2,26)", "(-2) + -E8", "E8", "", "info", "E8 + -E8"],
+         ["-E8", "-E8 + -E8", "-2", "--json", "-"])
+EXTRAS = ["-h", "--help", "--", "--bogus", "extra", "-"]
+
+
+def draw(rng, words):
+    good, bad = words
+    return rng.choice(good if rng.random() < 0.8 else bad)
+
+
+def grammar_argvs(seed, count):
+    """Command lines drawn from the grammar table: each command with its
+    options present, absent, repeated, abbreviated, written --opt=value or
+    left without a value, good and bad values, missing or extra
+    positionals, specs led by "-", and "--", -h and unknown words."""
+    rng = random.Random(seed)
+    leaves = [(path, arguments) for path, (_, func, arguments) in _GRAMMAR.items() if func]
+    argvs = []
+    while len(argvs) < count:
+        path, arguments = rng.choice(leaves)
+        chunks = []
+        for name, kw in arguments:
+            if not name.startswith("-"):
+                chunks += [[draw(rng, SPECS)] for _ in range(rng.choice([1, 1, 1, 1, 0, 2]))]
+                continue
+            words = (CHOICE_WORDS if "choices" in kw else
+                     INT_WORDS if kw.get("type") is int else STR_WORDS)
+            value = [] if kw.get("action") else [draw(rng, words)]
+            mode = rng.choice(["plain"] * 12 + ["absent"] * 3
+                              + ["repeat", "abbrev", "equals", "bare"])
+            if mode == "plain":
+                chunks.append([name, *value])
+            elif mode == "repeat":
+                chunks += [[name, *value], [name, *value]]
+            elif mode == "abbrev":
+                chunks.append([name[:rng.randrange(3, len(name))] if len(name) > 3 else name,
+                               *value])
+            elif mode == "equals":
+                chunks.append(["=".join([name, *value]) if value else f"{name}=1"])
+            elif mode == "bare":
+                chunks.append([name])
+        if rng.random() < 0.1:
+            chunks.insert(rng.randrange(len(chunks) + 1), [rng.choice(EXTRAS)])
+        if rng.random() < 0.5:
+            rng.shuffle(chunks)
+        head = list(path)
+        if rng.random() < 0.05:
+            head = rng.choice([head[:-1], ["nonsense", *head[1:]], ["--json", *head]])
+        argvs.append(head + [word for chunk in chunks for word in chunk])
+    return argvs
+
+
+def argparse_values(argv):
+    """vars() of argparse's reading of argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_the_grammar_reader_agrees_with_argparse():
+    # For every command line the reader either refuses it, leaving it to
+    # argparse, or gives exactly the arguments that argparse reads.
+    argvs = grammar_argvs(26, 2400)
+    read = [(argv, _read(argv)) for argv in argvs]
+    disagree = [argv for argv, args in read
+                if args is not None and vars(args) != argparse_values(argv)]
+    assert disagree == []
+    accepted = sum(args is not None for _, args in read)
+    assert accepted >= 500 and len(argvs) - accepted >= 500
+    assert {args.func.__name__ for _, args in read if args is not None} == {
+        func for _, func, _ in _GRAMMAR.values() if func}
+
+
+def test_every_benchmark_command_takes_the_grammar_reader(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    argvs = {command.argv for name in workloads.WORKLOADS
+             for command in workloads.workload_commands(name, 0)}
+    refused = [argv for argv in argvs if _read(list(argv)) is None]
+    assert refused == [("lat", "info", "-E8 + -E8 + -E8", "--json")]
+    for argv in argvs - set(refused):
+        assert vars(_read(list(argv))) == argparse_values(list(argv)), argv
 
 
 def test_public_names_resolve_to_their_defining_modules():
@@ -585,6 +704,35 @@ def test_a_file_that_is_not_utf8_exits_1_without_a_traceback(tmp_path):
         assert (proc.returncode, proc.stdout) == (1, ""), argv
         assert proc.stderr.startswith("k3lat: ") and "Traceback" not in proc.stderr, argv
         assert proc.stderr == f"k3lat: {path}: not a UTF-8 text file\n", argv
+
+
+def cli_process(*argv, **kwargs):
+    """`python -m k3lat.cli argv` on this checkout's sources, not yet waited for."""
+    src = str(Path(k3lat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    # Unbuffered, Python's text layer drops the count of a partial write,
+    # so a pipe that its reader closes mid-write would go unseen.
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "k3lat.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_to_a_full_disk_exits_1_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = cli_process("e8", "orbits", "--norm", "8", stdout=full)
+        err = proc.communicate(timeout=60)[1]
+    assert (proc.returncode, err) == (1, "k3lat: [Errno 28] No space left on device\n")
+
+
+def test_a_pipe_closed_by_its_reader_exits_1_without_a_traceback():
+    # The 1 MB of JSON fills the pipe, so the writer still holds output
+    # when the reader, having read one byte, closes its end.
+    proc = cli_process("table", "--to", "120", "--format", "json", stdout=subprocess.PIPE)
+    assert proc.stdout.read(1) == "{"
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1]
+    assert (proc.returncode, err) == (1, "k3lat: [Errno 32] Broken pipe\n")
 
 
 def test_gram_and_witness_files_take_only_ascii_integers(capsys, tmp_path):
