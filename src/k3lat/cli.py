@@ -15,11 +15,14 @@ help and usage errors. A command's body is in a module of its own
 (`cli_lat`, `cli_e8`, ...) that its `cmd_*` entry imports when it runs,
 as the body imports the library modules it runs, so a command compiles
 no other command's code. The `cmd_*` entries stay here as the stable
-names for tracing and tests.
+names for tracing and tests. As the process entry, `main()` freezes the
+heap before it returns, so the collections at exit do not traverse it;
+`main(argv)` leaves the caller's collector alone.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from math import gcd
@@ -47,6 +50,27 @@ def _rational(num: int, den: int):
         return num // g if g == den else f"{num // g}/{den // g}"
     except ValueError:
         raise _too_many_digits() from None
+
+
+def _write(text: str, file) -> None:
+    """Write text whole to a text file and flush it, or raise OSError. The
+    bytes go to the binary layer until all are written: unbuffered, the text
+    layer drops the count of a partial write. After an error the file writes
+    to devnull, where Python's flush at exit finds nothing left to fail on.
+    Help and usage are written here too: argparse ignores a failed write."""
+    binary = getattr(file, "buffer", None)
+    try:
+        file.flush()
+        if binary is None:  # an in-memory text file takes the text whole
+            file.write(text)
+            return
+        data = memoryview(text.encode(file.encoding, file.errors))
+        while data:
+            data = data[binary.write(data):]
+        binary.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), file.fileno())
+        raise
 
 
 def _lattice_from_arg(text: str):
@@ -224,8 +248,11 @@ def build_parser(argv=None):
 
         def error(self, message):
             self.print_usage(sys.stderr)
-            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            _write(f"{self.prog}: error: {message}\n", sys.stderr)
             raise SystemExit(1)
+
+        def _print_message(self, message, file=None):
+            _write(message, file or sys.stderr)
 
     def add_commands(parser, path, dest):
         sub = parser.add_subparsers(dest=dest, metavar=dest)
@@ -254,7 +281,9 @@ def build_parser(argv=None):
 
 def main(argv=None) -> int:
     if argv is None:
-        argv = sys.argv[1:]
+        code = main(sys.argv[1:])
+        gc.freeze()
+        return code
     args = _read(argv)
     if args is None:
         parser = build_parser(argv)
@@ -262,6 +291,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        except OSError as exc:  # help or usage that could not be written
+            print(f"k3lat: {exc}", file=sys.stderr)
+            return 1
         if not hasattr(args, "func"):
             parser.print_usage(sys.stderr)
             return 1
@@ -290,11 +322,8 @@ def main(argv=None) -> int:
         print(f"k3lat: {_too_many_digits()}", file=sys.stderr)
         return 1
     try:
-        sys.stdout.write(output)
-        sys.stdout.flush()
-    except OSError as exc:  # a full disk, or a pipe closed by its reader
-        # Python flushes stdout again at exit; devnull takes what is left.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write(output, sys.stdout)
+    except OSError as exc:
         print(f"k3lat: {exc}", file=sys.stderr)
         return 1
     return 0

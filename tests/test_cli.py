@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -706,33 +708,93 @@ def test_a_file_that_is_not_utf8_exits_1_without_a_traceback(tmp_path):
         assert proc.stderr == f"k3lat: {path}: not a UTF-8 text file\n", argv
 
 
-def cli_process(*argv, **kwargs):
+def cli_process(*argv, unbuffered=False, **kwargs):
     """`python -m k3lat.cli argv` on this checkout's sources, not yet waited for."""
     src = str(Path(k3lat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    # Unbuffered, Python's text layer drops the count of a partial write,
-    # so a pipe that its reader closes mid-write would go unseen.
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "k3lat.cli", *argv], env=env,
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
 
+def write_to_full_disk(*argv):
+    """The exit code and stderr of argv with stdout on a full disk, buffered
+    and unbuffered."""
+    results = []
+    for unbuffered in (False, True):
+        with open("/dev/full", "w") as full:
+            proc = cli_process(*argv, unbuffered=unbuffered, stdout=full)
+            err = proc.communicate(timeout=60)[1]
+        results.append((proc.returncode, err))
+    return results
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_write_to_a_full_disk_exits_1_without_a_traceback():
-    with open("/dev/full", "w") as full:
-        proc = cli_process("e8", "orbits", "--norm", "8", stdout=full)
-        err = proc.communicate(timeout=60)[1]
-    assert (proc.returncode, err) == (1, "k3lat: [Errno 28] No space left on device\n")
+    assert write_to_full_disk("e8", "orbits", "--norm", "8") == [
+        (1, "k3lat: [Errno 28] No space left on device\n")] * 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_that_cannot_be_written_exits_1_without_a_traceback():
+    # argparse ignores a failed write of its own, so help takes main's write.
+    for argv in (("--help",), ("e8", "orbits", "--help")):
+        assert write_to_full_disk(*argv) == [
+            (1, "k3lat: [Errno 28] No space left on device\n")] * 2, argv
 
 
 def test_a_pipe_closed_by_its_reader_exits_1_without_a_traceback():
     # The 1 MB of JSON fills the pipe, so the writer still holds output
-    # when the reader, having read one byte, closes its end.
-    proc = cli_process("table", "--to", "120", "--format", "json", stdout=subprocess.PIPE)
-    assert proc.stdout.read(1) == "{"
-    proc.stdout.close()
-    err = proc.communicate(timeout=60)[1]
-    assert (proc.returncode, err) == (1, "k3lat: [Errno 32] Broken pipe\n")
+    # when the reader, having read one byte, closes its end. Unbuffered, a
+    # partial write must not end the output unseen.
+    for unbuffered in (False, True):
+        proc = cli_process("table", "--to", "120", "--format", "json",
+                           unbuffered=unbuffered, stdout=subprocess.PIPE)
+        assert proc.stdout.read(1) == "{"
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1]
+        assert (proc.returncode, err) == (1, "k3lat: [Errno 32] Broken pipe\n"), unbuffered
+
+
+def test_main_in_process_leaves_the_collector_as_it_found_it(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    for argv in (["e8", "orbits", "--norm", "8"], ["lat", "info", "E9"], ["--help"]):
+        run(capsys, *argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["e8", "orbits", "--norm", "8"], 0, ""),
+    (["lat", "info", "E9"], 1, "k3lat: parse error: "),
+    (["lat", "info", "(0)"], 2, "k3lat: domain error: "),
+])
+def test_the_process_entry_freezes_the_heap_and_still_exits_cleanly(argv, code, err, capsys):
+    # As the console script runs it: an atexit handler registered before
+    # main still runs, after main has frozen the heap; exit code and output
+    # are those of main in process.
+    entry = ("import atexit, gc, sys; from k3lat.cli import main; "
+             "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0, "
+             "gc.isenabled(), file=sys.stderr)); sys.exit(main())")
+    src = str(Path(k3lat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", entry, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    expected = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        *expected[:2], expected[2] + "frozen: True True\n")
+    assert expected[0] == code and expected[2].startswith(err)
+
+
+def test_the_process_entry_writes_the_bytes_of_main_in_process(capsys):
+    argv = ["table", "--to", "40", "--format", "json"]
+    _, expected, _ = run(capsys, *argv)
+    with tempfile.TemporaryFile() as out:
+        proc = cli_process(*argv, stdout=out)
+        assert proc.communicate(timeout=60) == (None, "") and proc.returncode == 0
+        out.seek(0)
+        assert out.read() == expected.encode()
 
 
 def test_gram_and_witness_files_take_only_ascii_integers(capsys, tmp_path):

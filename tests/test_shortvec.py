@@ -385,6 +385,37 @@ def test_root_count_rank1_and_signs():
         root_count(lt.H)
 
 
+def test_root_count_by_blocks_matches_the_whole_enumeration(monkeypatch):
+    # Block-diagonal Grams, odd blocks such as (1) and (1) + (1) among them,
+    # with the blocks' basis vectors interleaved by a seeded permutation: the
+    # count from the blocks is that of one search of the whole Gram, and each
+    # search runs on one block.
+    import k3lat.shortvec as sv
+
+    rng = random.Random(31)
+    searched = []
+    monkeypatch.setattr(sv, "short_vectors", lambda gram, bound:
+                        searched.append(len(gram)) or short_vectors(gram, bound))
+    for trial in range(40):
+        blocks = [rng.choice(([[1]], [[2]], [[1, 1], [1, 2]], lt.E8.gram))
+                  if rng.random() < 0.4 else random_posdef(rng, rng.randint(1, 3), spread=1)
+                  for _ in range(rng.randint(1, 4))]
+        starts = [sum(len(b) for b in blocks[:i]) for i in range(len(blocks))]
+        rank = sum(map(len, blocks))
+        whole = [[0] * rank for _ in range(rank)]
+        for start, b in zip(starts, blocks):
+            for i, row in enumerate(b):
+                whole[start + i][start:start + len(b)] = row
+        order = rng.sample(range(rank), rank)
+        gram = [[whole[i][j] for j in order] for i in order]
+        expected = short_vectors(gram, 2).counts.get(2, 0)
+        searched.clear()
+        assert root_count(lt.from_gram(gram)) == expected, (trial, blocks)
+        assert root_count(lt.rescale(lt.from_gram(gram))) == expected, (trial, blocks)
+        assert max(searched) <= max(map(len, blocks)), (trial, blocks)
+    assert root_count(lt.from_gram([[1, 0], [0, 1]])) == 4
+
+
 def test_zero_rank_histogram():
     hist = short_vectors((), Fraction(0))
     assert hist.counts == {Fraction(0): 1}
