@@ -11,13 +11,15 @@ renders the whole output before it writes anything. This module holds
 what every command runs: the grammar table, `main` and the shared
 helpers. `main` reads a well-formed command line from the table itself;
 argparse is loaded, and its parser built from the same table, only for
-help and usage errors. A command's body is in a module of its own
-(`cli_lat`, `cli_e8`, ...) that its `cmd_*` entry imports when it runs,
-as the body imports the library modules it runs, so a command compiles
-no other command's code. The `cmd_*` entries stay here as the stable
-names for tracing and tests. As the process entry, `main()` freezes the
-heap before it returns, so the collections at exit do not traverse it;
-`main(argv)` leaves the caller's collector alone.
+help, usage errors and forms only it reads (--norm=8, a spec led by "-"
+with no space). A command's body is in a module of its own (`cli_lat`,
+`cli_e8`, ...) that its `cmd_*` entry imports when it runs, as the body
+imports the library modules it runs, so a command compiles no other
+command's code. The `cmd_*` entries stay here as the stable names for
+tracing and tests. As the process entry, `main()` points stdout at devnull
+after a failed write, so the flush at exit cannot fail again, and freezes
+the heap, so the collections at exit do not traverse it; `main(argv)`
+leaves the caller's stdout and collector alone.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import gc
 import os
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 from .errors import GramFileError, LatticeError, SpecSyntaxError, UsageError
 
@@ -55,28 +58,17 @@ def _rational(num: int, den: int):
 def _write(text: str, file) -> None:
     """Write text whole to a text file and flush it, or raise OSError. The
     bytes go to the binary layer until all are written: unbuffered, the text
-    layer drops the count of a partial write. After an error the file writes
-    to devnull, where Python's flush at exit finds nothing left to fail on.
-    Help and usage are written here too: argparse ignores a failed write."""
+    layer drops the count of a partial write. Help and usage are written
+    here too: argparse ignores a failed write."""
+    file.flush()
     binary = getattr(file, "buffer", None)
-    try:
-        file.flush()
-        if binary is None:  # an in-memory text file takes the text whole
-            file.write(text)
-            return
-        data = memoryview(text.encode(file.encoding, file.errors))
-        while data:
-            data = data[binary.write(data):]
-        binary.flush()
-    except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), file.fileno())
-        raise
-
-
-def _lattice_from_arg(text: str):
-    from .specparse import lattice_from_text
-
-    return lattice_from_text(text, base_dir=os.getcwd())
+    if binary is None:  # an in-memory text file takes the text whole
+        file.write(text)
+        return
+    data = memoryview(text.encode(file.encoding, file.errors))
+    while data:
+        data = data[binary.write(data):]
+    binary.flush()
 
 
 def _require_positive_even(two_n: int) -> int:
@@ -184,19 +176,19 @@ _GRAMMAR = {
 }
 
 
-class _Args:
-    """A command's arguments as attributes, as in argparse's Namespace."""
-
-    def __init__(self, values):
-        self.__dict__.update(values)
+def _plain(word: str) -> bool:
+    """Whether argparse (`_parse_optional`, 3.10 to 3.13) reads word as an argument,
+    not an option: not led by "-", or led by one "-" with a space, no "=" and no "-h"."""
+    return not word.startswith("-") or (
+        " " in word and "=" not in word and not word.startswith(("--", "-h")))
 
 
 def _read(argv):
     """The arguments of a well-formed command line, as argparse reads them:
-    a command path, each option of the command at most once with a value
-    not led by "-", every required option and each positional. Anything
-    else (help, "--", --opt=value, an abbreviation, a repeat, a bad value,
-    a missing or extra argument) gives None, and argparse reads argv."""
+    a command path, each option of the command at most once with a plain
+    value, every required option and each positional. Anything else (help,
+    "--", --opt=value, an abbreviation, a repeat, a bad value, a missing or
+    extra argument) gives None, and argparse reads argv."""
     path = tuple(argv[:1])
     if path in _GRAMMAR and not _GRAMMAR[path][1]:
         path = tuple(argv[:2])
@@ -210,7 +202,7 @@ def _read(argv):
     values.update((dest, kw.get("default")) for dest, kw in options.values())
     found, seen, words = [], set(), iter(argv[len(path):])
     for word in words:
-        if not word.startswith("-"):
+        if _plain(word):
             found.append(word)
             continue
         if word not in options or word in seen:
@@ -225,22 +217,17 @@ def _read(argv):
             values[dest] = kw.get("type", str)(word)
         except ValueError:
             return None
-        if word.startswith("-") or "choices" in kw and values[dest] not in kw["choices"]:
+        if not _plain(word) or "choices" in kw and values[dest] not in kw["choices"]:
             return None
     if len(found) != len(positionals) or any(
             kw.get("required") and name not in seen for name, (_, kw) in options.items()):
         return None
-    return _Args({**values, **dict(zip(positionals, found))})
+    return SimpleNamespace(**values, **dict(zip(positionals, found)))
 
 
-def build_parser(argv=None):
-    """The argparse parser of `_GRAMMAR` for `argv` (default: the process
-    arguments), which `main` builds only for what `_read` refuses.
-
-    Only the command that argv names gets its arguments and subcommands;
-    the others are bare entries, enough for the command list in `--help`
-    and for the choices in an invalid-choice error.
-    """
+def build_parser():
+    """The argparse parser of `_GRAMMAR`, which `main` builds only for what
+    `_read` refuses."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -259,11 +246,7 @@ def build_parser(argv=None):
         for child, (summary, func, arguments) in _GRAMMAR.items():
             if child[:-1] != path:
                 continue
-            keywords = {"help": summary} if summary else {}
-            if child[0] != named:
-                sub.add_parser(child[0], add_help=False, **keywords)
-                continue
-            command = sub.add_parser(child[-1], **keywords)
+            command = sub.add_parser(child[-1], **({"help": summary} if summary else {}))
             for name, kw in arguments:
                 command.add_argument(name, **kw)
             if func:
@@ -271,9 +254,6 @@ def build_parser(argv=None):
             else:
                 add_commands(command, child, "subcommand")
 
-    if argv is None:
-        argv = sys.argv[1:]
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = Parser(prog="k3lat", description="Exact arithmetic for even integral lattices")
     add_commands(parser, (), "command")
     return parser
@@ -282,11 +262,16 @@ def build_parser(argv=None):
 def main(argv=None) -> int:
     if argv is None:
         code = main(sys.argv[1:])
+        try:  # what a failed write left in the buffer would fail again at exit
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.close(devnull)
         gc.freeze()
         return code
     args = _read(argv)
     if args is None:
-        parser = build_parser(argv)
+        parser = build_parser()
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

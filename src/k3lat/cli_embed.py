@@ -1,12 +1,12 @@
 """`k3lat embed check`: the primitive embedding test into II(2,26)."""
 
-from .cli import _lattice_from_arg
+from .specparse import lattice_from_text
 
 
 def embed_check(args):
     from .glue import nikulin_embeddable
 
-    report = nikulin_embeddable(_lattice_from_arg(args.spec))
+    report = nikulin_embeddable(lattice_from_text(args.spec))
     p = {"spec": args.spec.strip(), "embeddable": report.embeddable,
          "rank": report.rank, "min_generators": report.min_generators,
          "signature": list(report.signature), "target_dim": report.target_dim}

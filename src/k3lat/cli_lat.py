@@ -1,10 +1,10 @@
 """`k3lat lat info`: the invariants of a lattice spec."""
 
-from .cli import _lattice_from_arg
+from .specparse import lattice_from_text
 
 
 def lat_info(args):
-    lattice = _lattice_from_arg(args.spec)
+    lattice = lattice_from_text(args.spec)
     from . import lattice as lt
 
     sig = lt.signature(lattice)

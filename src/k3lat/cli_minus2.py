@@ -1,13 +1,13 @@
 """`k3lat minus2 property`: the short-dual-vector property."""
 
-from .cli import _lattice_from_arg
+from .specparse import lattice_from_text
 
 
 def minus2(args):
     from .glue import nikulin_minus2_property
     from .lattice import determinant
 
-    lattice = _lattice_from_arg(args.spec)
+    lattice = lattice_from_text(args.spec)
     verdict = nikulin_minus2_property(lattice)
     p = {"spec": args.spec.strip(), "determinant": determinant(lattice),
          "rank": lattice.rank, "property": verdict}

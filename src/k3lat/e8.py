@@ -67,30 +67,16 @@ def dominant_representative(x) -> tuple[int, ...]:
             pair[j] += p
 
 
-def _arm_length(start: int, away_from: int, nodes: frozenset[int]) -> int:
-    length = 0
-    prev, cur = away_from, start
-    while cur in nodes:
-        length += 1
-        nxt = [j for j in _ADJ[cur] if j in nodes and j != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-    return length
-
-
 def _component_orders(nodes: frozenset[int]) -> tuple[int, int]:
-    """(Weyl order, root count) of a connected subdiagram of the E8 diagram."""
+    """(Weyl order, root count) of a connected subdiagram of the E8 diagram,
+    which branches at node 3 (0-based) to nodes 1, 2 and 4: A_n unless the
+    component holds all four, else E_n if it also holds 0 and 5, or D_n."""
     n = len(nodes)
-    branch = [v for v in nodes if sum(1 for w in _ADJ[v] if w in nodes) == 3]
-    if not branch:
+    if not nodes >= {1, 2, 3, 4}:
         return factorial(n + 1), n * (n + 1)  # type A_n
-    arms = sorted(_arm_length(w, branch[0], nodes) for w in _ADJ[branch[0]]
-                  if w in nodes)
-    if arms[:2] == [1, 1]:
-        return (1 << (n - 1)) * factorial(n), 2 * n * (n - 1)  # type D_n
-    return {(1, 2, 2): (51840, 72), (1, 2, 3): (2903040, 126),
-            (1, 2, 4): (WEYL_ORDER, 240)}[tuple(arms)]
+    if nodes >= {0, 5}:
+        return {6: (51840, 72), 7: (2903040, 126), 8: (WEYL_ORDER, 240)}[n]  # type E_n
+    return (1 << (n - 1)) * factorial(n), 2 * n * (n - 1)  # type D_n
 
 
 def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:

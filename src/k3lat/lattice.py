@@ -257,6 +257,16 @@ def gram_integers(line: str, source: str, what: str) -> list[int]:
 def parse_gram_text(text: str, source: str = "<string>") -> Lattice:
     """Parse the Gram-file format: rank line, then rank x rank integer rows."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    lattice = gram_head(lines, source)
+    if len(lines) > 1 + lattice.rank:
+        raise GramFileError(
+            f"{source}: expected {lattice.rank} matrix rows, found {len(lines) - 1}")
+    return lattice
+
+
+def gram_head(lines: list[str], source: str) -> Lattice:
+    """The lattice of the rank line and the rank rows that open `lines`, the
+    nonblank lines of a Gram or witness file; the lines after them are not read."""
     if not lines:
         raise GramFileError(f"{source}: empty Gram file")
     first = gram_integers(lines[0], source, "rank line")

@@ -140,9 +140,9 @@ def possible_extension_norms(two_n: int, k: int) -> list[int]:
 def read_witness_file(path) -> ExtensionWitness:
     """Witness file: Gram-file format for S plus one bordering row of
     rank+1 integers (pairings with the basis, then the self-norm)."""
-    from .lattice import gram_integers, parse_gram_text, read_gram_text
+    from .lattice import gram_head, gram_integers, read_gram_text
     lines = [ln for ln in read_gram_text(path).splitlines() if ln.strip()]
-    s = parse_gram_text("\n".join(lines[:-1]), source=str(path))
+    s = gram_head(lines[:-1], str(path))
     if len(lines) != s.rank + 2:
         raise GramFileError(
             f"{path}: expected rank line, {s.rank} Gram rows and one bordering row")

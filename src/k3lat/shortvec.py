@@ -119,11 +119,14 @@ def short_vectors(gram, bound, *, label=None, modulus=0) -> NormHistogram:
     folds in the other (see the module docstring).
     """
     r = len(gram)
-    if label is not None and (len(label) != r or modulus <= 0):
+    labelled = label is not None
+    if not labelled:  # searched as the zero form mod 1, the label dropped at the end
+        label, modulus = [0] * r, 1
+    elif len(label) != r or modulus <= 0:
         raise ValueError("label form needs one coefficient per coordinate "
                          "and a positive modulus")
     hist = NormHistogram()
-    minors, a, coeff = lll_reduce(gram, [0] * r if label is None else label)
+    minors, a, coeff = lll_reduce(gram, label)
     top = floor(bound)  # the largest norm admitted
     if top < 0:
         return hist
@@ -134,7 +137,7 @@ def short_vectors(gram, bound, *, label=None, modulus=0) -> NormHistogram:
     bb = top * scale
 
     partial = [0] * r  # partial[k] = sum_(i>k fixed) a[i][k] x_i
-    raw: dict = {}  # leaves by scaled norm, or by (label, scaled norm)
+    raw: dict = {}  # leaf counts, keyed by the int modulus * scaled norm + label
 
     def descend(level: int, remaining: int, lab: int, zero: bool):
         e, s, base = weight[level], minors[level + 1], partial[level]  # w_level at x_level = 0
@@ -143,12 +146,10 @@ def short_vectors(gram, bound, *, label=None, modulus=0) -> NormHistogram:
         # while every coordinate above is 0, base is 0 too: x_level >= 0, x != 0
         x_lo = int(level == 0) if zero else -((t + base) // s)
         if level == 0:
-            c0, used = coeff[0], bb - remaining
+            c0, used, em = coeff[0], (bb - remaining) * modulus, e * modulus
             for xi in range(x_lo, x_hi + 1):
                 w = s * xi + base
-                key = used + e * w * w
-                if label is not None:
-                    key = ((lab + c0 * xi) % modulus, key)
+                key = used + em * w * w + (lab + c0 * xi) % modulus
                 raw[key] = raw.get(key, 0) + 1
             return
         row = a[level]
@@ -164,16 +165,14 @@ def short_vectors(gram, bound, *, label=None, modulus=0) -> NormHistogram:
     if r:
         descend(r - 1, bb, 0, True)
     # -x has the norm of x and the label -t; the zero vector is no leaf
-    leaves, raw = raw, {0 if label is None else (0, 0): 1}
+    leaves, raw = raw, {0: 1}
     for key, c in leaves.items():
-        mirror = key if label is None else (-key[0] % modulus, key[1])
-        raw[key] = raw.get(key, 0) + c
-        raw[mirror] = raw.get(mirror, 0) + c
-    # every norm is an integer, so each scaled key divides by scale exactly
-    if label is None:
-        hist.counts.update((key // scale, c) for key, c in raw.items())
-    else:
-        hist.counts.update(((t, key // scale), c) for (t, key), c in raw.items())
+        for mirror in (key, key - key % modulus + -key % modulus):
+            raw[mirror] = raw.get(mirror, 0) + c
+    # every norm is an integer, so each scaled norm divides by scale exactly
+    for key, c in raw.items():
+        norm, t = divmod(key, modulus)
+        hist.counts[(t, norm // scale) if labelled else norm // scale] = c
     return hist
 
 

@@ -15,8 +15,6 @@ parse(print(ast)) == ast.
 
 from __future__ import annotations
 
-import os
-
 from .errors import SpecSyntaxError, UnknownStandardLatticeError
 from .records import Record
 
@@ -165,7 +163,7 @@ def print_spec(spec: LatticeSpec) -> str:
     return " + ".join(parts)
 
 
-def evaluate(spec: LatticeSpec, base_dir: str = ".") -> Lattice:
+def evaluate(spec: LatticeSpec) -> Lattice:
     """Build the lattice a parsed expression denotes."""
     from . import lattice as lt
     pieces = []
@@ -177,14 +175,11 @@ def evaluate(spec: LatticeSpec, base_dir: str = ".") -> Lattice:
             piece = lt.ii(atom.p, atom.q)
         elif isinstance(atom, Rank1):
             piece = lt.rank1(atom.norm)
-        else:
-            path = atom.path
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            piece = lt.load_gram_file(path)
+        else:  # a relative path is read from the working directory
+            piece = lt.load_gram_file(atom.path)
         pieces.append(lt.rescale(piece) if term.negated else piece)
     return lt.direct_sum(*pieces)
 
 
-def lattice_from_text(text: str, base_dir: str = ".") -> Lattice:
-    return evaluate(parse_spec(text), base_dir=base_dir)
+def lattice_from_text(text: str) -> Lattice:
+    return evaluate(parse_spec(text))

@@ -14,6 +14,11 @@ step with `glue.coset_count_row` (a labelled enumeration of U') or with
 integral lattice U + Z a0), and it lists every vector, with no fold of x
 and -x, so it also checks the fold of `short_vectors`.
 
+`parabolic_orders_by_arms` is the (Weyl order, root count) of the root
+subsystem on a set of simple roots, each connected component typed by
+walking the arms of its branch node, against the fixed node sets of
+`e8._component_orders`.
+
 `rational_counts` reads a row's integer cell keys 2n nu back as the norms
 nu, the keys of `bucketed_row` and `glue.dual_coset_counts`.
 
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, isqrt
+from math import factorial, floor, isqrt
 
 from k3lat import intlinalg as la
 from k3lat.lattice import E8, sublattice
@@ -123,6 +128,52 @@ def simple_root_pairings(y) -> list[int]:
 def simple_root_coordinates(y) -> tuple[int, ...]:
     """Coordinates of x = y/2 in the simple roots: (x . alpha^T) G^-1."""
     return tuple(vec_mat(simple_root_pairings(y), _GRAM_INV))
+
+
+# The Dynkin diagram of `lattice.E8`, read off its Gram matrix (0-based nodes).
+_E8_ADJ = [[j for j in range(8) if E8.gram[i][j] == -1] for i in range(8)]
+
+
+def _arm_length(start: int, away_from: int, nodes: set[int]) -> int:
+    """The number of nodes on the arm of `nodes` from `start`, away from its
+    neighbour `away_from`."""
+    length = 0
+    prev, cur = away_from, start
+    while cur in nodes:
+        length += 1
+        nxt = [j for j in _E8_ADJ[cur] if j in nodes and j != prev]
+        if not nxt:
+            break
+        prev, cur = cur, nxt[0]
+    return length
+
+
+def parabolic_orders_by_arms(zero) -> tuple[int, int]:
+    """(Weyl order, root count) of the subsystem on the simple roots `zero`:
+    A_n without a branch node, D_n with two arms of length 1, and E_6, E_7,
+    E_8 for arms (1, 2, 2), (1, 2, 3), (1, 2, 4)."""
+    order, roots, left = 1, 0, set(zero)
+    while left:
+        comp = {left.pop()}
+        frontier = list(comp)
+        while frontier:
+            near = {w for w in _E8_ADJ[frontier.pop()] if w in left}
+            left -= near
+            comp |= near
+            frontier.extend(near)
+        n = len(comp)
+        branch = [v for v in comp if sum(w in comp for w in _E8_ADJ[v]) == 3]
+        if not branch:
+            weyl, count = factorial(n + 1), n * (n + 1)
+        else:
+            arms = sorted(_arm_length(w, branch[0], comp) for w in _E8_ADJ[branch[0]])
+            if arms[:2] == [1, 1]:
+                weyl, count = 2 ** (n - 1) * factorial(n), 2 * n * (n - 1)
+            else:
+                weyl, count = {(1, 2, 2): (51840, 72), (1, 2, 3): (2903040, 126),
+                               (1, 2, 4): (696729600, 240)}[tuple(arms)]
+        order, roots = order * weyl, roots + count
+    return order, roots
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,8 @@ from k3lat import e8, intlinalg as la, lattice as lt
 from k3lat.errors import ZeroVectorError
 from k3lat.shortvec import root_count
 from oracles import (SIMPLE_ROOTS_2, complement_lattice, e8_vectors, model_norm,
-                     simple_root_coordinates, simple_root_pairings, vec_mat, vec_norm)
+                     parabolic_orders_by_arms, simple_root_coordinates, simple_root_pairings,
+                     vec_mat, vec_norm)
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
 
@@ -195,6 +196,21 @@ def test_parabolic_orders_by_component_type(zero, weyl, roots):
     assert e8.parabolic_orders(x) == (weyl, roots)
     assert e8.stabilizer_order(x) == weyl
     assert root_count(complement_lattice(x)) == roots
+
+
+def test_parabolic_orders_of_every_zero_set_match_the_arm_walk():
+    # Every proper subset of the simple roots is the zero set of one dominant
+    # vector: its Weyl order and root count are those of the arm walk, and
+    # the root count is that of the roots of the coordinate model orthogonal
+    # to the vector.
+    roots = [simple_root_pairings(y) for y in e8_vectors(2) if any(y)]
+    assert len(roots) == 240
+    for mask in range(255):
+        zero = {i for i in range(8) if mask >> i & 1}
+        x = dominant_with_zero_set(zero)
+        weyl, count = e8.parabolic_orders(x)
+        assert (weyl, count) == parabolic_orders_by_arms(zero), zero
+        assert count == sum(1 for r in roots if not sum(a * b for a, b in zip(r, x))), zero
 
 
 def test_complement_determinant_closed_form():

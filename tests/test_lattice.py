@@ -297,3 +297,11 @@ def test_gram_file_roundtrip(tmp_path):
     short.write_text("3\n1 0 0\n0 1 0\n")
     with pytest.raises(GramFileError):
         lt.load_gram_file(short)
+    # A row after the r matrix rows is an error too, not ignored.
+    extra = tmp_path / "extra.gram"
+    extra.write_text("1\n2\n3 4\n")
+    with pytest.raises(GramFileError) as raised:
+        lt.load_gram_file(extra)
+    assert str(raised.value) == f"{extra}: expected 1 matrix rows, found 2"
+    with pytest.raises(GramFileError, match="expected 2 matrix rows, found 3"):
+        lt.parse_gram_text("2\n8 4\n4 0\n\n1 1\n")

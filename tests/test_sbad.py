@@ -158,6 +158,12 @@ def test_witness_file(tmp_path):
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(GramFileError):
             sbad.read_witness_file(bad)
+    # The Gram part of a witness is read up to its r rows: a line more is the
+    # witness's own error.
+    bad.write_text("1\n8\n4 0\n1 1\n", encoding="utf-8")
+    with pytest.raises(GramFileError,
+                       match="expected rank line, 1 Gram rows and one bordering row"):
+        sbad.read_witness_file(bad)
     bad.write_bytes(b"1\n8\n4 0\xff\n")
     with pytest.raises(GramFileError, match="not a UTF-8 text file"):
         sbad.read_witness_file(bad)
