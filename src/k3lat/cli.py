@@ -7,19 +7,20 @@ renders each rational, in text and JSON: an int, or "p/q" in lowest terms.
 
 Each command computes its values once and returns its schema-1 payload
 with a function that renders its text form as a list of lines; `main`
-renders the whole output before it writes anything. This module holds
-what every command runs: the grammar table, `main` and the shared
-helpers. `main` reads a well-formed command line from the table itself;
-argparse is loaded, and its parser built from the same table, only for
-help, usage errors and forms only it reads (--norm=8, a spec led by "-"
-with no space). A command's body is in a module of its own (`cli_lat`,
-`cli_e8`, ...) that its `cmd_*` entry imports when it runs, as the body
-imports the library modules it runs, so a command compiles no other
-command's code. The `cmd_*` entries stay here as the stable names for
-tracing and tests. As the process entry, `main()` points stdout at devnull
-after a failed write, so the flush at exit cannot fail again, and freezes
-the heap, so the collections at exit do not traverse it; `main(argv)`
-leaves the caller's stdout and collector alone.
+renders the whole output before it writes anything. This module holds the
+grammar table, `main` and the shared helpers. `main` reads a well-formed
+command line from the table itself; argparse is loaded, and its parser
+built from the table, only for help, usage errors and forms only it reads
+(--norm=8, a spec led by "-" with no space). Each command's body is in a
+module of its own (`cli_lat`, `cli_e8`, ...) that its `cmd_*` entry, the
+stable name for tracing and tests, imports when it runs, as the body
+imports the library modules it runs. `main` reports each error that
+`_FAILURES` names, with its prefix and exit code, through `_fail`, whose
+code stands when stderr cannot be written; any other exception is a fault
+of the library and propagates. As the process entry, `main()` points
+stdout or stderr at devnull after a failed write, so the flush at exit
+cannot fail again, and freezes the heap, so the collections at exit do not
+traverse it; `main(argv)` leaves the caller's files and collector alone.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ def _require_positive_even(two_n: int) -> int:
 def _selected_orbits(args):
     two_n = _require_positive_even(args.norm)
     from .e8 import orbits_of_norm
-
     orbits = orbits_of_norm(two_n)
     if args.orbit is not None:
         if not 0 <= args.orbit < len(orbits):
@@ -226,8 +226,7 @@ def _read(argv):
 
 
 def build_parser():
-    """The argparse parser of `_GRAMMAR`, which `main` builds only for what
-    `_read` refuses."""
+    """The argparse parser of `_GRAMMAR`, built only for what `_read` refuses."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -259,58 +258,55 @@ def build_parser():
     return parser
 
 
+_FAILURES = {SpecSyntaxError: ("parse error: ", 1), LatticeError: ("domain error: ", 2),
+             UsageError: ("", 1), GramFileError: ("", 1), OSError: ("", 1)}
+
+
+def _fail(message: str, code: int) -> int:
+    """Write "k3lat: message" to stderr and return code, even if the write fails."""
+    try:
+        _write(f"k3lat: {message}\n", sys.stderr)
+    except OSError:
+        pass
+    return code
+
+
 def main(argv=None) -> int:
     if argv is None:
         code = main(sys.argv[1:])
-        try:  # what a failed write left in the buffer would fail again at exit
-            sys.stdout.flush()
-        except OSError:
-            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            os.close(devnull)
+        for file in sys.stdout, sys.stderr:
+            try:  # what a failed write left in the buffer would fail again at exit
+                file.flush()
+            except OSError:
+                os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), file.fileno())
+                os.close(devnull)
         gc.freeze()
         return code
-    args = _read(argv)
-    if args is None:
-        parser = build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        except OSError as exc:  # help or usage that could not be written
-            print(f"k3lat: {exc}", file=sys.stderr)
-            return 1
-        if not hasattr(args, "func"):
-            parser.print_usage(sys.stderr)
-            return 1
     try:
+        args = _read(argv)
+        if args is None:
+            parser = build_parser()
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:  # help, or a usage error that argparse reported
+                return int(exc.code or 0)
+            if not hasattr(args, "func"):
+                parser.print_usage(sys.stderr)
+                return 1
         payload, text = args.func(args)
-    except SpecSyntaxError as exc:
-        print(f"k3lat: parse error: {exc}", file=sys.stderr)
-        return 1
-    except LatticeError as exc:
-        print(f"k3lat: domain error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, GramFileError, OSError) as exc:
-        print(f"k3lat: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if getattr(args, "json", False) or getattr(args, "format", None) == "json":
-            from .jsonout import dumps
-
-            lines = [dumps({"schema": SCHEMA_VERSION, **payload})]
-        else:
-            lines = text()
-        output = "\n".join(lines) + "\n"
-    except ValueError:
-        # Rendering only formats computed values, so this is Python's
-        # int-to-str digit limit; nothing has been written yet.
-        print(f"k3lat: {_too_many_digits()}", file=sys.stderr)
-        return 1
-    try:
+        try:  # rendering only formats computed values: this is the digit limit
+            if getattr(args, "json", False) or getattr(args, "format", None) == "json":
+                from .jsonout import dumps
+                lines = [dumps({"schema": SCHEMA_VERSION, **payload})]
+            else:
+                lines = text()
+            output = "\n".join(lines) + "\n"
+        except ValueError:
+            raise _too_many_digits() from None
         _write(output, sys.stdout)
-    except OSError as exc:
-        print(f"k3lat: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_FAILURES) as exc:
+        prefix, code = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
+        return _fail(prefix + str(exc), code)
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from math import gcd
 from operator import index, mul
 
-from . import intlinalg as la
 from .errors import (
     DegenerateLatticeError,
     GramFileError,
@@ -74,6 +73,7 @@ def _basis_rows(ambient: Lattice, rows) -> list[list[int]]:
 
 def sublattice(ambient: Lattice, rows) -> Lattice:
     """The lattice spanned by integer basis rows of ``ambient``: Gram B G B^T."""
+    from . import intlinalg as la
     b = _basis_rows(ambient, rows)
     return Lattice([[sum(map(mul, u, v)) for v in b] for u in la.mat_mul(b, ambient.gram)])
 
@@ -123,6 +123,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     generates the order-d_i cyclic factor, and |det L| is the product of
     the d_i. A zero elementary divisor means the lattice is degenerate.
     """
+    from . import intlinalg as la
     left, diag = la.smith_normal_form([list(row) for row in lat.gram])
     divisors = []
     generators = []
@@ -139,6 +140,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
 
 def dual_basis(lat: Lattice) -> list[tuple[Fraction, ...]]:
     """Rows of the inverse Gram matrix: dual vector i pairs as delta_ij."""
+    from . import intlinalg as la
     try:
         inv = la.fraction_inverse([list(r) for r in lat.gram])
     except ZeroDivisionError:
@@ -157,6 +159,7 @@ def is_primitive_vector(lat: Lattice, x) -> bool:
 
 def saturation_index(rows) -> int:
     """Index of the span of integer rows inside its saturation."""
+    from . import intlinalg as la
     b = [list(map(index, row)) for row in rows]
     _, diag = la.smith_normal_form(b)
     factors = [d for d in la.diagonal_of(diag) if d != 0]
@@ -172,6 +175,7 @@ def orthogonal_complement(ambient: Lattice, rows) -> list[list[int]]:
     """The canonical Hermite-form kernel basis of the vectors of ``ambient``
     orthogonal to the rows, which must span a primitive sublattice (equal to
     its saturation); repeated runs give identical coordinates."""
+    from . import intlinalg as la
     b = _basis_rows(ambient, rows)
     if saturation_index(b) != 1:
         raise NonPrimitiveSublatticeError(

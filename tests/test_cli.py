@@ -209,9 +209,11 @@ COMMAND_MODULES = [
      ["k3lat.cli_weight", "k3lat.e8", "k3lat.errors", "k3lat.records"]),
     (["embed", "check", "(-2) + -E8 + -E8 + H + H"], 0,
      ["k3lat.cli_embed", *SPEC_MODULES, "k3lat.glue"]),
-    (["minus2", "property", "II(1,17)"], 0, ["k3lat.cli_minus2", *SPEC_MODULES, "k3lat.glue"]),
+    (["minus2", "property", "II(1,17)"], 0,
+     ["k3lat.cli_minus2", "k3lat.errors", "k3lat.glue", "k3lat.lattice", "k3lat.records",
+      "k3lat.reduction", "k3lat.specparse"]),
     (["sbad", "witness", "--gram", "witness.txt"], 0,
-     [*SBAD_MODULES, "k3lat.intlinalg", "k3lat.lattice", "k3lat.reduction"]),
+     [*SBAD_MODULES, "k3lat.lattice", "k3lat.reduction"]),
     (["sbad", "polarized", "--n", "4", "--dnorm", "0", "--k", "4"], 0, SBAD_MODULES),
 ]
 
@@ -222,7 +224,9 @@ def test_each_command_loads_exactly_its_own_modules(argv, code, modules, monkeyp
                                                     tmp_path):
     # A command compiles its own CLI module and the library modules it
     # runs: no other command's body, neither e8 nor shortvec for the
-    # embedding and -2 tests, and no lattice for `sbad polarized`.
+    # embedding and -2 tests, no intlinalg for the -2 test and `sbad
+    # witness`, which run only the Lagrange reduction, and no lattice for
+    # `sbad polarized`.
     witness = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "witness.txt"
     (tmp_path / "witness.txt").write_text(witness.read_text())
     monkeypatch.chdir(tmp_path)
@@ -710,25 +714,28 @@ def test_a_file_that_is_not_utf8_exits_1_without_a_traceback(tmp_path):
 
 
 def cli_process(*argv, unbuffered=False, **kwargs):
-    """`python -m k3lat.cli argv` on this checkout's sources, not yet waited for."""
+    """`python -m k3lat.cli argv` on this checkout's sources, not yet waited
+    for; stderr is a pipe unless kwargs name it."""
     src = str(Path(k3lat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "k3lat.cli", *argv], env=env,
-                            stderr=subprocess.PIPE, text=True, **kwargs)
+                            text=True, **{"stderr": subprocess.PIPE, **kwargs})
 
 
-def write_to_full_disk(*argv):
-    """The exit code and stderr of argv with stdout on a full disk, buffered
-    and unbuffered."""
+def write_to_full_disk(*argv, stream="stdout"):
+    """The exit code of argv and the text of its other stream, with stream
+    ("stdout" or "stderr") on a full disk, buffered and unbuffered."""
+    other = "stderr" if stream == "stdout" else "stdout"
     results = []
     for unbuffered in (False, True):
         with open("/dev/full", "w") as full:
-            proc = cli_process(*argv, unbuffered=unbuffered, stdout=full)
-            err = proc.communicate(timeout=60)[1]
-        results.append((proc.returncode, err))
+            proc = cli_process(*argv, unbuffered=unbuffered,
+                               **{stream: full, other: subprocess.PIPE})
+            out, err = proc.communicate(timeout=60)
+        results.append((proc.returncode, err if other == "stderr" else out))
     return results
 
 
@@ -744,6 +751,34 @@ def test_help_that_cannot_be_written_exits_1_without_a_traceback():
     for argv in (("--help",), ("e8", "orbits", "--help")):
         assert write_to_full_disk(*argv) == [
             (1, "k3lat: [Errno 28] No space left on device\n")] * 2, argv
+
+
+FAILING_ARGVS = [(["lat", "info", "(0)"], 2), (["e8", "orbits"], 1), (["lat", "info", "E9"], 1)]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_message_that_cannot_be_written_leaves_the_exit_code(capsys):
+    # A domain error, a usage error and a parse error keep their codes when
+    # stderr fails, and a command that succeeds writes its whole output.
+    for argv, code in FAILING_ARGVS:
+        assert write_to_full_disk(*argv, stream="stderr") == [(code, "")] * 2, argv
+    code, out, err = run(capsys, "e8", "orbits", "--norm", "8")
+    assert (code, err) == (0, "") and out
+    assert write_to_full_disk("e8", "orbits", "--norm", "8", stream="stderr") == [(0, out)] * 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_main_in_process_returns_the_code_of_a_message_it_cannot_write(monkeypatch):
+    # Line-buffered, as Python opens stderr: each write fails at its flush.
+    full = open("/dev/full", "w", buffering=1)
+    monkeypatch.setattr(sys, "stderr", full)
+    try:
+        codes = [main(argv) for argv, _ in FAILING_ARGVS]
+    finally:
+        monkeypatch.undo()
+        with contextlib.suppress(OSError):  # the message still in the buffer
+            full.close()
+    assert codes == [code for _, code in FAILING_ARGVS]
 
 
 def test_a_pipe_closed_by_its_reader_exits_1_without_a_traceback():

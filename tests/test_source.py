@@ -79,6 +79,20 @@ def test_only_cli_main_writes_to_stdout():
     assert found == []
 
 
+def test_cli_writes_every_failure_through_one_writer():
+    # `cli._fail` writes each error message, and its exit code stands when
+    # stderr cannot be written; a print to stderr would be a second path.
+    # Each message prefix appears once, in the table of failures.
+    _, tree = _parse(SRC / "cli.py")
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert calls == []
+    prefixes = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and ("parse error: " in node.value or "domain error: " in node.value)]
+    assert sorted(prefixes) == ["domain error: ", "parse error: "]
+
+
 def test_library_arithmetic_is_exact():
     # Every quantity is an integer or a Fraction: no float literal, no
     # float() call, and from math only the functions exact on integers.
