@@ -38,11 +38,12 @@ def divisors(args):
         for row, classes in rows]}
 
     def text():
+        window = "0 and 2" if args.internal_norms else "-2 and 0"
         lines = []
         for o, row in zip(orbits, p["rows"]):
             tag = "" if row["primitive"] else " (imprimitive vector orbit)"
             lines.append(f"2n = {row['two_n']}, representative {o.representative}{tag}")
-            lines.append("  divisor classes with norm strictly between -2 and 0:")
+            lines.append(f"  divisor classes with norm strictly between {window}:")
             lines += [f"    k={c['k']}  norm {c['norm']}  count {c['count']}  "
                       f"{'vanishing' if c['vanishing'] else 'NOT vanishing'}"
                       for c in row["classes"]] or ["    none"]

@@ -12,7 +12,7 @@ import warnings
 from math import factorial, gcd, isqrt
 from operator import index
 
-from .errors import ZeroVectorError
+from .errors import LatticeError
 from .records import Record
 
 WEYL_ORDER = 696729600  # |W(E8)| = 2^14 3^5 5^2 7
@@ -54,7 +54,7 @@ def dominant_representative(x) -> tuple[int, ...]:
     if len(coords) != 8:
         raise ValueError("expected an E8 coordinate vector of length 8")
     if not any(coords):
-        raise ZeroVectorError("the zero vector has no dominant representative")
+        raise LatticeError("the zero vector has no dominant representative")
     pair = _pairings(coords)
     while True:
         i = next((i for i, p in enumerate(pair) if p < 0), None)
@@ -79,8 +79,9 @@ def _component_orders(nodes: frozenset[int]) -> tuple[int, int]:
     return (1 << (n - 1)) * factorial(n), 2 * n * (n - 1)  # type D_n
 
 
-def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:
-    """(Weyl order, root count) of the roots orthogonal to a dominant vector.
+def parabolic_orders(pair) -> tuple[int, int]:
+    """(Weyl order, root count) of the roots orthogonal to the dominant
+    vector with simple-root pairings `pair`, all >= 0.
 
     The isotropy group of a point in the closed chamber is the parabolic
     subgroup generated by the simple reflections that fix it (Humphreys,
@@ -89,14 +90,6 @@ def parabolic_orders(dominant: tuple[int, ...]) -> tuple[int, int]:
     pairing 0. The Weyl order is the product over its connected components,
     the root count the sum.
     """
-    pair = _pairings(dominant)
-    if any(p < 0 for p in pair):
-        raise ValueError("vector is not dominant")
-    return _parabolic_orders_of_pairings(pair)
-
-
-def _parabolic_orders_of_pairings(pair: list[int]) -> tuple[int, int]:
-    """`parabolic_orders` of the dominant vector with simple-root pairings `pair`."""
     zero = {i for i, p in enumerate(pair) if p == 0}
     order, roots = 1, 0
     seen: set[int] = set()
@@ -120,7 +113,10 @@ def _parabolic_orders_of_pairings(pair: list[int]) -> tuple[int, int]:
 
 def stabilizer_order(dominant: tuple[int, ...]) -> int:
     """Order of the Weyl stabilizer of a dominant vector."""
-    return parabolic_orders(dominant)[0]
+    pair = _pairings(dominant)
+    if any(p < 0 for p in pair):
+        raise ValueError("vector is not dominant")
+    return parabolic_orders(pair)[0]
 
 
 def complement_of(v) -> list[list[int]]:
@@ -131,7 +127,7 @@ def complement_of(v) -> list[list[int]]:
 
     coords = [index(c) for c in v]
     if not any(coords):
-        raise ZeroVectorError("zero vector has no complement line")
+        raise LatticeError("zero vector has no complement line")
     g = gcd(*coords)
     return orthogonal_complement(E8, [[c // g for c in coords]])
 
@@ -210,7 +206,7 @@ def orbits_of_norm(two_n: int) -> list[OrbitClass]:
         return []
     orbits = []
     for rep, pair in sorted(_dominant_vectors_of_norm(two_n)):
-        stab, roots = _parabolic_orders_of_pairings(pair)
+        stab, roots = parabolic_orders(pair)
         if WEYL_ORDER % stab:
             raise RuntimeError(f"stabilizer order {stab} does not divide |W(E8)|")
         orbits.append(OrbitClass(

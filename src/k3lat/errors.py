@@ -1,40 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per CLI outcome, which
+`cli._FAILURES` maps to its message prefix and exit code."""
 
 
 class LatticeError(ValueError):
-    """Base class for domain errors on lattice inputs."""
-
-
-class DegenerateLatticeError(LatticeError):
-    """Operation requires det != 0."""
-
-
-class NotPositiveDefiniteError(LatticeError):
-    """Gram matrix is not positive definite."""
-
-
-class IndefiniteLatticeError(LatticeError):
-    """Operation requires a definite lattice."""
-
-
-class NonPrimitiveSublatticeError(LatticeError):
-    """Sublattice is strictly contained in its saturation."""
-
-
-class WrongSignatureError(LatticeError):
-    """Lattice has the wrong signature for this operation."""
-
-
-class ZeroVectorError(LatticeError):
-    """Vector argument must be nonzero."""
-
-
-class NormOutOfRangeError(LatticeError):
-    """Norm argument outside the admissible range."""
-
-
-class DegenerateExtensionError(LatticeError):
-    """Bordered extension lattice is degenerate (det 0)."""
+    """Domain error on a lattice input: degenerate, indefinite, of the wrong
+    signature, a zero vector, a norm out of range, ..."""
 
 
 class UsageError(ValueError):
@@ -46,7 +16,8 @@ class GramFileError(ValueError):
 
 
 class SpecSyntaxError(ValueError):
-    """Lattice-spec expression failed to parse.
+    """Lattice-spec expression failed to parse, or names an II(p,q) that is
+    not provided.
 
     ``offset`` is the byte offset of the failure in the input text.
     """
@@ -54,7 +25,3 @@ class SpecSyntaxError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-
-
-class UnknownStandardLatticeError(SpecSyntaxError):
-    """II(p,q) pair is not one of the provided standard lattices."""

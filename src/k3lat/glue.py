@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from .errors import NormOutOfRangeError, WrongSignatureError
+from .errors import LatticeError
 from .records import Record
 from .reduction import xgcd
 
@@ -42,12 +42,12 @@ def nikulin_embeddable(t: Lattice) -> EmbeddingReport:
     True iff the signature is (2, q) and the minimum number of generators
     of T'/T plus rank(T) is less than TARGET_DIM; that bounds q by
     TARGET_DIM - 3, since rank(T) = 2 + q for a nondegenerate T. Raises
-    WrongSignatureError unless the positive index is 2.
+    LatticeError unless the positive index is 2.
     """
     from .lattice import discriminant_group, signature
     sig = signature(t)
     if sig[0] != 2:
-        raise WrongSignatureError(f"expected signature (2, q), got {sig}")
+        raise LatticeError(f"expected signature (2, q), got {sig}")
     ell = discriminant_group(t).min_generators
     return EmbeddingReport(t.rank + ell < TARGET_DIM, t.rank, ell, sig, TARGET_DIM)
 
@@ -153,7 +153,7 @@ def restricted_weight(u: Lattice) -> int:
     from .shortvec import root_count
     if u.rank > 26:
         raise ValueError("complement lattice cannot have rank above 26")
-    roots = root_count(u)  # raises IndefiniteLatticeError when not definite
+    roots = root_count(u)  # raises LatticeError when not definite
     if roots % 2:
         raise RuntimeError(f"odd root count {roots}: roots come in pairs +-r")
     return 12 + roots // 2
@@ -209,9 +209,9 @@ def hyperplane_multiplicity(row: CosetCountTable, k0: int, nu0: int) -> DivisorR
     """The `DivisorReport` of the dual line (k0, nu0) of a row, nu0 in units of 1/2n."""
     four_n = 2 * row.two_n
     if nu0 >= 0:
-        raise NormOutOfRangeError("the dual direction must have negative norm")
+        raise LatticeError("the dual direction must have negative norm")
     if nu0 < -four_n:
-        raise NormOutOfRangeError(
+        raise LatticeError(
             "no divisor arises from a dual vector of norm below -2")
     contribs = []
     c = 1
@@ -236,7 +236,7 @@ def nikulin_minus2_property(s: Lattice) -> bool:
     from .lattice import determinant, signature
     sig = signature(s)
     if sig[0] != 1:
-        raise WrongSignatureError(f"expected Lorentzian signature (1, m), got {sig}")
+        raise LatticeError(f"expected Lorentzian signature (1, m), got {sig}")
     if not s.even:
         return False
     d = abs(determinant(s))

@@ -7,15 +7,14 @@ integer elimination here is a Hermite form of augmented rows [m | x], each
 transform carried as extra columns (Cohen, GTM 138, 2.4): it gives kernels,
 the Smith form and the exact inverse. The Lagrange reduction behind
 signatures, determinants and the enumerator's L D L^T lives in
-`reduction`, with `xgcd` and `is_symmetric`; this module imports all three
-for its own eliminations, so they also resolve here.
+`reduction`, with `xgcd`, which the Hermite steps use.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .reduction import IntMatrix, is_symmetric, lagrange_reduction, xgcd
+from .reduction import IntMatrix, xgcd
 
 IntVector = list[int]
 
@@ -35,16 +34,11 @@ def mat_mul(a, b):
 
 
 def bareiss_determinant(m: IntMatrix) -> int:
-    """Determinant of a symmetric integer matrix: the last minor of its
-    Lagrange reduction, or 0 if the reduction stops short. Each step is a
-    congruence by a matrix of determinant +-1 (a choice of pivot, or
-    e_i -> e_i + e_j), so that minor is det m. Raises ValueError unless m
-    is symmetric.
-    """
-    if not is_symmetric(m):
-        raise ValueError("determinant needs a symmetric matrix")
-    minors, _ = lagrange_reduction(m)
-    return minors[-1] if len(minors) > len(m) else 0
+    """Determinant of a symmetric integer matrix, `lattice.determinant` of
+    its lattice. Raises ValueError unless m is symmetric, and TypeError
+    unless its entries are integers."""
+    from .lattice import determinant, from_gram
+    return determinant(from_gram(m))
 
 
 def fraction_inverse(m) -> list[list[Fraction]]:

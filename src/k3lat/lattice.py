@@ -11,12 +11,7 @@ from __future__ import annotations
 from math import gcd
 from operator import index, mul
 
-from .errors import (
-    DegenerateLatticeError,
-    GramFileError,
-    NonPrimitiveSublatticeError,
-    ZeroVectorError,
-)
+from .errors import GramFileError, LatticeError
 from .records import Record
 from .reduction import is_symmetric, lagrange_reduction
 
@@ -95,7 +90,7 @@ def signature(lat: Lattice) -> tuple[int, int]:
     """
     minors = lat.minors
     if len(minors) <= lat.rank:
-        raise DegenerateLatticeError("lattice has determinant 0")
+        raise LatticeError("lattice has determinant 0")
     neg = sum((x < 0) != (y < 0) for x, y in zip(minors, minors[1:]))
     return lat.rank - neg, neg
 
@@ -130,7 +125,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     order = 1
     for i, d in enumerate(la.diagonal_of(diag)):
         if d == 0:
-            raise DegenerateLatticeError("lattice has determinant 0")
+            raise LatticeError("lattice has determinant 0")
         order *= d
         if d > 1:
             divisors.append(d)
@@ -144,7 +139,7 @@ def dual_basis(lat: Lattice) -> list[tuple[Fraction, ...]]:
     try:
         inv = la.fraction_inverse([list(r) for r in lat.gram])
     except ZeroDivisionError:
-        raise DegenerateLatticeError("lattice has determinant 0") from None
+        raise LatticeError("lattice has determinant 0") from None
     return [tuple(row) for row in inv]
 
 
@@ -153,7 +148,7 @@ def is_primitive_vector(lat: Lattice, x) -> bool:
     ValueError unless x has lat.rank coordinates."""
     coords = _basis_rows(lat, [x])[0]
     if not any(coords):
-        raise ZeroVectorError("zero vector has no primitivity")
+        raise LatticeError("zero vector has no primitivity")
     return gcd(*coords) == 1
 
 
@@ -178,7 +173,7 @@ def orthogonal_complement(ambient: Lattice, rows) -> list[list[int]]:
     from . import intlinalg as la
     b = _basis_rows(ambient, rows)
     if saturation_index(b) != 1:
-        raise NonPrimitiveSublatticeError(
+        raise LatticeError(
             "sublattice is a proper finite-index subgroup of its saturation")
     return la.left_kernel(la.mat_mul(ambient.gram, la.transpose(b)))
 

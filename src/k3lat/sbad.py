@@ -12,13 +12,13 @@ from __future__ import annotations
 from itertools import product
 from operator import index
 
-from .errors import DegenerateExtensionError, DegenerateLatticeError, GramFileError
+from .errors import GramFileError, LatticeError
 from .records import Record
 
 
 class ExtensionWitness(Record):
     """S plus one bordering class: pairings with the S-basis and a self-norm.
-    ``s1``, the bordered lattice, is built on first read and kept."""
+    ``s1``, the bordered lattice, is built with the witness."""
 
     __slots__ = ("s", "pairings", "d_norm", "_s1")
 
@@ -26,22 +26,14 @@ class ExtensionWitness(Record):
         if len(pairings) != s.rank:
             raise ValueError("need one pairing per basis vector of S")
         super().__init__(s, pairings, d_norm)
-
-    @property
-    def extended_gram(self) -> list[list[int]]:
-        g = [list(row) + [p] for row, p in zip(self.s.gram, self.pairings)]
-        g.append(list(self.pairings) + [self.d_norm])
-        return g
+        from .lattice import from_gram
+        g = [list(row) + [p] for row, p in zip(s.gram, pairings)]
+        g.append(list(pairings) + [d_norm])
+        object.__setattr__(self, "_s1", from_gram(g))
 
     @property
     def s1(self) -> Lattice:
-        try:
-            return self._s1
-        except AttributeError:
-            from .lattice import from_gram
-            s1 = from_gram(self.extended_gram)
-            object.__setattr__(self, "_s1", s1)
-            return s1
+        return self._s1
 
     @property
     def det_s(self) -> int:
@@ -58,16 +50,16 @@ def is_sbad_extension(w: ExtensionWitness) -> bool:
     """True iff the bordered lattice S1 has signature (1, rank S) and
     |det S1| <= 2 |det S|.
 
-    A degenerate S1 (det 0) is reported via DegenerateExtensionError rather
+    A degenerate S1 (det 0) is reported via LatticeError rather
     than as False: an isotropic bordering is not a lattice extension.
     """
     from .lattice import signature
     det_s = w.det_s
     if det_s == 0:
-        raise DegenerateLatticeError("S must be nondegenerate")
+        raise LatticeError("S must be nondegenerate")
     det_s1 = w.det_s1
     if det_s1 == 0:
-        raise DegenerateExtensionError("bordered lattice is degenerate")
+        raise LatticeError("bordered lattice is degenerate")
     if abs(det_s1) > 2 * abs(det_s):
         return False
     return signature(w.s1) == (1, w.s.rank)
@@ -85,11 +77,10 @@ def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[Extens
     for d in d_norms:
         for pairings in product(span, repeat=s.rank):
             w = ExtensionWitness(s=s, pairings=tuple(pairings), d_norm=index(d))
-            try:
-                if is_sbad_extension(w):
-                    found.append(w)
-            except DegenerateExtensionError:
+            if w.det_s1 == 0 and w.det_s != 0:  # a degenerate S raises below
                 continue
+            if is_sbad_extension(w):
+                found.append(w)
     return found
 
 

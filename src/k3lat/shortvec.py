@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import floor, isqrt, lcm
 
-from .errors import IndefiniteLatticeError, NotPositiveDefiniteError
+from .errors import LatticeError
 from .reduction import IntMatrix, is_symmetric, lagrange_reduction
 
 
@@ -33,13 +33,13 @@ def _reduce_definite(gram) -> tuple[list[int], IntMatrix]:
         raise ValueError("Gram matrix must be symmetric")
     minors, a = lagrange_reduction(gram)
     if len(minors) <= len(gram) or min(minors) <= 0:
-        raise NotPositiveDefiniteError("Gram matrix is not positive definite")
+        raise LatticeError("Gram matrix is not positive definite")
     return minors, a
 
 
 def rational_cholesky(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Exact G = L diag(d) L^T with L unit lower triangular: (L, pivots).
-    Raises NotPositiveDefiniteError unless G is positive definite."""
+    Raises LatticeError unless G is positive definite."""
     from fractions import Fraction
 
     minors, a = _reduce_definite(gram)
@@ -188,13 +188,13 @@ def root_count(lat) -> int:
     first, so this is the count of norm -2 vectors in the negative convention.
     """
     from .lattice import signature
-    pos, neg = signature(lat)  # raises DegenerateLatticeError on det 0
+    pos, neg = signature(lat)  # raises LatticeError on det 0
     if neg == 0:
         gram = lat.gram
     elif pos == 0:
         gram = tuple(tuple(-x for x in row) for row in lat.gram)
     else:
-        raise IndefiniteLatticeError(f"lattice of signature {(pos, neg)} is not definite")
+        raise LatticeError(f"lattice of signature {(pos, neg)} is not definite")
     # G is the orthogonal sum of its blocks, the components of its nonzero
     # off-diagonal entries; a root's norms in them sum to 2: (1) + (1) has 4 roots.
     counts, left = [1, 0, 0], set(range(len(gram)))  # norms 0, 1, 2 so far

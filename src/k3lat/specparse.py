@@ -15,7 +15,7 @@ parse(print(ast)) == ast.
 
 from __future__ import annotations
 
-from .errors import SpecSyntaxError, UnknownStandardLatticeError
+from .errors import SpecSyntaxError
 from .records import Record
 
 # The named lattices, constants of `lattice`: a spec parses without it.
@@ -117,7 +117,7 @@ def _parse_atom(sc: _Scanner):
         sc.expect(")")
         from .lattice import _STANDARD_PAIRS
         if (p, q) not in _STANDARD_PAIRS:
-            raise UnknownStandardLatticeError(
+            raise SpecSyntaxError(
                 f"II({p},{q}) is not one of {list(_STANDARD_PAIRS)}", start)
         return Standard(p, q)
     if name == "gram":

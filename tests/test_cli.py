@@ -628,7 +628,7 @@ def test_minus2_property(capsys):
 def test_each_gram_is_reduced_once(capsys, monkeypatch, tmp_path):
     # The signature and the determinant read one Lagrange reduction kept on
     # the lattice; `sbad witness` reduces S and the bordered S1 once each.
-    from k3lat import intlinalg, reduction, shortvec
+    from k3lat import reduction, shortvec
 
     calls = []
     original = reduction.lagrange_reduction
@@ -637,7 +637,7 @@ def test_each_gram_is_reduced_once(capsys, monkeypatch, tmp_path):
         calls.append(len(m))
         return original(m)
 
-    for module in (reduction, intlinalg, k3lat.lattice, shortvec):
+    for module in (reduction, k3lat.lattice, shortvec):
         monkeypatch.setattr(module, "lagrange_reduction", counted)
     witness = tmp_path / "w.gram"
     witness.write_text("1\n8\n4 0\n")
@@ -926,3 +926,10 @@ def test_internal_norms_flag(capsys):
                        "--internal-norms")
     assert code == 0
     assert "norm 2" in out and "-2" not in out
+    # the divisor classes are listed with the window of their own convention
+    code, out, _ = run(capsys, "divisors", "--norm", "4", "--internal-norms")
+    assert code == 0 and "norm 7/4" in out and "norm 1 " in out
+    assert "  divisor classes with norm strictly between 0 and 2:\n" in out and "-2" not in out
+    code, out, _ = run(capsys, "divisors", "--norm", "4")
+    assert code == 0 and "norm -7/4" in out and "norm -1 " in out
+    assert "  divisor classes with norm strictly between -2 and 0:\n" in out

@@ -101,6 +101,14 @@ def test_determinant_rejects_a_nonsymmetric_matrix():
             la.bareiss_determinant(m)
 
 
+def test_determinant_rejects_a_fraction_entry():
+    # det is -1; a reduction that floors with // would give -2
+    m = [[2, 1, 0], [1, 2, 1], [0, 1, Fraction(1, 3)]]
+    assert cofactor_determinant(m) == -1
+    with pytest.raises(TypeError):
+        la.bareiss_determinant(m)
+
+
 def test_fraction_inverse_matches_cofactor_oracle():
     # the inverse from the Hermite form against adj m / det m by cofactors
     rng = random.Random(11)

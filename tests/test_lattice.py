@@ -7,12 +7,7 @@ import pytest
 from k3lat import e8, sbad
 from k3lat import intlinalg as la
 from k3lat import lattice as lt
-from k3lat.errors import (
-    DegenerateLatticeError,
-    GramFileError,
-    NonPrimitiveSublatticeError,
-    ZeroVectorError,
-)
+from k3lat.errors import GramFileError, LatticeError
 from oracles import determinant, fraction_signature, vec_mat
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
@@ -48,9 +43,9 @@ def test_signature_examples():
 
 
 def test_signature_rejects_degenerate():
-    with pytest.raises(DegenerateLatticeError):
+    with pytest.raises(LatticeError, match="determinant 0"):
         lt.signature(lt.from_gram([[0]]))
-    with pytest.raises(DegenerateLatticeError):
+    with pytest.raises(LatticeError, match="determinant 0"):
         lt.signature(lt.from_gram([[2, 2], [2, 2]]))
 
 
@@ -71,7 +66,7 @@ def test_degeneracy_is_found_exactly_when_the_determinant_is_zero():
         if det == 0:
             degenerate += 1
             for compute in (lt.signature, lt.discriminant_group, lt.dual_basis):
-                with pytest.raises(DegenerateLatticeError, match="determinant 0"):
+                with pytest.raises(LatticeError, match="determinant 0"):
                     compute(lat)
             continue
         pos, neg = lt.signature(lat)
@@ -100,7 +95,7 @@ def test_signature_agrees_with_the_fraction_reduction():
         want = fraction_signature(g)
         if want is None:
             kinds["degenerate"] += 1
-            with pytest.raises(DegenerateLatticeError, match="determinant 0"):
+            with pytest.raises(LatticeError, match="determinant 0"):
                 lt.signature(lt.from_gram(g))
             continue
         assert lt.signature(lt.from_gram(g)) == want
@@ -184,7 +179,7 @@ def test_bases_without_rows_or_columns():
 
 def test_orthogonal_complement_rejects_imprimitive():
     doubled = [2 * c for c in HIGHEST_ROOT]
-    with pytest.raises(NonPrimitiveSublatticeError):
+    with pytest.raises(LatticeError, match="proper finite-index subgroup of its saturation"):
         lt.orthogonal_complement(lt.E8, [doubled])
 
 
@@ -277,7 +272,7 @@ def test_even_flag():
 def test_is_primitive_vector():
     assert lt.is_primitive_vector(lt.E8, HIGHEST_ROOT)
     assert not lt.is_primitive_vector(lt.E8, [2 * c for c in HIGHEST_ROOT])
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(LatticeError, match="zero vector has no primitivity"):
         lt.is_primitive_vector(lt.E8, [0] * 8)
     for lat, x in ((lt.E8, [1, 0]), (lt.E8, [1] * 9), (lt.rank1(2), [3, 5, 7])):
         with pytest.raises(ValueError, match=f"{lat.rank} entries"):

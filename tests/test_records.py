@@ -54,8 +54,8 @@ def test_immutable_public_types_hash_by_value():
 
 
 def test_reading_a_cache_changes_neither_equality_nor_hash():
-    # a lattice's minors and a witness's bordered lattice are built on first
-    # read and kept; an orbit keeps no complement
+    # a lattice's minors are built on first read and kept, a witness's
+    # bordered lattice with the witness; an orbit keeps no complement
     assert not hasattr(orbits_of_norm(12)[0], "complement")
     read, unread = lt.from_gram([[2, 1], [1, -4]]), lt.from_gram([[2, 1], [1, -4]])
     before = hash(read)

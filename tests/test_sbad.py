@@ -7,7 +7,7 @@ from k3lat import intlinalg as la
 from k3lat import lattice as lt
 from k3lat import sbad
 from k3lat.e8 import orbits_of_norm
-from k3lat.errors import DegenerateExtensionError, DegenerateLatticeError, GramFileError
+from k3lat.errors import GramFileError, LatticeError
 from k3lat.glue import coset_count_row
 from oracles import rational_counts, vec_mat
 
@@ -27,10 +27,10 @@ def test_witness_examples():
 
 
 def test_witness_error_paths():
-    with pytest.raises(DegenerateLatticeError):
+    with pytest.raises(LatticeError, match="S must be nondegenerate"):
         sbad.is_sbad_extension(
             sbad.ExtensionWitness(s=lt.from_gram([[0]]), pairings=(1,), d_norm=0))
-    with pytest.raises(DegenerateExtensionError):
+    with pytest.raises(LatticeError, match="bordered lattice is degenerate"):
         sbad.is_sbad_extension(
             sbad.ExtensionWitness(s=lt.rank1(2), pairings=(0,), d_norm=0))
     wrong_sig = sbad.ExtensionWitness(s=lt.rank1(8), pairings=(0,), d_norm=2)
@@ -62,10 +62,7 @@ def test_witness_invariant_under_basis_change():
     pairings = (4, 2)
     d_norm = 0
     w = sbad.ExtensionWitness(s=s, pairings=pairings, d_norm=d_norm)
-    try:
-        base = sbad.is_sbad_extension(w)
-    except DegenerateExtensionError:
-        base = "degenerate"
+    base = "degenerate" if w.det_s1 == 0 else sbad.is_sbad_extension(w)
     for _ in range(10):
         u = la.identity(2)
         for _ in range(4):
@@ -78,11 +75,7 @@ def test_witness_invariant_under_basis_change():
         new_pairings = tuple(vec_mat(list(pairings), la.transpose(u)))
         w2 = sbad.ExtensionWitness(s=lt.from_gram(new_gram),
                                    pairings=new_pairings, d_norm=d_norm)
-        try:
-            got = sbad.is_sbad_extension(w2)
-        except DegenerateExtensionError:
-            got = "degenerate"
-        assert got == base
+        assert ("degenerate" if w2.det_s1 == 0 else sbad.is_sbad_extension(w2)) == base
 
 
 def test_polarized_bad_examples():
@@ -169,3 +162,14 @@ def test_witness_file(tmp_path):
         sbad.read_witness_file(bad)
     with pytest.raises(GramFileError, match="not a UTF-8 text file"):
         lt.load_gram_file(bad)
+
+
+def test_bounded_search_skips_degenerate_borderings_but_not_a_degenerate_s():
+    # (2) bordered by (0) with self-norm 0 is degenerate, and is skipped
+    assert [(w.pairings, w.d_norm) for w in
+            sbad.search_sbad_extensions(lt.rank1(2), 1, [0])] == [((-1,), 0), ((1,), 0)]
+    # a degenerate S raises at the first witness, though every bordering of
+    # the zero form of rank 2 is degenerate too
+    for s in (lt.from_gram([[0]]), lt.from_gram([[0, 0], [0, 0]])):
+        with pytest.raises(LatticeError, match="S must be nondegenerate"):
+            sbad.search_sbad_extensions(s, 0, [0])

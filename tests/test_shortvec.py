@@ -10,7 +10,7 @@ from k3lat import intlinalg as la
 from k3lat import lattice as lt
 from k3lat.e8 import orbits_of_norm
 from k3lat.glue import coset_count_row, dual_coset_counts
-from k3lat.errors import IndefiniteLatticeError, NotPositiveDefiniteError
+from k3lat.errors import LatticeError
 from k3lat.shortvec import (NormHistogram, lll_reduce, rational_cholesky, root_count,
                             short_vectors)
 from oracles import (complement_lattice, determinant, e8_vectors, model_norm,
@@ -62,7 +62,7 @@ def random_posdef(rng, rank, spread=2):
 def test_cholesky_examples():
     _, piv = rational_cholesky([[2]])
     assert piv == [Fraction(2)]
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(LatticeError, match="not positive definite"):
         rational_cholesky([list(r) for r in lt.H.gram])
     lower, piv = rational_cholesky([list(r) for r in lt.E8.gram])
     assert len(piv) == 8 and all(p > 0 for p in piv)
@@ -338,6 +338,22 @@ def test_root_count_on_a_skewed_basis_stays_within_budget():
     assert count_descend_calls(lambda: root_count(skewed), 2 * standard)[0] == 240
 
 
+def sigma7(n):
+    return sum(d ** 7 for d in range(1, n + 1) if n % d == 0)
+
+
+def test_e8_plus_e8_counts_match_the_eisenstein_series():
+    # The theta series of E8 + E8 is E4^2 = E8, the Eisenstein series of
+    # weight 8, so it has 480 sigma_7(N) vectors of norm 2N: a closed form
+    # for a search above rank 8, on the standard basis and on a skewed one.
+    e8e8 = lt.direct_sum(lt.E8, lt.E8).gram
+    want = {2 * n: 480 * sigma7(n) for n in (1, 2, 3)}
+    assert want == {2: 480, 4: 61_920, 6: 1_050_240}
+    assert short_vectors(e8e8, 6).counts == {0: 1, **want}
+    skewed = skewed_gram(e8e8, random.Random(5), 10 ** 4)
+    assert short_vectors(skewed, 4).counts == {0: 1, 2: 480, 4: 61_920}
+
+
 def test_exclusive_bound_is_pruned_not_filtered():
     # Norms are integers, so the norms below an integer b are those up to
     # b - 1 and up to (2b - 1)/2, and the search is pruned there: a rational
@@ -381,7 +397,7 @@ def test_root_count_rank1_and_signs():
     assert root_count(lt.rank1(4)) == 0
     assert root_count(lt.rank1(2)) == 2
     assert root_count(lt.rescale(lt.E8)) == 240  # negative definite input
-    with pytest.raises(IndefiniteLatticeError):
+    with pytest.raises(LatticeError, match=r"signature \(1, 1\) is not definite"):
         root_count(lt.H)
 
 

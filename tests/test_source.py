@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import builtins
 from importlib import import_module
 from pathlib import Path
 
@@ -91,6 +92,26 @@ def test_cli_writes_every_failure_through_one_writer():
                 and isinstance(node.value, str)
                 and ("parse error: " in node.value or "domain error: " in node.value)]
     assert sorted(prefixes) == ["domain error: ", "parse error: "]
+
+
+def test_every_error_class_is_a_cli_outcome():
+    # Each class of errors.py is one outcome of a failed command, a key of
+    # `cli._FAILURES` with its message prefix and exit code; the other keys
+    # are built-in. No other module defines an exception class. Both are
+    # read from the source, not imported.
+    _, errors = _parse(SRC / "errors.py")
+    defined = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    _, cli = _parse(SRC / "cli.py")
+    (table,) = [node.value for node in cli.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_FAILURES"]]
+    keys = [key.id for key in table.keys]
+    assert sorted(defined) == ["GramFileError", "LatticeError", "SpecSyntaxError", "UsageError"]
+    assert set(defined) <= set(keys) and set(keys) - set(defined) <= set(vars(builtins))
+    found = [f"{name}:{node.lineno} {node.name}" for name, tree in _library_trees()
+             if name != "errors.py" for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and any(
+                 getattr(base, "id", "").endswith(("Error", "Exception")) for base in node.bases)]
+    assert found == []
 
 
 def test_library_arithmetic_is_exact():

@@ -4,7 +4,7 @@ import pytest
 
 from k3lat import lattice as lt
 from k3lat import specparse as sp
-from k3lat.errors import SpecSyntaxError, UnknownStandardLatticeError
+from k3lat.errors import SpecSyntaxError
 
 
 def test_rank1_plus_negated_e8():
@@ -41,7 +41,7 @@ def test_syntax_errors_carry_offsets():
     with pytest.raises(SpecSyntaxError) as err:
         sp.parse_spec("E8 H")
     assert err.value.offset == 3
-    with pytest.raises(UnknownStandardLatticeError):
+    with pytest.raises(SpecSyntaxError, match=r"II\(4,20\) is not one of"):
         sp.parse_spec("II(4,20)")
     with pytest.raises(SpecSyntaxError):
         sp.parse_spec("E9")
