@@ -1,13 +1,16 @@
 """Integral lattices: Gram arithmetic, duals, discriminant groups, complements.
 
-A lattice is its integer Gram matrix alone. A sublattice is a list of integer
-basis rows in ambient coordinates: `sublattice` gives their lattice, and
-`orthogonal_complement` the HNF kernel rows of their complement. All
-arithmetic is over Python ints; only `dual_basis` returns Fractions.
+A lattice is its integer Gram matrix alone. `blocks` splits that matrix into
+orthogonal blocks, and the determinant and the signature take one Lagrange
+reduction of each. A sublattice is a list of integer basis rows in ambient
+coordinates: `sublattice` gives their lattice, and `orthogonal_complement`
+the HNF kernel rows of their complement. All arithmetic is over Python
+ints; only `dual_basis` returns Fractions.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
 from operator import index, mul
 
@@ -20,11 +23,11 @@ class Lattice(Record):
     """An integral lattice given by a symmetric Gram matrix.
 
     ``gram`` is a tuple of integer row tuples, entries taken by `operator.index`
-    (a float is a TypeError, not truncated). ``minors``, which the signature
-    and the determinant read, is computed on first read and kept.
+    (a float is a TypeError, not truncated). It is the record's one field:
+    every invariant is a function of it, computed anew on each call.
     """
 
-    __slots__ = ("gram", "_minors")
+    __slots__ = ("gram",)
 
     def __init__(self, gram):
         g = tuple(tuple(map(index, row)) for row in gram)
@@ -35,17 +38,6 @@ class Lattice(Record):
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @property
-    def minors(self) -> tuple[int, ...]:
-        """The minors of the Lagrange reduction of the Gram matrix: rank + 1
-        of them, or fewer if the determinant is 0."""
-        try:
-            return self._minors
-        except AttributeError:
-            minors = tuple(lagrange_reduction(self.gram)[0])
-            object.__setattr__(self, "_minors", minors)
-            return minors
 
     @property
     def even(self) -> bool:
@@ -73,25 +65,45 @@ def sublattice(ambient: Lattice, rows) -> Lattice:
     return Lattice([[sum(map(mul, u, v)) for v in b] for u in la.mat_mul(b, ambient.gram)])
 
 
+def blocks(gram) -> list[list[int]]:
+    """The sorted index sets of the components of the nonzero off-diagonal
+    entries of a symmetric Gram matrix: its orthogonal blocks, by least index."""
+    left, found = set(range(len(gram))), []
+    while left:
+        block = [left.pop()]
+        for i in block:  # the block grows as the loop reads it
+            near = {j for j in left if gram[i][j]}
+            left -= near
+            block += near
+        found.append(sorted(block))
+    return sorted(found)
+
+
+def _block_minors(lat: Lattice):
+    """The minors of the Lagrange reduction of each orthogonal block in turn;
+    LatticeError if one stops short, as that block has determinant 0."""
+    for block in blocks(lat.gram):
+        minors = lagrange_reduction([[lat.gram[i][j] for j in block] for i in block])[0]
+        if len(minors) <= len(block):
+            raise LatticeError("lattice has determinant 0")
+        yield minors
+
+
 def determinant(lat: Lattice) -> int:
-    """Exact Gram determinant: the last minor of the Lagrange reduction, or 0
-    if the reduction stops short. Each step is a congruence by a matrix of
-    determinant +-1 (a choice of pivot, or e_i -> e_i + e_j), so that minor
-    is the determinant."""
-    minors = lat.minors
-    return minors[-1] if len(minors) > lat.rank else 0
+    """Exact Gram determinant: the product of the last minors of the blocks'
+    Lagrange reductions, or 0 if one stops short. Each step is a congruence
+    by a matrix of determinant +-1 (a pivot choice, or e_i -> e_i + e_j)."""
+    try:
+        return reduce(mul, (minors[-1] for minors in _block_minors(lat)), 1)
+    except LatticeError:
+        return 0
 
 
 def signature(lat: Lattice) -> tuple[int, int]:
-    """(positive, negative) inertia indices, from the Lagrange reduction.
-
-    The negative index is the number of sign changes in its minors
-    (Sylvester's law of inertia); an early stop means det 0.
-    """
-    minors = lat.minors
-    if len(minors) <= lat.rank:
-        raise LatticeError("lattice has determinant 0")
-    neg = sum((x < 0) != (y < 0) for x, y in zip(minors, minors[1:]))
+    """(positive, negative) inertia indices, summed over the orthogonal blocks:
+    a block's negative index is the number of sign changes in its minors
+    (Sylvester's law of inertia). LatticeError if the determinant is 0."""
+    neg = sum((x < 0) != (y < 0) for m in _block_minors(lat) for x, y in zip(m, m[1:]))
     return lat.rank - neg, neg
 
 

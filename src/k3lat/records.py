@@ -1,24 +1,19 @@
 """Base class of the package's immutable record types.
 
-A record names its fields in ``__slots__`` (names starting with ``_`` are
-private caches, not fields). It is built by position or by keyword, equals
-only a record of the same type with equal fields (never a plain tuple),
-hashes by its fields, and rejects attribute assignment. This replaces
-frozen dataclasses, whose import and class generation cost more at start-up
-than most commands spend on their work.
+A record names its fields in ``__slots__`` and holds nothing else: what it
+derives from them is computed when read, never stored. It is built by
+position or by keyword, equals only a record of the same type with equal
+fields (never a plain tuple), hashes by its fields, and rejects attribute
+assignment. This replaces frozen dataclasses, whose import and class
+generation cost more at start-up than most commands spend on their work.
 """
 
 
 class Record:
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
+        fields = self.__slots__
         if len(args) > len(fields) or set(kwargs) != set(fields[len(args):]):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
         for name, value in zip(fields, args):
@@ -27,7 +22,7 @@ class Record:
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -38,7 +33,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):

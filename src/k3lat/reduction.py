@@ -1,11 +1,11 @@
 """The integer reduction shared by every exact computation on a Gram matrix.
 
-One fraction-free Lagrange reduction gives a lattice's signature and
-determinant and the L D L^T that the short-vector search LLL-reduces and
-enumerates over; `xgcd` drives the unimodular completion of a primitive E8
-vector in `glue` and the Hermite and Smith forms of `intlinalg`. Kept apart
-from those forms so that the commands that need only a reduction compile
-none of them.
+One fraction-free Lagrange reduction per orthogonal block gives a
+lattice's signature and determinant, and one gives the L D L^T that the
+short-vector search LLL-reduces and enumerates over; `xgcd` drives the
+unimodular completion of a primitive E8 vector in `glue` and the Hermite
+and Smith forms of `intlinalg`. Kept apart from those forms so that the
+commands that need only a reduction compile none of them.
 """
 
 from __future__ import annotations

@@ -18,22 +18,21 @@ from .records import Record
 
 class ExtensionWitness(Record):
     """S plus one bordering class: pairings with the S-basis and a self-norm.
-    ``s1``, the bordered lattice, is built with the witness."""
+    ``s1``, the bordered lattice, is built on each read."""
 
-    __slots__ = ("s", "pairings", "d_norm", "_s1")
+    __slots__ = ("s", "pairings", "d_norm")
 
     def __init__(self, s: Lattice, pairings: tuple[int, ...], d_norm: int):
         if len(pairings) != s.rank:
             raise ValueError("need one pairing per basis vector of S")
         super().__init__(s, pairings, d_norm)
-        from .lattice import from_gram
-        g = [list(row) + [p] for row, p in zip(s.gram, pairings)]
-        g.append(list(pairings) + [d_norm])
-        object.__setattr__(self, "_s1", from_gram(g))
 
     @property
     def s1(self) -> Lattice:
-        return self._s1
+        from .lattice import from_gram
+        g = [list(row) + [p] for row, p in zip(self.s.gram, self.pairings)]
+        g.append(list(self.pairings) + [self.d_norm])
+        return from_gram(g)
 
     @property
     def det_s(self) -> int:
@@ -114,18 +113,16 @@ def normalize_degree(n: int, k: int) -> int:
     return abs(r)
 
 
-def possible_extension_norms(two_n: int, k: int) -> list[int]:
-    """Even self-norms d with -2 <= d - k^2/two_n < 0.
+def possible_extension_norms(two_n: int, k: int) -> int:
+    """The even self-norm d with -2 <= d - k^2/two_n < 0.
 
-    A half-open window of length 2 contains exactly one even integer, so
-    the result is always a singleton list.
+    The condition puts d in the half-open window [k^2/two_n - 2, k^2/two_n)
+    of length 2, which holds exactly one even integer: the least even d at
+    or above its left end, 2 ceil(k^2/2two_n - 1) = -2 floor(1 - k^2/2two_n).
     """
     if two_n <= 0 or two_n % 2:
         raise ValueError("two_n must be a positive even integer")
-    d = -2 * ((2 * two_n - k * k) // (2 * two_n))  # smallest even d >= k^2/two_n - 2
-    if not -2 * two_n <= projected_norm(two_n // 2, d, k) < 0:
-        raise RuntimeError(f"even norm {d} outside the window [-2, 0) of d - {k}^2/{two_n}")
-    return [d]
+    return -2 * ((2 * two_n - k * k) // (2 * two_n))
 
 
 def read_witness_file(path) -> ExtensionWitness:

@@ -187,7 +187,7 @@ def root_count(lat) -> int:
     Negative definite input is flipped to the internal positive convention
     first, so this is the count of norm -2 vectors in the negative convention.
     """
-    from .lattice import signature
+    from .lattice import blocks, signature
     pos, neg = signature(lat)  # raises LatticeError on det 0
     if neg == 0:
         gram = lat.gram
@@ -195,15 +195,10 @@ def root_count(lat) -> int:
         gram = tuple(tuple(-x for x in row) for row in lat.gram)
     else:
         raise LatticeError(f"lattice of signature {(pos, neg)} is not definite")
-    # G is the orthogonal sum of its blocks, the components of its nonzero
-    # off-diagonal entries; a root's norms in them sum to 2: (1) + (1) has 4 roots.
-    counts, left = [1, 0, 0], set(range(len(gram)))  # norms 0, 1, 2 so far
-    while left:
-        block = [left.pop()]
-        for i in block:  # the block grows as the loop reads it
-            near = {j for j in left if gram[i][j]}
-            left -= near
-            block.extend(near)
+    # G is the orthogonal sum of its blocks; a root's norms in them sum to 2:
+    # (1) + (1) has 4 roots.
+    counts = [1, 0, 0]  # norms 0, 1, 2 so far
+    for block in blocks(gram):
         c = short_vectors([[gram[i][j] for j in block] for i in block], 2).counts
         counts = [sum(counts[m] * c.get(n - m, 0) for m in range(n + 1)) for n in range(3)]
     return counts[2]

@@ -227,8 +227,8 @@ def test_criterion_8_enumeration_ground_truth(all_rows):
 
 
 # The one nonzero cell with k >= 1 in rows 4..10 that does not force
-# extension norm 0: (2n, roots, k, norm, count, extension norms).
-CRITERION_9_EXCEPTIONS = [(10, 60, 5, Fraction(-3, 2), 32, [2])]
+# extension norm 0: (2n, roots, k, norm, count, extension norm).
+CRITERION_9_EXCEPTIONS = [(10, 60, 5, Fraction(-3, 2), 32, 2)]
 
 
 def test_criterion_9_extension_norms(all_rows):
@@ -242,10 +242,9 @@ def test_criterion_9_extension_norms(all_rows):
             for nu, count in sorted(cells.items()):
                 if count == 0:
                     continue
-                norms = possible_extension_norms(row.two_n, k)
-                if norms != [0]:
-                    exceptions.append((row.two_n, row.root_count, k, -nu, count,
-                                       norms))
+                d = possible_extension_norms(row.two_n, k)
+                if d != 0:
+                    exceptions.append((row.two_n, row.root_count, k, -nu, count, d))
     ok = exceptions == CRITERION_9_EXCEPTIONS
     detail = report(9, "nonzero cells with k >= 1 in rows 4..10 force extension "
                        "norm 0, except 2n=10 (roots 60) k=5 norm -3/2 count 32, "

@@ -625,28 +625,30 @@ def test_minus2_property(capsys):
     assert ": no" in out
 
 
-def test_each_gram_is_reduced_once(capsys, monkeypatch, tmp_path):
-    # The signature and the determinant read one Lagrange reduction kept on
-    # the lattice; `sbad witness` reduces S and the bordered S1 once each.
+def test_each_reduction_is_of_one_orthogonal_block(capsys, monkeypatch, tmp_path):
+    # The signature and the determinant reduce each orthogonal block of a
+    # Gram matrix apart, so II(2,26) = 3(-E8) + 2H and II(1,17) reduce their
+    # E8 and H blocks, and `sbad witness` its S and bordered S1.
     from k3lat import reduction, shortvec
 
-    calls = []
+    ranks = set()
     original = reduction.lagrange_reduction
 
     def counted(m):
-        calls.append(len(m))
+        assert len(k3lat.lattice.blocks(m)) == 1, m
+        ranks.add(len(m))
         return original(m)
 
     for module in (reduction, k3lat.lattice, shortvec):
         monkeypatch.setattr(module, "lagrange_reduction", counted)
     witness = tmp_path / "w.gram"
     witness.write_text("1\n8\n4 0\n")
-    for argv, ranks in ((["lat", "info", "II(2,26)"], [28]),
-                        (["minus2", "property", "II(1,17)"], [18]),
-                        (["sbad", "witness", "--gram", str(witness)], [1, 2])):
-        calls.clear()
+    for argv, reduced in ((["lat", "info", "II(2,26)"], {2, 8}),
+                          (["minus2", "property", "II(1,17)"], {2, 8}),
+                          (["sbad", "witness", "--gram", str(witness)], {1, 2})):
+        ranks.clear()
         assert run(capsys, *argv)[0] == 0
-        assert calls == ranks, argv
+        assert ranks == reduced, argv
 
 
 def test_no_command_of_the_corpus_loads_fractions(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from k3lat import e8, sbad
 from k3lat import intlinalg as la
 from k3lat import lattice as lt
 from k3lat.errors import GramFileError, LatticeError
-from oracles import determinant, fraction_signature, vec_mat
+from oracles import determinant, fraction_signature, random_definite_grams, vec_mat
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
 
@@ -101,6 +101,53 @@ def test_signature_agrees_with_the_fraction_reduction():
         assert lt.signature(lt.from_gram(g)) == want
         kinds["zero diagonal" if t % 3 == 0 else "definite" if 0 in want else "indefinite"] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+def test_invariants_by_orthogonal_block_match_the_whole_matrix():
+    # Block-diagonal Grams of definite, indefinite and degenerate blocks, the
+    # zero block (0) among them, under a seeded simultaneous permutation of
+    # rows and columns: `blocks` is a partition of the basis into connected
+    # blocks with no nonzero entry between two of them, and the signature and
+    # the determinant read block by block are those of the whole matrix, or
+    # the same LatticeError when a block is degenerate.
+    rng = random.Random(32)
+    pool = ([[0]], [[2, 2], [2, 2]], [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # degenerate
+            lt.H.gram, [[2, 3], [3, 2]], lt.ii(1, 9).gram,  # indefinite
+            [[-6]], lt.E8.gram, lt.rescale(lt.E7).gram, *random_definite_grams(rng, 7))
+    kinds = {"degenerate": 0, "definite": 0, "indefinite": 0}
+    for trial in range(300):
+        parts = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        rank = sum(map(len, parts))
+        whole, start = [[0] * rank for _ in range(rank)], 0
+        for part in parts:
+            for i, row in enumerate(part):
+                whole[start + i][start:start + len(part)] = row
+            start += len(part)
+        order = rng.sample(range(rank), rank)
+        gram = [[whole[i][j] for j in order] for i in order]
+        found = lt.blocks(gram)
+        assert sorted(i for block in found for i in block) == list(range(rank))
+        where = {i: n for n, block in enumerate(found) for i in block}
+        assert all(where[i] == where[j] for i in range(rank) for j in range(rank)
+                   if gram[i][j]), (trial, found)
+        for block in found:  # and no block splits further
+            reached = [block[0]]
+            for i in reached:
+                reached += [j for j in block if gram[i][j] and j not in reached]
+            assert sorted(reached) == block, (trial, block)
+        lat = lt.from_gram(gram)
+        assert lt.determinant(lat) == determinant(gram), trial
+        want = fraction_signature(gram)
+        if want is None:
+            kinds["degenerate"] += 1
+            with pytest.raises(LatticeError, match="^lattice has determinant 0$"):
+                lt.signature(lat)
+            continue
+        assert lt.signature(lat) == want, trial
+        kinds["definite" if 0 in want else "indefinite"] += 1
+    assert min(kinds.values()) >= 30, kinds
+    assert lt.blocks([]) == [] and lt.signature(lt.from_gram([])) == (0, 0)
+    assert lt.determinant(lt.from_gram([])) == 1
 
 
 def test_signature_additivity():

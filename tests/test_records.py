@@ -10,6 +10,7 @@ from k3lat import lattice as lt
 from k3lat import specparse as sp
 from k3lat.e8 import orbits_of_norm
 from k3lat.glue import DivisorCell, EmbeddingReport, ScaleContribution
+from k3lat.records import Record
 from k3lat.sbad import ExtensionWitness
 from k3lat.shortvec import NormHistogram
 
@@ -53,18 +54,29 @@ def test_immutable_public_types_hash_by_value():
         assert a is not b and hash(a) == hash(b) and len({a, b}) == 1
 
 
-def test_reading_a_cache_changes_neither_equality_nor_hash():
-    # a lattice's minors are built on first read and kept, a witness's
-    # bordered lattice with the witness; an orbit keeps no complement
+def test_records_hold_only_their_fields():
+    # What a record derives from its fields is computed when read: a
+    # lattice's invariants, a witness's bordered lattice s1; an orbit keeps
+    # no complement. So reading them changes neither equality nor hash.
+    assert lt.Lattice.__slots__ == ("gram",)
+    assert ExtensionWitness.__slots__ == ("s", "pairings", "d_norm")
+    kinds = Record.__subclasses__()
+    assert {lt.Lattice, ExtensionWitness, DivisorCell, sp.Named} <= set(kinds)
+    assert not [(kind, name) for kind in kinds for name in kind.__slots__
+                if name.startswith("_")]
     assert not hasattr(orbits_of_norm(12)[0], "complement")
-    read, unread = lt.from_gram([[2, 1], [1, -4]]), lt.from_gram([[2, 1], [1, -4]])
+    s = lt.from_gram([[2, 1], [1, -4]])
+    read, unread = lt.from_gram(s.gram), lt.from_gram(s.gram)
     before = hash(read)
-    assert read.minors == (1, 2, -9) and lt.determinant(read) == -9
+    assert lt.determinant(read) == -9 and lt.signature(read) == (1, 1)
     assert hash(read) == before == hash(unread) and read == unread
-    read, unread = ExtensionWitness(unread, (1, 0), 0), ExtensionWitness(unread, (1, 0), 0)
+    assert read._values() == (s.gram,)
+    read, unread = ExtensionWitness(s, (1, 0), 0), ExtensionWitness(s, (1, 0), 0)
     before = hash(read)
-    assert read.det_s1 == read.s1.minors[-1] == 4
+    assert read.s1 == lt.from_gram([[2, 1, 1], [1, -4, 0], [1, 0, 0]]) and read.det_s1 == 4
+    assert read.s1 is not read.s1
     assert hash(read) == before == hash(unread) and read == unread
+    assert read._values() == (s, (1, 0), 0) and ExtensionWitness(s, (1, 1), 0) != read
 
 
 def test_immutable_types_reject_attribute_assignment():
@@ -72,7 +84,7 @@ def test_immutable_types_reject_attribute_assignment():
     cases = [(lt.E8, "gram"), (lt.discriminant_group(lt.rank1(4)), "order"),
              (orbit, "two_n"), (orbit, "root_count_u"), (cell(), "count"),
              (sp.Named("E8"), "name"),
-             (lt.E8, "minors"), (ExtensionWitness(lt.rank1(2), (1,), 0), "d_norm"),
+             (lt.E8, "rank"), (ExtensionWitness(lt.rank1(2), (1,), 0), "d_norm"),
              (ExtensionWitness(lt.rank1(2), (1,), 0), "s1")]
     for record, name in cases:
         with pytest.raises(AttributeError):

@@ -110,10 +110,14 @@ def test_normalize_degree():
 
 
 def test_possible_extension_norms_examples():
-    assert sbad.possible_extension_norms(4, 1) == [0]
-    assert sbad.possible_extension_norms(2, 0) == [-2]
-    assert sbad.possible_extension_norms(12, 5) == [2]
-    assert sbad.possible_extension_norms(8, 4) == [0]
+    assert sbad.possible_extension_norms(4, 1) == 0
+    assert sbad.possible_extension_norms(2, 0) == -2
+    assert sbad.possible_extension_norms(12, 5) == 2
+    assert sbad.possible_extension_norms(8, 4) == 0
+    for two_n in range(2, 62, 2):
+        for k in range(-40, 41):
+            d = sbad.possible_extension_norms(two_n, k)
+            assert d % 2 == 0 and -2 <= d - Fraction(k * k, two_n) < 0, (two_n, k)
 
 
 def test_possible_extension_norms_match_table_cells():
@@ -124,7 +128,7 @@ def test_possible_extension_norms_match_table_cells():
                 for nu_int, count in cells.items():
                     if count == 0 or nu_int == 0:
                         continue
-                    (d,) = sbad.possible_extension_norms(two_n, k)
+                    d = sbad.possible_extension_norms(two_n, k)
                     assert Fraction(d) - Fraction(k * k, two_n) == nu_int - 2
 
 
