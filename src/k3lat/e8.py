@@ -8,7 +8,6 @@ group of E8 equals its Weyl group, so Weyl dominance classifies orbits.
 
 from __future__ import annotations
 
-import warnings
 from math import factorial, gcd, isqrt
 from operator import index
 
@@ -195,15 +194,11 @@ def _dominant_vectors_of_norm(two_n: int) -> list[tuple[tuple[int, ...], tuple[i
 def orbits_of_norm(two_n: int) -> list[OrbitClass]:
     """All orbits of norm-two_n vectors, sorted by dominant representative.
 
-    Odd norms have no vectors in an even lattice; that case warns and
-    returns an empty list.
+    Odd norms have no vectors in an even lattice: the search returns an
+    empty list, as its discriminants are then 2 or 3 mod 4, never squares.
     """
     if two_n <= 0:
         raise ValueError("norm must be positive")
-    if two_n % 2:
-        warnings.warn(f"no vectors of odd norm {two_n} in an even lattice",
-                      stacklevel=2)
-        return []
     orbits = []
     for rep, pair in sorted(_dominant_vectors_of_norm(two_n)):
         stab, roots = parabolic_orders(pair)

@@ -28,9 +28,6 @@ class EmbeddingReport(Record):
 
     __slots__ = ("embeddable", "rank", "min_generators", "signature", "target_dim")
 
-    def __bool__(self) -> bool:
-        return self.embeddable
-
 
 # Rank of II_{2,26}, the lattice that `nikulin_embeddable` embeds into.
 TARGET_DIM = 28

@@ -111,11 +111,11 @@ class DiscriminantGroup(Record):
     """The finite group L'/L, with its generators given by integer rows.
 
     ``divisors`` is the elementary-divisor chain d1 | d2 | ... (entries > 1),
-    ``generators[i]`` an integer row L_i whose dual vector L_i / d_i (lattice
-    basis) generates the cyclic factor of order d_i, and ``order`` is |det L|.
+    with product |det L|, and ``generators[i]`` an integer row L_i whose dual
+    vector L_i / d_i (lattice basis) generates the cyclic factor of order d_i.
     """
 
-    __slots__ = ("divisors", "generators", "order")
+    __slots__ = ("divisors", "generators")
 
     @property
     def min_generators(self) -> int:
@@ -134,15 +134,13 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     left, diag = la.smith_normal_form([list(row) for row in lat.gram])
     divisors = []
     generators = []
-    order = 1
     for i, d in enumerate(la.diagonal_of(diag)):
         if d == 0:
             raise LatticeError("lattice has determinant 0")
-        order *= d
         if d > 1:
             divisors.append(d)
             generators.append(tuple(left[i]))
-    return DiscriminantGroup(tuple(divisors), tuple(generators), order)
+    return DiscriminantGroup(tuple(divisors), tuple(generators))
 
 
 def dual_basis(lat: Lattice) -> list[tuple[Fraction, ...]]:

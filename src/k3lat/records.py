@@ -1,11 +1,12 @@
-"""Base class of the package's immutable record types.
+"""Base class of the package's records: the one rule for their equality and hash.
 
 A record names its fields in ``__slots__`` and holds nothing else: what it
 derives from them is computed when read, never stored. It is built by
 position or by keyword, equals only a record of the same type with equal
-fields (never a plain tuple), hashes by its fields, and rejects attribute
-assignment. This replaces frozen dataclasses, whose import and class
-generation cost more at start-up than most commands spend on their work.
+fields (never a plain tuple), hashes by its fields, so not when one is a
+dict, and rejects attribute assignment. This replaces frozen dataclasses,
+whose import and class generation cost more at start-up than most commands
+spend on their work.
 """
 
 

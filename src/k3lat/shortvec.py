@@ -23,6 +23,7 @@ from __future__ import annotations
 from math import floor, isqrt, lcm
 
 from .errors import LatticeError
+from .records import Record
 from .reduction import IntMatrix, is_symmetric, lagrange_reduction
 
 
@@ -86,22 +87,11 @@ def lll_reduce(gram, label) -> tuple[list[int], IntMatrix, list]:
     return d, lam, label
 
 
-class NormHistogram:
+class NormHistogram(Record):
     """Exact counts of enumerated vectors, keyed by integer norm, or by
-    (label, norm) for a labelled query. Mutable, so not hashable."""
+    (label, norm) for a labelled query, in a dict its search fills: unhashable."""
 
     __slots__ = ("counts",)
-
-    def __init__(self, counts=None):
-        self.counts = {} if counts is None else counts
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __repr__(self):
-        return f"NormHistogram(counts={self.counts!r})"
 
     @property
     def total(self) -> int:
@@ -125,7 +115,7 @@ def short_vectors(gram, bound, *, label=None, modulus=0) -> NormHistogram:
     elif len(label) != r or modulus <= 0:
         raise ValueError("label form needs one coefficient per coordinate "
                          "and a positive modulus")
-    hist = NormHistogram()
+    hist = NormHistogram({})
     minors, a, coeff = lll_reduce(gram, label)
     top = floor(bound)  # the largest norm admitted
     if top < 0:
@@ -184,17 +174,15 @@ def vector_count(gram, bound) -> int:
 def root_count(lat) -> int:
     """Number of vectors of squared length 2 in a definite lattice.
 
-    Negative definite input is flipped to the internal positive convention
-    first, so this is the count of norm -2 vectors in the negative convention.
+    A Gram matrix with a negative diagonal entry is negated first, so this
+    counts the norm -2 vectors of a negative definite lattice. A definite Gram
+    matrix has a diagonal of one sign, so any lattice that is not definite
+    fails in some block: LatticeError, "Gram matrix is not positive definite".
     """
-    from .lattice import blocks, signature
-    pos, neg = signature(lat)  # raises LatticeError on det 0
-    if neg == 0:
-        gram = lat.gram
-    elif pos == 0:
-        gram = tuple(tuple(-x for x in row) for row in lat.gram)
-    else:
-        raise LatticeError(f"lattice of signature {(pos, neg)} is not definite")
+    from .lattice import blocks
+    gram = lat.gram
+    if any(gram[i][i] < 0 for i in range(len(gram))):
+        gram = tuple(tuple(-x for x in row) for row in gram)
     # G is the orthogonal sum of its blocks; a root's norms in them sum to 2:
     # (1) + (1) has 4 roots.
     counts = [1, 0, 0]  # norms 0, 1, 2 so far

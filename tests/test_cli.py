@@ -442,12 +442,18 @@ def test_outputs_match_the_pinned_corpus(capsys, monkeypatch, tmp_path):
 
 def test_help_and_usage_match_the_pinned_corpus(capsys, monkeypatch):
     # Help, usage and argument errors of every command at 80 columns, byte
-    # for byte, each from the parser of the whole grammar table.
+    # for byte, each from the parser of the whole grammar table. Python 3.13's
+    # argparse starts the help column of `sbad --help` one place further
+    # right, so that case also pins the text of 3.13 and later.
     golden = json.loads((GOLDEN.parent / "cli_help.json").read_text())
     monkeypatch.setenv("COLUMNS", str(golden["columns"]))
     for case in golden["cases"]:
         code, out, err = run(capsys, *case["argv"])
-        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"]), case["argv"]
+        stdout = case["stdout"]
+        if sys.version_info >= (3, 13):
+            stdout = case.get("stdout_3_13", stdout)
+        assert (code, out, err) == (case["code"], stdout, case["stderr"]), case["argv"]
+    assert sum("stdout_3_13" in case for case in golden["cases"]) == 1
 
 
 def text_integers(text):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 from oracles import (bucketed_row, complement_lattice, determinant, random_unimodular,
@@ -146,6 +147,36 @@ def test_the_roots_of_e8_fill_their_cells_of_each_row():
         assert roots(orbit) == 240, (orbit.two_n, orbit.representative)
 
 
+def test_the_vectors_of_e8_fill_their_cells_by_norm():
+    # Theta decomposition of E8 along v: E8 has 240 sigma_3(j) vectors of norm
+    # 2j, and one with (x, v) = k projects to the class k of U' with norm
+    # 2j - k^2/2n, the cell 2j 2n - k^2 of column r(k), with k^2 <= 4nj by
+    # Cauchy-Schwarz. The row holds the cells below norm 2. Those at 2 and
+    # above come from a search of U' on the row's basis, Gram and labels, up
+    # to norm 6, where for v = m v0 the cell of k = m t is (t mod 2n0,
+    # 2j 2n0 - t^2), and empty unless m divides k.
+    from k3lat.e8 import _pairings
+    for orbit in (o for two_n in range(2, 62, 2) for o in orbits_of_norm(two_n)):
+        two_n, counts = orbit.two_n, glue.coset_count_row(orbit).counts
+        m = gcd(*orbit.representative)
+        v0 = [x // m for x in orbit.representative]
+        p, two_n0, basis = _pairings(v0), two_n // (m * m), glue._completion(v0)
+        c = [sum(map(mul, p, b)) for b in basis]
+        gram = [[two_n0 * sum(map(mul, bg, bj)) - ci * cj for bj, cj in zip(basis, c)]
+                for bg, ci in zip(map(_pairings, basis), c)]
+        far = short_vectors(gram, 6 * two_n0, label=c, modulus=two_n0).counts
+        for j in (1, 2, 3):
+            edge, total = isqrt(2 * j * two_n), 0
+            for k in range(-edge, edge + 1):
+                key = 2 * j * two_n - k * k
+                if key < 2 * two_n:
+                    total += counts[min(k % two_n, -k % two_n)].get(key, 0)
+                elif k % m == 0:
+                    total += far.get((k // m % two_n0, key // (m * m)), 0)
+            sigma3 = sum(d ** 3 for d in range(1, j + 1) if j % d == 0)
+            assert total == 240 * sigma3, (orbit.two_n, orbit.representative, j)
+
+
 def test_completion_is_unimodular_for_every_dominant_vector():
     seen = set()
     for two_n in range(2, 102, 2):
@@ -189,7 +220,7 @@ def test_restricted_weight():
     assert glue.restricted_weight(complement_lattice(twelve.representative)) == 35
     rootfree = lt.direct_sum(lt.rank1(4), lt.rank1(6))
     assert glue.restricted_weight(rootfree) == 12
-    with pytest.raises(LatticeError, match="is not definite"):
+    with pytest.raises(LatticeError, match="not positive definite"):
         glue.restricted_weight(lt.H)
 
 

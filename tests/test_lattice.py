@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -8,6 +8,7 @@ from k3lat import e8, sbad
 from k3lat import intlinalg as la
 from k3lat import lattice as lt
 from k3lat.errors import GramFileError, LatticeError
+from k3lat.shortvec import root_count, short_vectors
 from oracles import determinant, fraction_signature, random_definite_grams, vec_mat
 
 HIGHEST_ROOT = (2, 3, 4, 6, 5, 4, 3, 2)
@@ -71,7 +72,7 @@ def test_degeneracy_is_found_exactly_when_the_determinant_is_zero():
             continue
         pos, neg = lt.signature(lat)
         assert pos + neg == n and (-1) ** neg == (1 if det > 0 else -1)
-        assert lt.discriminant_group(lat).order == abs(det)
+        assert prod(lt.discriminant_group(lat).divisors) == abs(det)
         assert len(lt.dual_basis(lat)) == n
     assert 60 <= degenerate <= 540
 
@@ -109,7 +110,9 @@ def test_invariants_by_orthogonal_block_match_the_whole_matrix():
     # rows and columns: `blocks` is a partition of the basis into connected
     # blocks with no nonzero entry between two of them, and the signature and
     # the determinant read block by block are those of the whole matrix, or
-    # the same LatticeError when a block is degenerate.
+    # the same LatticeError when a block is degenerate. The root count from
+    # the blocks is that of one search of the whole matrix when it is definite;
+    # otherwise, degenerate or not, it is a LatticeError.
     rng = random.Random(32)
     pool = ([[0]], [[2, 2], [2, 2]], [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # degenerate
             lt.H.gram, [[2, 3], [3, 2]], lt.ii(1, 9).gram,  # indefinite
@@ -138,6 +141,13 @@ def test_invariants_by_orthogonal_block_match_the_whole_matrix():
         lat = lt.from_gram(gram)
         assert lt.determinant(lat) == determinant(gram), trial
         want = fraction_signature(gram)
+        if want in ((rank, 0), (0, rank)):
+            sign = 1 if want[0] else -1
+            whole = short_vectors([[sign * x for x in row] for row in gram], 2)
+            assert root_count(lat) == whole.counts.get(2, 0), trial
+        else:  # None when degenerate
+            with pytest.raises(LatticeError, match="^Gram matrix is not positive definite$"):
+                root_count(lat)
         if want is None:
             kinds["degenerate"] += 1
             with pytest.raises(LatticeError, match="^lattice has determinant 0$"):
@@ -176,11 +186,7 @@ def test_discriminant_group_properties():
     for _ in range(15):
         lat = lt.direct_sum(rng.choice(pool), rng.choice(pool))
         dg = lt.discriminant_group(lat)
-        assert dg.order == abs(lt.determinant(lat))
-        prod = 1
-        for d in dg.divisors:
-            prod *= d
-        assert prod == dg.order
+        assert prod(dg.divisors) == abs(lt.determinant(lat))
         for a, b in zip(dg.divisors, dg.divisors[1:]):
             assert b % a == 0
         gram = [list(r) for r in lat.gram]

@@ -1,8 +1,10 @@
 """Semantics of the package's record types: equality, hashing, immutability."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from k3lat.glue import DivisorCell, EmbeddingReport, ScaleContribution
 from k3lat.records import Record
 from k3lat.sbad import ExtensionWitness
 from k3lat.shortvec import NormHistogram
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "k3lat"
 
 
 def cell(**extra):
@@ -81,7 +85,7 @@ def test_records_hold_only_their_fields():
 
 def test_immutable_types_reject_attribute_assignment():
     orbit = orbits_of_norm(4)[0]
-    cases = [(lt.E8, "gram"), (lt.discriminant_group(lt.rank1(4)), "order"),
+    cases = [(lt.E8, "gram"), (lt.discriminant_group(lt.rank1(4)), "divisors"),
              (orbit, "two_n"), (orbit, "root_count_u"), (cell(), "count"),
              (sp.Named("E8"), "name"),
              (lt.E8, "rank"), (ExtensionWitness(lt.rank1(2), (1,), 0), "d_norm"),
@@ -94,12 +98,38 @@ def test_immutable_types_reject_attribute_assignment():
     assert orbit.two_n == 4 and lt.E8.rank == 8
 
 
+def test_record_is_the_one_rule_of_equality_and_hashing():
+    # Read from the source: every class of the package that declares
+    # __slots__ derives from Record, and no class but Record defines __eq__
+    # or __hash__, by a method or by an assignment such as __hash__ = None.
+    def names(node):
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef):
+                yield stmt.name
+            elif isinstance(stmt, ast.Assign):
+                yield from (t.id for t in stmt.targets if isinstance(t, ast.Name))
+
+    classes = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    defined = {(file, node.name): set(names(node)) for file, node in classes}
+    assert {"__slots__", "__eq__", "__hash__"} <= defined["records.py", "Record"]
+    assert "__slots__" in defined["shortvec.py", "NormHistogram"]
+    others = [(file, node) for file, node in classes if node.name != "Record"]
+    assert not [(file, node.name) for file, node in others
+                if "__slots__" in defined[file, node.name]
+                and "Record" not in map(ast.unparse, node.bases)]
+    assert not [(file, node.name) for file, node in others
+                if {"__eq__", "__hash__"} & defined[file, node.name]]
+
+
 def test_norm_histograms_are_mutable_and_own_their_counts():
-    a, b = NormHistogram(), NormHistogram()
+    a, b = NormHistogram({}), NormHistogram({})
     assert a.counts is not b.counts
     a.counts[Fraction(2)] = 5
     assert b.counts == {} and b.total == 0 and a.total == 5
-    assert a != b
+    assert a != b and a == NormHistogram({Fraction(2): 5})
+    assert repr(a) == "NormHistogram(counts={Fraction(2, 1): 5})"
     with pytest.raises(AttributeError):
         a.vectors = []
     with pytest.raises(TypeError):

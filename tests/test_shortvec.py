@@ -397,8 +397,10 @@ def test_root_count_rank1_and_signs():
     assert root_count(lt.rank1(4)) == 0
     assert root_count(lt.rank1(2)) == 2
     assert root_count(lt.rescale(lt.E8)) == 240  # negative definite input
-    with pytest.raises(LatticeError, match=r"signature \(1, 1\) is not definite"):
-        root_count(lt.H)
+    # indefinite, mixed signs on the diagonal, degenerate
+    for gram in (lt.H.gram, [[2, 0], [0, -2]], [[-2, 0], [0, 2]], [[0]], [[-2, -2], [-2, -2]]):
+        with pytest.raises(LatticeError, match="^Gram matrix is not positive definite$"):
+            root_count(lt.from_gram(gram))
 
 
 def test_root_count_by_blocks_matches_the_whole_enumeration(monkeypatch):
@@ -435,7 +437,7 @@ def test_root_count_by_blocks_matches_the_whole_enumeration(monkeypatch):
 def test_zero_rank_histogram():
     hist = short_vectors((), Fraction(0))
     assert hist.counts == {Fraction(0): 1}
-    assert NormHistogram().total == 0
+    assert NormHistogram({}).total == 0
 
 
 def glue_model_e8_gram():
