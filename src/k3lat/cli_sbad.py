@@ -5,11 +5,12 @@ from .errors import UsageError
 
 
 def sbad_witness(args):
+    from .lattice import determinant
     from .sbad import is_sbad_extension, read_witness_file
 
     witness = read_witness_file(args.gram)
     verdict = is_sbad_extension(witness)
-    p = {"det_s": witness.det_s, "det_s1": witness.det_s1,
+    p = {"det_s": determinant(witness.s), "det_s1": determinant(witness.s1),
          "pairings": list(witness.pairings), "d_norm": witness.d_norm, "s_bad": verdict}
     return p, lambda: [f"det S = {p['det_s']}",
                        f"det S1 = {p['det_s1']}",

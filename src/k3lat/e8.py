@@ -16,17 +16,15 @@ from .records import Record
 
 WEYL_ORDER = 696729600  # |W(E8)| = 2^14 3^5 5^2 7
 
-# The Gram matrix of `lattice.E8`, from a deliberate copy of its Dynkin
-# diagram (a test checks that they agree): listing orbits then never loads
+# The Dynkin diagram of `lattice.E8`, a deliberate copy (a test checks that
+# its Gram matrix is that of `lattice.E8`): listing orbits then never loads
 # `lattice`, and `lattice` does not load this module for the edges, which
 # would add about 3% to a `lat info` command.
 _EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
-_GRAM = [[2 if i == j else -1 if (min(i, j) + 1, max(i, j) + 1) in _EDGES else 0
-          for j in range(8)] for i in range(8)]
-_ADJ = [[j for j in range(8) if _GRAM[i][j] == -1] for i in range(8)]
+_ADJ = [[j for j in range(8) if (min(i, j) + 1, max(i, j) + 1) in _EDGES] for i in range(8)]
 # The inverse Gram matrix: row i is the fundamental weight i in simple-root
 # coordinates (Bourbaki, Lie Groups and Lie Algebras, Plate VII; a test
-# checks that it inverts _GRAM).
+# checks that it inverts the Gram matrix of `lattice.E8`).
 _GRAM_INV = [[4, 5, 7, 10, 8, 6, 4, 2],
              [5, 8, 10, 15, 12, 9, 6, 3],
              [7, 10, 14, 20, 16, 12, 8, 4],
@@ -202,8 +200,6 @@ def orbits_of_norm(two_n: int) -> list[OrbitClass]:
     orbits = []
     for rep, pair in sorted(_dominant_vectors_of_norm(two_n)):
         stab, roots = parabolic_orders(pair)
-        if WEYL_ORDER % stab:
-            raise RuntimeError(f"stabilizer order {stab} does not divide |W(E8)|")
         orbits.append(OrbitClass(
             two_n=two_n,
             representative=rep,

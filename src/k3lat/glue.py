@@ -150,10 +150,7 @@ def restricted_weight(u: Lattice) -> int:
     from .shortvec import root_count
     if u.rank > 26:
         raise ValueError("complement lattice cannot have rank above 26")
-    roots = root_count(u)  # raises LatticeError when not definite
-    if roots % 2:
-        raise RuntimeError(f"odd root count {roots}: roots come in pairs +-r")
-    return 12 + roots // 2
+    return 12 + root_count(u) // 2  # raises LatticeError when not definite
 
 
 class DivisorCell(Record):

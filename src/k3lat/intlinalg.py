@@ -16,8 +16,6 @@ from operator import mul
 
 from .reduction import IntMatrix, xgcd
 
-IntVector = list[int]
-
 
 def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

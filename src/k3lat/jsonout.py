@@ -2,13 +2,13 @@
 
 `dumps(obj)` returns exactly what ``json.dumps(obj, indent=2)`` returns
 for a payload of dicts with string keys, lists, tuples, strings, ints,
-bools and None; any other leaf is a TypeError, as in `json`. With an indent
-the `json` module encodes in pure Python; here each container is one
-join, so a large table renders several times faster. An int is written by
-`int.__repr__`, as `json` writes it, so an int beyond Python's int-to-str
-digit limit raises the same ValueError. Only a string that needs escaping
-(a quote, a backslash, a control character or non-ASCII text) is handed
-to `json`.
+bools and None. Any other leaf is a TypeError, a float too, which `json`
+writes but no exact payload holds. With an indent the `json` module
+encodes in pure Python; here each container is one join, so a large table
+renders several times faster. An int is written by `int.__repr__`, as
+`json` writes it, so an int beyond Python's int-to-str digit limit raises
+the same ValueError. Only a string that needs escaping (a quote, a
+backslash, a control character or non-ASCII text) is handed to `json`.
 """
 
 from __future__ import annotations

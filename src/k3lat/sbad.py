@@ -34,16 +34,6 @@ class ExtensionWitness(Record):
         g.append(list(self.pairings) + [self.d_norm])
         return from_gram(g)
 
-    @property
-    def det_s(self) -> int:
-        from .lattice import determinant
-        return determinant(self.s)
-
-    @property
-    def det_s1(self) -> int:
-        from .lattice import determinant
-        return determinant(self.s1)
-
 
 def is_sbad_extension(w: ExtensionWitness) -> bool:
     """True iff the bordered lattice S1 has signature (1, rank S) and
@@ -52,16 +42,19 @@ def is_sbad_extension(w: ExtensionWitness) -> bool:
     A degenerate S1 (det 0) is reported via LatticeError rather
     than as False: an isotropic bordering is not a lattice extension.
     """
-    from .lattice import signature
-    det_s = w.det_s
+    from .lattice import determinant
+    return _verdict(w, determinant(w.s))
+
+
+def _verdict(w: ExtensionWitness, det_s: int) -> bool:
+    from .lattice import determinant, signature
     if det_s == 0:
         raise LatticeError("S must be nondegenerate")
-    det_s1 = w.det_s1
+    s1 = w.s1
+    det_s1 = determinant(s1)
     if det_s1 == 0:
         raise LatticeError("bordered lattice is degenerate")
-    if abs(det_s1) > 2 * abs(det_s):
-        return False
-    return signature(w.s1) == (1, w.s.rank)
+    return abs(det_s1) <= 2 * abs(det_s) and signature(s1) == (1, w.s.rank)
 
 
 def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[ExtensionWitness]:
@@ -71,14 +64,16 @@ def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[Extens
     Degenerate borderings are skipped. The unbounded existence question is
     not decided here.
     """
+    from .lattice import determinant
+    det_s = determinant(s)  # once per search: each verdict below takes it
     found = []
     span = range(-max_pairing, max_pairing + 1)
     for d in d_norms:
         for pairings in product(span, repeat=s.rank):
             w = ExtensionWitness(s=s, pairings=tuple(pairings), d_norm=index(d))
-            if w.det_s1 == 0 and w.det_s != 0:  # a degenerate S raises below
+            if det_s and determinant(w.s1) == 0:  # a degenerate S raises below
                 continue
-            if is_sbad_extension(w):
+            if _verdict(w, det_s):
                 found.append(w)
     return found
 

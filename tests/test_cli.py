@@ -373,6 +373,26 @@ def test_public_names_resolve_to_their_defining_modules():
         k3lat.no_such_name
 
 
+def test_dir_lists_every_public_name():
+    names = dir(k3lat)
+    assert names == sorted(names) and set(k3lat.__all__) <= set(names)
+    assert "__version__" in names and "_SOURCES" in names
+
+
+def test_main_writes_whole_text_to_an_in_memory_stdout(capsys):
+    # A text file with no binary layer under it takes the text in one write.
+    argv = ["table", "--to", "8", "--format", "json"]
+    _, expected, _ = run(capsys, *argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == expected
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["lat", "info", "(0)"]) == 2
+    assert err.getvalue() == "k3lat: domain error: lattice has determinant 0\n"
+
+
 def test_e8_orbits_builds_no_complement(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("e8 orbits must not build a complement")

@@ -42,6 +42,9 @@ def test_dominant_representative_idempotent_and_symmetric():
     assert e8.dominant_representative(x) == e8.dominant_representative(neg)
     with pytest.raises(LatticeError, match="zero vector has no dominant representative"):
         e8.dominant_representative((0,) * 8)
+    for x in ((1,) * 7, (1,) * 9):
+        with pytest.raises(ValueError, match="vector of length 8"):
+            e8.dominant_representative(x)
 
 
 def test_random_weyl_words_stay_in_orbit():
@@ -103,12 +106,14 @@ def test_coordinate_model_simple_roots_have_the_e8_gram():
 
 
 def test_orbit_gram_is_the_lattice_e8_gram():
-    assert e8._GRAM == [list(row) for row in lt.E8.gram]
-    assert la.mat_mul(e8._GRAM, e8._GRAM_INV) == la.identity(8)
+    """The diagram copied in `e8` gives the Gram matrix of `lattice.E8`."""
+    gram = [list(row) for row in lt.E8.gram]
+    assert [e8._pairings(row) for row in la.identity(8)] == gram
+    assert la.mat_mul(gram, e8._GRAM_INV) == la.identity(8)
     rng = random.Random(5)
     for _ in range(200):
         x = [rng.randint(-50, 50) for _ in range(8)]
-        assert e8._pairings(x) == vec_mat(x, e8._GRAM)
+        assert e8._pairings(x) == vec_mat(x, gram)
 
 
 def test_enumerator_carries_the_weight_coordinates():
@@ -118,7 +123,7 @@ def test_enumerator_carries_the_weight_coordinates():
         reps = [o.representative for o in e8.orbits_of_norm(two_n)]
         assert sorted(x for x, _ in found) == reps
         for x, p in found:
-            assert list(p) == vec_mat(x, e8._GRAM) and min(p) >= 0, (two_n, x)
+            assert list(p) == vec_mat(x, lt.E8.gram) and min(p) >= 0, (two_n, x)
 
 
 def test_orbit_invariants():

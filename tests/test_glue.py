@@ -222,6 +222,9 @@ def test_restricted_weight():
     assert glue.restricted_weight(rootfree) == 12
     with pytest.raises(LatticeError, match="not positive definite"):
         glue.restricted_weight(lt.H)
+    big = lt.from_gram([[2 if i == j else 0 for j in range(27)] for i in range(27)])
+    with pytest.raises(ValueError, match="cannot have rank above 26"):
+        glue.restricted_weight(big)
 
 
 def test_divisor_classes(rows):

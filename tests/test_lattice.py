@@ -332,6 +332,15 @@ def test_is_primitive_vector():
             lt.is_primitive_vector(lat, x)
 
 
+def test_saturation_index():
+    assert lt.saturation_index([[2, 0], [0, 3]]) == 6
+    assert lt.saturation_index([[1, 1], [1, -1]]) == 2
+    assert lt.saturation_index([[1, 2, 3]]) == 1 and lt.saturation_index([[4, 6, 0]]) == 2
+    for rows in ([[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]], [[0, 0]]):
+        with pytest.raises(ValueError, match="rows are dependent"):
+            lt.saturation_index(rows)
+
+
 def test_gram_file_roundtrip(tmp_path):
     path = tmp_path / "g.gram"
     path.write_text("2\n8 4\n4 0\n")

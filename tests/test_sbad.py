@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,15 +15,15 @@ from oracles import rational_counts, vec_mat
 
 def test_witness_examples():
     kummer = sbad.ExtensionWitness(s=lt.rank1(8), pairings=(4,), d_norm=0)
-    assert kummer.det_s1 == -16
+    assert lt.determinant(kummer.s1) == -16
     assert sbad.is_sbad_extension(kummer)  # 16 <= 2 * 8
 
     ortho_root = sbad.ExtensionWitness(s=lt.rank1(8), pairings=(0,), d_norm=-2)
-    assert abs(ortho_root.det_s1) == 2 * abs(ortho_root.det_s)
+    assert lt.determinant(ortho_root.s1) == -2 * lt.determinant(ortho_root.s)  # -16 = -2 * 8
     assert sbad.is_sbad_extension(ortho_root)
 
     too_big = sbad.ExtensionWitness(s=lt.rank1(2), pairings=(0,), d_norm=-6)
-    assert too_big.det_s1 == -12
+    assert lt.determinant(too_big.s1) == -12
     assert not sbad.is_sbad_extension(too_big)
 
 
@@ -52,7 +53,7 @@ def test_bordered_determinant_identity():
             continue
         d_norm = rng.choice([-6, -4, -2, 2, 4])
         w = sbad.ExtensionWitness(s=lat, pairings=(0,) * rank, d_norm=d_norm)
-        assert w.det_s1 == det * d_norm
+        assert lt.determinant(w.s1) == det * d_norm
         built += 1
 
 
@@ -62,7 +63,7 @@ def test_witness_invariant_under_basis_change():
     pairings = (4, 2)
     d_norm = 0
     w = sbad.ExtensionWitness(s=s, pairings=pairings, d_norm=d_norm)
-    base = "degenerate" if w.det_s1 == 0 else sbad.is_sbad_extension(w)
+    base = "degenerate" if lt.determinant(w.s1) == 0 else sbad.is_sbad_extension(w)
     for _ in range(10):
         u = la.identity(2)
         for _ in range(4):
@@ -75,7 +76,8 @@ def test_witness_invariant_under_basis_change():
         new_pairings = tuple(vec_mat(list(pairings), la.transpose(u)))
         w2 = sbad.ExtensionWitness(s=lt.from_gram(new_gram),
                                    pairings=new_pairings, d_norm=d_norm)
-        assert ("degenerate" if w2.det_s1 == 0 else sbad.is_sbad_extension(w2)) == base
+        degenerate = lt.determinant(w2.s1) == 0
+        assert ("degenerate" if degenerate else sbad.is_sbad_extension(w2)) == base
 
 
 def test_polarized_bad_examples():
@@ -95,6 +97,17 @@ def test_polarized_shift_invariance():
                     shifted = sbad.polarized_bad(n, d + 2 * k * m + 2 * n * m * m,
                                                  k + 2 * n * m)
                     assert shifted == base
+
+
+def test_polarization_degrees_must_be_positive():
+    for n in (0, -1, -4):
+        with pytest.raises(ValueError, match="polarization degree must be positive"):
+            sbad.polarized_bad(n, 0, 1)
+        with pytest.raises(ValueError, match="polarization degree must be positive"):
+            sbad.normalize_degree(n, 1)
+    for two_n in (0, -2, 3, 7):
+        with pytest.raises(ValueError, match="two_n must be a positive even integer"):
+            sbad.possible_extension_norms(two_n, 1)
 
 
 def test_normalize_degree():
@@ -137,6 +150,24 @@ def test_bounded_search_finds_the_orthogonal_root():
     assert any(w.pairings == (0,) and w.d_norm == -2 for w in found)
     for w in found:
         assert sbad.is_sbad_extension(w)
+
+
+def test_bounded_search_reduces_s_once(monkeypatch):
+    # Over n borderings, S is reduced once for the whole search, not once per
+    # bordering; each bordered lattice once for the skip test, and once more
+    # for a verdict unless it is degenerate.
+    s = lt.from_gram([[2, 1], [1, -4]])
+    borderings = list(product([-2, 0], product(range(-1, 2), repeat=2)))
+    n = len(borderings)
+    degenerate = sum(lt.determinant(sbad.ExtensionWitness(s, p, d).s1) == 0
+                     for d, p in borderings)
+    reduced = []
+    determinant = lt.determinant
+    monkeypatch.setattr(lt, "determinant", lambda lat: reduced.append(lat) or determinant(lat))
+    found = sbad.search_sbad_extensions(s, 1, [-2, 0])
+    assert sum(lat == s for lat in reduced) == 1 and reduced[0] == s
+    assert len(reduced) == 1 + 2 * n - degenerate
+    assert n == 18 and degenerate == 3 and len(found) == 9
 
 
 def test_witness_file(tmp_path):

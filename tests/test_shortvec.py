@@ -12,7 +12,7 @@ from k3lat.e8 import orbits_of_norm
 from k3lat.glue import coset_count_row, dual_coset_counts
 from k3lat.errors import LatticeError
 from k3lat.shortvec import (NormHistogram, lll_reduce, rational_cholesky, root_count,
-                            short_vectors)
+                            short_vectors, vector_count)
 from oracles import (complement_lattice, determinant, e8_vectors, model_norm,
                      random_definite_grams, simple_root_coordinates, simple_root_pairings,
                      skewed_gram, vec_mat, vec_norm)
@@ -97,6 +97,18 @@ def test_enumerate_e8_roots():
     hist = short_vectors(lt.E8.gram, 2)
     assert all(type(key) is int for key in hist.counts)
     assert hist.counts == {Fraction(0): 1, Fraction(2): 240}
+
+
+def test_vector_count_of_e8():
+    # 1 + 240 + 2160: the zero vector, the roots and the 2160 vectors of norm 4
+    assert vector_count(lt.E8.gram, 4) == 2401
+    assert vector_count(lt.E8.gram, Fraction(7, 2)) == vector_count(lt.E8.gram, 2) == 241
+
+
+def test_a_gram_matrix_that_is_not_symmetric_is_rejected():
+    for gram in ([[2, 1], [0, 2]], [[2, 1, 0], [1, 2, 0], [0, 1, 2]]):
+        with pytest.raises(ValueError, match="Gram matrix must be symmetric"):
+            short_vectors(gram, 2)
 
 
 def test_enumerate_e7_roots():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -45,6 +46,17 @@ def test_syntax_errors_carry_offsets():
         sp.parse_spec("II(4,20)")
     with pytest.raises(SpecSyntaxError):
         sp.parse_spec("E9")
+    with pytest.raises(SpecSyntaxError, match=r"expected '\)'") as err:
+        sp.parse_spec("(2")
+    assert err.value.offset == 2
+    # more digits than int() takes is no integer, at the token's start
+    with pytest.raises(SpecSyntaxError, match="expected an integer") as err:
+        sp.parse_spec("E8 + (" + "7" * (sys.get_int_max_str_digits() + 1) + ")")
+    assert err.value.offset == 6
+    for text, offset in (("gram:", 5), ("gram:  + E8", 7)):
+        with pytest.raises(SpecSyntaxError, match="expected a file path after gram:") as err:
+            sp.parse_spec(text)
+        assert err.value.offset == offset
 
 
 def test_odd_rank1_accepted_but_odd():
