@@ -1,4 +1,6 @@
-"""`k3lat table`: coset count table rows, as markdown, CSV or JSON."""
+"""`k3lat table`: coset count table rows, as markdown, CSV or JSON. Each
+payload entry is built as soon as its row is computed, so one row is held at
+a time."""
 
 from .cli import _rational, _signed
 from .errors import UsageError
@@ -8,20 +10,6 @@ def _even_norms(start: int, stop: int) -> list[int]:
     if start < 2 or stop < start:
         raise UsageError("need 2 <= from <= to")
     return [t for t in range(start, stop + 1) if t % 2 == 0]
-
-
-def _rows_for_norm(two_n: int):
-    from .e8 import orbits_of_norm
-    from .glue import coset_count_row
-
-    return [coset_count_row(orbit) for orbit in orbits_of_norm(two_n)]
-
-
-def _collect_rows(start: int, stop: int):
-    from .parallel import parallel_map
-
-    per_norm = parallel_map(_rows_for_norm, _even_norms(start, stop))
-    return [row for rows in per_norm for row in rows]
 
 
 def _column_count(rows) -> int:
@@ -61,17 +49,27 @@ def _cells(row, internal: bool) -> list[dict]:
     return out
 
 
+def _entry(row, with_cells: bool, internal: bool) -> dict:
+    entry = {"two_n": row.two_n, "roots": row.root_count,
+             "primitive": row.orbit.primitive,
+             "representative": list(row.orbit.representative),
+             "orbit_size": row.orbit.orbit_size,
+             "totals": [row.column_totals[k] for k in range(row.two_n // 2 + 1)]}
+    if with_cells:  # markdown and CSV print the totals alone
+        entry["cells"] = _cells(row, internal)
+    return entry
+
+
 def table(args):
-    rows = _collect_rows(args.start, args.stop)
-    p = {"rows": [
-        {"two_n": row.two_n, "roots": row.root_count,
-         "primitive": row.orbit.primitive,
-         "representative": list(row.orbit.representative),
-         "orbit_size": row.orbit.orbit_size,
-         "totals": [row.column_totals[k] for k in range(row.two_n // 2 + 1)]}
-        for row in rows]}
-    if args.format == "json":  # markdown and CSV print the totals alone
-        for out, row in zip(p["rows"], rows):
-            out["cells"] = _cells(row, args.internal_norms)
+    norms = _even_norms(args.start, args.stop)
+    from .e8 import orbits_of_norm
+    from .glue import coset_count_row
+    from .parallel import parallel_map
+
+    def entries(two_n: int) -> list[dict]:  # each row is dropped once its entry is built
+        return [_entry(coset_count_row(orbit), args.format == "json", args.internal_norms)
+                for orbit in orbits_of_norm(two_n)]
+
+    p = {"rows": [entry for per_norm in parallel_map(entries, norms) for entry in per_norm]}
     render = _table_markdown if args.format == "md" else _table_csv
     return p, lambda: render(p["rows"])

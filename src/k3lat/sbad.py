@@ -43,10 +43,10 @@ def is_sbad_extension(w: ExtensionWitness) -> bool:
     than as False: an isotropic bordering is not a lattice extension.
     """
     from .lattice import determinant
-    return _verdict(w, determinant(w.s))
+    return _verdict(w, determinant(w.s))[1]
 
 
-def _verdict(w: ExtensionWitness, det_s: int) -> bool:
+def _verdict(w: ExtensionWitness, det_s: int) -> tuple[int, bool]:
     from .lattice import determinant, signature
     if det_s == 0:
         raise LatticeError("S must be nondegenerate")
@@ -54,7 +54,7 @@ def _verdict(w: ExtensionWitness, det_s: int) -> bool:
     det_s1 = determinant(s1)
     if det_s1 == 0:
         raise LatticeError("bordered lattice is degenerate")
-    return abs(det_s1) <= 2 * abs(det_s) and signature(s1) == (1, w.s.rank)
+    return det_s1, abs(det_s1) <= 2 * abs(det_s) and signature(s1) == (1, w.s.rank)
 
 
 def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[ExtensionWitness]:
@@ -73,7 +73,7 @@ def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[Extens
             w = ExtensionWitness(s=s, pairings=tuple(pairings), d_norm=index(d))
             if det_s and determinant(w.s1) == 0:  # a degenerate S raises below
                 continue
-            if _verdict(w, det_s):
+            if _verdict(w, det_s)[1]:
                 found.append(w)
     return found
 

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -44,6 +45,30 @@ def test_table_markdown_matches_golden(capsys):
     code, out, _ = run(capsys, "table", "--from", "2", "--to", "14")
     assert code == 0
     assert out == GOLDEN.read_text()
+
+
+def test_table_rows_150_to_170_are_pinned(capsys):
+    # The rows above 2n = 22 have no golden file: this digest pins them.
+    code, out, _ = run(capsys, "table", "--from", "150", "--to", "170", "--format", "json")
+    assert code == 0 and len(out) == 1_100_929
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4669061144c537e0969b359c1e0c416914e3dec01ead938caaa6a0df408d32ff")
+
+
+def test_table_holds_one_row_at_a_time(capsys, monkeypatch):
+    # Each payload entry, cells included, is built as its row is computed, and
+    # the row is dropped before the next one is.
+    import k3lat.glue
+    live = []
+    coset_count_row = k3lat.glue.coset_count_row
+
+    def counted(orbit):
+        live.append(sum(isinstance(o, k3lat.glue.CosetCountTable) for o in gc.get_objects()))
+        return coset_count_row(orbit)
+
+    monkeypatch.setattr(k3lat.glue, "coset_count_row", counted)
+    assert run(capsys, "table", "--to", "20", "--format", "json")[0] == 0
+    assert len(live) == 15 and max(live) <= 1
 
 
 def test_table_csv_row(capsys):

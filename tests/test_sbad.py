@@ -170,6 +170,24 @@ def test_bounded_search_reduces_s_once(monkeypatch):
     assert n == 18 and degenerate == 3 and len(found) == 9
 
 
+
+def test_witness_command_reduces_s_once_and_builds_s1_once(monkeypatch, capsys, tmp_path):
+    # `sbad witness` prints the determinants that its verdict computes: S is
+    # reduced once, and S1 is built once and reduced for its determinant and
+    # its signature.
+    from k3lat.cli import main
+    path = tmp_path / "w.gram"
+    path.write_text("1\n8\n4 0\n")
+    reduced, built = [], []
+    lagrange_reduction, from_gram = lt.lagrange_reduction, lt.from_gram
+    monkeypatch.setattr(lt, "lagrange_reduction",
+                        lambda m: reduced.append(len(m)) or lagrange_reduction(m))
+    monkeypatch.setattr(lt, "from_gram", lambda g: built.append(len(g)) or from_gram(g))
+    assert main(["sbad", "witness", "--gram", str(path), "--json"]) == 0
+    assert '"det_s1": -16' in capsys.readouterr().out
+    assert reduced == [1, 2, 2]
+    assert built == [1, 2]
+
 def test_witness_file(tmp_path):
     path = tmp_path / "w.gram"
     path.write_text("1\n8\n4 0\n")
