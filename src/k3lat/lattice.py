@@ -10,8 +10,7 @@ ints; only `dual_basis` returns Fractions.
 
 from __future__ import annotations
 
-from functools import reduce
-from math import gcd
+from math import gcd, prod
 from operator import index, mul
 
 from .errors import GramFileError, LatticeError
@@ -94,7 +93,7 @@ def determinant(lat: Lattice) -> int:
     Lagrange reductions, or 0 if one stops short. Each step is a congruence
     by a matrix of determinant +-1 (a pivot choice, or e_i -> e_i + e_j)."""
     try:
-        return reduce(mul, (minors[-1] for minors in _block_minors(lat)), 1)
+        return prod(minors[-1] for minors in _block_minors(lat))
     except LatticeError:
         return 0
 
@@ -170,10 +169,7 @@ def saturation_index(rows) -> int:
     factors = [d for d in la.diagonal_of(diag) if d != 0]
     if len(factors) < len(b):
         raise ValueError("sublattice basis rows are dependent")
-    idx = 1
-    for d in factors:
-        idx *= d
-    return idx
+    return prod(factors)
 
 
 def orthogonal_complement(ambient: Lattice, rows) -> list[list[int]]:

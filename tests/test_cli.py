@@ -81,18 +81,18 @@ def test_table_csv_row(capsys):
 
 
 def test_table_csv_header_spans_widest_row(capsys):
-    code, out, _ = run(capsys, "table", "--from", "2", "--to", "22",
+    code, out, _ = run(capsys, "table", "--from", "2", "--to", "40",
                        "--format", "csv")
     assert code == 0
     header, *rows = out.splitlines()
-    assert header == "2n,roots," + ",".join(f"k={k}" for k in range(12))
+    assert header == "2n,roots," + ",".join(f"k={k}" for k in range(21))
     widths = []
     for line in rows:
         fields = line.split(",")
         two_n = int(fields[0])
         assert len(fields) == 2 + two_n // 2 + 1
         widths.append(len(fields))
-    assert max(widths) == len(header.split(",")) == 14
+    assert max(widths) == len(header.split(",")) == 23 and len(rows) == 43
 
 
 def test_table_json_schema(capsys):
@@ -581,6 +581,9 @@ def test_e8_orbits_json(capsys):
     assert sorted(prim_flags) == [False, True]
     sizes = sum(o["orbit_size"] for o in payload["orbits"])
     assert sizes == 17520
+    # argparse reads --norm=8, which the grammar table leaves to it, as the
+    # table reads --norm 8.
+    assert run(capsys, "e8", "orbits", "--norm=8", "--json") == (0, out, "")
 
 
 def test_divisors_command(capsys):
@@ -609,6 +612,14 @@ def test_lat_info_definite_vs_not(capsys):
     code, out, _ = run(capsys, "lat", "info", "H + H")
     assert code == 0
     assert "root count" not in out
+    # A spec larger than II(2,26): the invariants of 24 copies of -E8 come
+    # from its 24 blocks of rank 8.
+    code, out, _ = run(capsys, "lat", "info", " + ".join(["-E8"] * 24), "--json")
+    payload = json.loads(out)
+    assert code == 0 and {key: payload[key] for key in (
+        "rank", "signature", "determinant", "root_count", "discriminant_divisors")} == {
+        "rank": 192, "signature": [0, 192], "determinant": 1, "root_count": 5760,
+        "discriminant_divisors": []}
 
 
 def test_lat_info_divisors_form_a_divisibility_chain(capsys):
@@ -650,6 +661,8 @@ def test_embed_check(capsys):
     assert "yes" in out
     code, _, err = run(capsys, "embed", "check", "H")
     assert code == 2
+    assert run(capsys, "embed", "check", "E8") == (
+        2, "", "k3lat: domain error: expected signature (2, q), got (8, 0)\n")
 
 
 def test_sbad_polarized(capsys):
@@ -741,6 +754,8 @@ def test_exit_codes(capsys):
     assert code == 2  # degenerate lattice: domain error
     code, _, err = run(capsys, "lat", "info", "(\u00b2)")  # a digit int() rejects
     assert code == 1 and "parse error" in err
+    code, _, err = run(capsys, "lat", "info", "II(9,9)")  # an II(p,q) not provided
+    assert code == 1 and err.startswith("k3lat: parse error: ")
     code, _, err = run(capsys, "nonsense")
     assert code == 1
     code, _, err = run(capsys, "table", "--format", "yaml")

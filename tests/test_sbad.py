@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,7 +10,8 @@ from k3lat import lattice as lt
 from k3lat import sbad
 from k3lat.e8 import orbits_of_norm
 from k3lat.errors import GramFileError, LatticeError
-from k3lat.glue import coset_count_row
+from k3lat.glue import (CosetCountTable, DivisorCell, coset_count_row, divisor_classes,
+                        hyperplane_multiplicity)
 from oracles import rational_counts, vec_mat
 
 
@@ -134,15 +136,35 @@ def test_possible_extension_norms_examples():
 
 
 def test_possible_extension_norms_match_table_cells():
-    # every nonzero cell's divisor norm nu_int - 2 must equal d - k^2/2n
-    for two_n in range(2, 16, 2):
-        for orbit in orbits_of_norm(two_n):
-            for k, cells in rational_counts(coset_count_row(orbit)).items():
-                for nu_int, count in cells.items():
-                    if count == 0 or nu_int == 0:
-                        continue
-                    d = sbad.possible_extension_norms(two_n, k)
-                    assert Fraction(d) - Fraction(k * k, two_n) == nu_int - 2
+    # The divisor window is one fact written twice. glue reads the cell of
+    # label k at 4n - r for r = k^2 mod 4n, and none where r = 0; sbad states
+    # it as the even d with -2 <= d - k^2/2n < 0, the cell 2n d - k^2 + 4n.
+    # And glue folds the labels of a dual line's scales as normalize_degree
+    # does. Both read only two_n and counts, so past 2n = 40 a row with no
+    # counts serves.
+    for two_n in range(2, 201, 2):
+        n = two_n // 2
+        rows = ([coset_count_row(orbit) for orbit in orbits_of_norm(two_n)] if two_n <= 40
+                else [CosetCountTable(two_n, None, 0, {}, {})])
+        for row in rows:
+            cells = {cell.k: cell for cell in divisor_classes(row)}
+            for k in range(n + 1):
+                d = sbad.possible_extension_norms(two_n, k)
+                key = sbad.projected_norm(n, d, k) + 2 * two_n
+                if key == 0:
+                    assert k not in cells, (two_n, k)
+                else:
+                    count = row.counts.get(k, {}).get(key, 0)
+                    assert cells.pop(k) == DivisorCell(k, -key, count, count > 0), (two_n, k)
+                scales = range(1, math.isqrt(2 * two_n) + 1)  # each c with -c^2 >= -4n
+                report = hyperplane_multiplicity(row, k, -1)
+                assert [(c.scale, c.label) for c in report.contributions] == [
+                    (c, sbad.normalize_degree(n, c * k)) for c in scales], (two_n, k)
+                # every nonzero cell of a row, but the zero vector's, is the one in the window
+                for nu, count in rational_counts(row).get(k, {}).items():
+                    if count and nu:
+                        assert Fraction(d) - Fraction(k * k, two_n) == nu - 2, (two_n, k)
+            assert cells == {}
 
 
 def test_bounded_search_finds_the_orthogonal_root():

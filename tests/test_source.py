@@ -2,11 +2,19 @@
 
 import ast
 import builtins
+import json
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
+import k3lat
+from k3lat.records import Record
+
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "k3lat"
+# The package under test: the checkout's src/k3lat, or an installed copy.
+SRC = Path(k3lat.__file__).resolve().parent
 
 
 def _parse(path):
@@ -117,7 +125,7 @@ def test_every_error_class_is_a_cli_outcome():
 def test_library_arithmetic_is_exact():
     # Every quantity is an integer or a Fraction: no float literal, no
     # float() call, and from math only the functions exact on integers.
-    exact = {"gcd", "lcm", "isqrt", "factorial", "floor", "ceil"}
+    exact = {"gcd", "lcm", "isqrt", "factorial", "floor", "ceil", "prod"}
     found = []
     for name, tree in _library_trees():
         for node in ast.walk(tree):
@@ -143,17 +151,119 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md", "exec", optimize=0), {})
 
 
-def test_every_traced_name_resolves():
-    # The benchmark's tracer wraps the functions named in
-    # perfbench/layertrace.WRAPPED by name; a name that a module no longer
-    # binds would otherwise fail only in a traced benchmark run. The dict is
-    # read from the source, not imported.
+def _traced_names():
+    """perfbench/layertrace.WRAPPED, read from the source, not imported."""
     tree = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text(encoding="utf-8"))
     (wrapped,) = [ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign)
                   and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    return wrapped
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer wraps the functions named in
+    # perfbench/layertrace.WRAPPED by name; a name that a module no longer
+    # binds would otherwise fail only in a traced benchmark run.
+    wrapped = _traced_names()
     assert len(wrapped) >= 9
     missing = [f"{module}.{name}" for module, names in wrapped.items()
                for name in names
                if not callable(getattr(import_module(f"k3lat.{module}"), name, None))]
     assert missing == []
+
+
+# Traces every call into the package, from its import on, while main runs
+# each command line of argv.json in the working directory, and prints the
+# (file name, first line) of each function called.
+_REACH_SCRIPT = """
+import contextlib, io, json, os, sys
+import k3lat
+package = os.path.dirname(k3lat.__file__) + os.sep
+called = set()
+
+def trace(frame, event, arg):
+    code = frame.f_code
+    if code.co_filename.startswith(package):
+        called.add((os.path.basename(code.co_filename), code.co_firstlineno))
+
+with open("argv.json") as f:
+    argvs = json.load(f)
+sys.settrace(trace)
+from k3lat.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in argvs:
+        main(argv)
+sys.settrace(None)
+print(json.dumps(sorted(called)))
+"""
+
+# Functions that no command calls and that are no declared API, each with
+# the reason it stays.
+UNREACHED = {
+    "lattice._basis_rows": "the coordinates of sublattice, is_primitive_vector and "
+                           "orthogonal_complement, which only tests call",
+    "glue._pairing_solution": "the coset of the coset oracle dual_coset_counts",
+    "intlinalg.mat_mul": "the products of sublattice and orthogonal_complement",
+    "intlinalg.transpose": "the column passes of smith_normal_form, which no command's "
+                           "matrix needs, and orthogonal_complement",
+}
+
+
+def test_every_function_serves_a_command_or_a_declared_api(tmp_path, monkeypatch):
+    # Each function of the package is called by a command (the pinned output
+    # and help corpora, table --to 14 and the benchmark's queries), is public,
+    # or is kept below with its reason. A function that none of these reach
+    # is a second path: delete it, or move it into the tests.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    golden = json.loads((ROOT / "tests" / "golden" / "cli_outputs.json").read_text())
+    help_cases = json.loads((ROOT / "tests" / "golden" / "cli_help.json").read_text())["cases"]
+    argvs = ([case["argv"] for case in golden["cases"] + help_cases] + [["table", "--to", "14"]]
+             + [list(command.argv) for command in workloads.query_pool()])
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "argv.json").write_text(json.dumps(argvs))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _REACH_SCRIPT], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    served = {tuple(key) for key in json.loads(out)}
+
+    def key(function):
+        return os.path.basename(function.__code__.co_filename), function.__code__.co_firstlineno
+
+    trees = _library_trees()
+    for name, _ in trees:
+        if name != "__init__.py":
+            import_module(f"k3lat.{name[:-3]}")  # so that every record class is defined
+    public = [k3lat.__getattr__, k3lat.__dir__, *(getattr(k3lat, name) for name in k3lat.__all__)]
+    served |= {key(obj) for obj in public if hasattr(obj, "__code__")}
+    records = [Record]
+    for cls in records:
+        records += cls.__subclasses__()
+        for member in vars(cls).values():
+            member = getattr(member, "fget", member)  # a property's getter
+            if hasattr(member, "__code__"):
+                served.add(key(member))
+    # Kept until the benchmark's tracer wraps only what its commands call
+    # (ROADMAP item 13): the functions it wraps by name.
+    kept = {f"{module}.{name}" for module, names in _traced_names().items() for name in names}
+
+    defined, unserved, top_level = 0, [], set()
+    for name, tree in trees:
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            defined += 1
+            line = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            qualified = f"{name[:-3]}.{node.name}" if id(node) in top else None
+            top_level.add(qualified)
+            if (name, line) in served:
+                assert qualified not in UNREACHED, f"{qualified} is served: drop it from the list"
+            elif qualified not in kept and qualified not in UNREACHED:
+                unserved.append(f"{name}:{node.lineno} {node.name}")
+    assert defined >= 100 and len(UNREACHED) <= 5
+    assert set(UNREACHED) <= top_level - kept
+    assert unserved == []
