@@ -1,8 +1,10 @@
 """Exact integer and rational matrix routines.
 
 Matrices are lists of row lists of Python ints (Fractions where stated),
-vectors are row vectors. Nothing here ever touches floating point; the
-ranks in play (<= 28) keep the dense textbook algorithms fast. The one
+vectors are row vectors. Nothing here ever touches floating point. These
+dense textbook forms run on the whole matrix, so their cost grows with its
+rank: `lat info` takes any spec, such as 24(-E8) of rank 192 (ROADMAP item 5
+would take the discriminant group by orthogonal blocks). The one
 integer elimination here is a Hermite form of augmented rows [m | x], each
 transform carried as extra columns (Cohen, GTM 138, 2.4): it gives kernels,
 the Smith form and the exact inverse. The Lagrange reduction behind

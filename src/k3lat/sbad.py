@@ -61,8 +61,8 @@ def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[Extens
     """Bounded witness scan: all pairing vectors with entries in
     [-max_pairing, max_pairing] and self-norms from d_norms.
 
-    Degenerate borderings are skipped. The unbounded existence question is
-    not decided here.
+    Degenerate borderings are skipped; a degenerate S raises at the first
+    bordering. The unbounded existence question is not decided here.
     """
     from .lattice import determinant
     det_s = determinant(s)  # once per search: each verdict below takes it
@@ -71,10 +71,12 @@ def search_sbad_extensions(s: Lattice, max_pairing: int, d_norms) -> list[Extens
     for d in d_norms:
         for pairings in product(span, repeat=s.rank):
             w = ExtensionWitness(s=s, pairings=tuple(pairings), d_norm=index(d))
-            if det_s and determinant(w.s1) == 0:  # a degenerate S raises below
-                continue
-            if _verdict(w, det_s)[1]:
-                found.append(w)
+            try:
+                if _verdict(w, det_s)[1]:
+                    found.append(w)
+            except LatticeError:
+                if not det_s:  # S itself, not the bordering, is degenerate
+                    raise
     return found
 
 

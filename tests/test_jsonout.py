@@ -6,14 +6,12 @@ import json
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from k3lat import jsonout
 from k3lat.cli import main
 
-CORPUS = Path(__file__).parent / "golden" / "cli_outputs.json"
 # Python's int-to-str digit limit, or its default where there is none.
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 ALPHABET = ("abcXYZ019 -+/:,.{}[]~"  # printable ASCII, written as it is
@@ -94,13 +92,9 @@ def test_a_value_of_another_type_is_a_type_error():
             jsonout.dumps(bad)
 
 
-def test_every_json_case_of_the_corpus_matches_json_dumps(capsys, monkeypatch, tmp_path):
+def test_every_json_case_of_the_corpus_matches_json_dumps(capsys, monkeypatch, corpus):
     # The payloads themselves, with their tuples, as the commands hand them
     # to the writer.
-    golden = json.loads(CORPUS.read_text())
-    for name, text in golden["files"].items():
-        (tmp_path / name).write_text(text)
-    monkeypatch.chdir(tmp_path)
     payloads = []
     write = jsonout.dumps
 
@@ -109,7 +103,7 @@ def test_every_json_case_of_the_corpus_matches_json_dumps(capsys, monkeypatch, t
         return write(obj)
 
     monkeypatch.setattr(jsonout, "dumps", recording)
-    cases = [c for c in golden["cases"] if "--json" in c["argv"] or "json" in c["argv"]]
+    cases = [c for c in corpus["cases"] if "--json" in c["argv"] or "json" in c["argv"]]
     rendered = 0
     for case in cases:
         payloads.clear()

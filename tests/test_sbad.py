@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -176,20 +177,37 @@ def test_bounded_search_finds_the_orthogonal_root():
 
 def test_bounded_search_reduces_s_once(monkeypatch):
     # Over n borderings, S is reduced once for the whole search, not once per
-    # bordering; each bordered lattice once for the skip test, and once more
-    # for a verdict unless it is degenerate.
+    # bordering, and each bordered lattice once, for its verdict.
     s = lt.from_gram([[2, 1], [1, -4]])
-    borderings = list(product([-2, 0], product(range(-1, 2), repeat=2)))
-    n = len(borderings)
-    degenerate = sum(lt.determinant(sbad.ExtensionWitness(s, p, d).s1) == 0
-                     for d, p in borderings)
+    n = len(list(product([-2, 0], product(range(-1, 2), repeat=2))))
     reduced = []
     determinant = lt.determinant
     monkeypatch.setattr(lt, "determinant", lambda lat: reduced.append(lat) or determinant(lat))
     found = sbad.search_sbad_extensions(s, 1, [-2, 0])
     assert sum(lat == s for lat in reduced) == 1 and reduced[0] == s
-    assert len(reduced) == 1 + 2 * n - degenerate
-    assert n == 18 and degenerate == 3 and len(found) == 9
+    assert len(reduced) == 1 + n
+    assert n == 18 and len(found) == 9
+
+
+def test_bounded_search_builds_each_bordered_lattice_once(monkeypatch):
+    # Each S1 is built once, by its verdict, and reduced for its determinant
+    # and, unless it is degenerate, its signature; the search finds the
+    # witnesses that the verdict of each bordering alone finds.
+    s = lt.from_gram([[2, 1], [1, -4]])
+    borderings = [sbad.ExtensionWitness(s, p, d) for d in (0, -2)
+                  for p in product(range(-2, 3), repeat=2)]
+    expected = []
+    for w in borderings:
+        with contextlib.suppress(LatticeError):  # a degenerate S1
+            if sbad.is_sbad_extension(w):
+                expected.append(w)
+    reduced, built = [], []
+    lagrange_reduction, from_gram = lt.lagrange_reduction, lt.from_gram
+    monkeypatch.setattr(lt, "lagrange_reduction",
+                        lambda m: reduced.append(len(m)) or lagrange_reduction(m))
+    monkeypatch.setattr(lt, "from_gram", lambda g: built.append(len(g)) or from_gram(g))
+    assert sbad.search_sbad_extensions(s, 2, (0, -2)) == expected
+    assert (len(borderings), len(expected), len(built), len(reduced)) == (50, 25, 50, 85)
 
 
 

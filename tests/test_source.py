@@ -4,12 +4,11 @@ import ast
 import builtins
 import json
 import os
-import subprocess
-import sys
 from importlib import import_module
 from pathlib import Path
 
 import k3lat
+from conftest import start_python
 from k3lat.records import Record
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -209,7 +208,7 @@ UNREACHED = {
 }
 
 
-def test_every_function_serves_a_command_or_a_declared_api(tmp_path, monkeypatch):
+def test_every_function_serves_a_command_or_a_declared_api(corpus, monkeypatch):
     # Each function of the package is called by a command (the pinned output
     # and help corpora, table --to 14 and the benchmark's queries), is public,
     # or is kept below with its reason. A function that none of these reach
@@ -217,17 +216,13 @@ def test_every_function_serves_a_command_or_a_declared_api(tmp_path, monkeypatch
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
-    golden = json.loads((ROOT / "tests" / "golden" / "cli_outputs.json").read_text())
     help_cases = json.loads((ROOT / "tests" / "golden" / "cli_help.json").read_text())["cases"]
-    argvs = ([case["argv"] for case in golden["cases"] + help_cases] + [["table", "--to", "14"]]
+    argvs = ([case["argv"] for case in corpus["cases"] + help_cases] + [["table", "--to", "14"]]
              + [list(command.argv) for command in workloads.query_pool()])
-    for name, text in golden["files"].items():
-        (tmp_path / name).write_text(text)
-    (tmp_path / "argv.json").write_text(json.dumps(argvs))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _REACH_SCRIPT], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=120, check=True).stdout
+    Path("argv.json").write_text(json.dumps(argvs))
+    proc = start_python("-c", _REACH_SCRIPT)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
     served = {tuple(key) for key in json.loads(out)}
 
     def key(function):
