@@ -189,18 +189,17 @@ FOOTPRINTS = [
 ]
 
 
-def footprint(argvs):
-    """The exit codes of argvs, run in turn in one fresh interpreter, then
-    the k3lat modules and the HEAVY modules loaded, one line each. The
-    interpreter's K3LAT_THREADS is ignored: table computes its rows in this
-    process, with no process pool."""
+def footprint(argvs, **env):
+    """The exit codes of argvs, run in turn in one fresh interpreter with env
+    added to its environment, then the k3lat modules and the HEAVY modules
+    loaded, one line each."""
     script = ("import contextlib, io, sys; from k3lat.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()), "
               "contextlib.redirect_stderr(io.StringIO()):\n"
               f"    codes = [main(argv) for argv in {argvs!r}]\n"
               "print(codes, sorted(m for m in sys.modules if m.startswith('k3lat')), sep='\\n')\n"
               f"print([m for m in {HEAVY!r} if m in sys.modules])")
-    return fresh_python(script, K3LAT_THREADS="2").splitlines()
+    return fresh_python(script, **env).splitlines()
 
 
 @pytest.mark.parametrize("argvs, codes, modules, heavy", FOOTPRINTS,
@@ -214,6 +213,28 @@ def test_each_command_loads_exactly_its_own_modules(argvs, codes, modules, heavy
     # lattice for `sbad polarized`.
     expected = sorted(["k3lat", "k3lat.cli", *modules])
     assert footprint(argvs) == [str(codes), str(expected), str(heavy)]
+
+
+def test_cli_import_starts_without_the_process_pool():
+    # K3LAT_THREADS is ignored: table computes its rows in this process, so
+    # neither the process pool nor dataclasses loads.
+    codes, _, heavy = footprint([["table", "--to", "8", "--format", "csv"]], K3LAT_THREADS="2")
+    assert (codes, heavy) == ("[0]", "[]")
+
+
+def test_text_output_loads_no_json():
+    # nor does a second text command run in the same interpreter
+    codes, _, heavy = footprint([["lat", "info", "II(2,26)"], ["e8", "orbits", "--norm", "8"]])
+    assert (codes, heavy) == ("[0, 0]", "[]")
+
+
+def test_a_spec_that_does_not_parse_exits_1_before_lattice_loads():
+    # whichever rule of the grammar the spec breaks
+    specs = ["E9", "II(2,", "E8 +", "(2", "E8 * 2"]
+    codes, modules, heavy = footprint([["lat", "info", spec] for spec in specs])
+    assert codes == str([1] * len(specs)) and heavy == "[]"
+    assert modules == str(["k3lat", "k3lat.cli", "k3lat.cli_lat", "k3lat.errors",
+                           "k3lat.records", "k3lat.specparse"])
 
 
 def test_the_footprint_table_names_every_command():
